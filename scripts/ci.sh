@@ -61,6 +61,15 @@ echo "=== tier 1: scalar group re-encryption (SECMEM_BATCH_REENC=0) ==="
 # SIMD kernels must stay bit-identical to.
 SECMEM_BATCH_REENC=0 ctest --preset default -j "$(nproc)"
 
+echo "=== tier 1: end-to-end benchmark correctness (bench_e2e_smoke) ==="
+# The benchmark's standalone Release build (the tree e2ebench/run.py
+# uses). Its smoke test replays every workload briefly, including the
+# checkpoint replication loop that compares replica blocks each cycle,
+# and cross-checks Figure 8 against bench_fig8_performance.
+cmake -S e2ebench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build -j "$(nproc)"
+ctest --test-dir .bench_build --output-on-failure
+
 if [ "$fast" -eq 0 ]; then
   echo "=== ASan + UBSan ==="
   ASAN_OPTIONS="halt_on_error=1:abort_on_error=1" \

@@ -1112,7 +1112,12 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
   }
   in.read(reinterpret_cast<char*>(staged.counter_store.data()),
           static_cast<std::streamsize>(staged.counter_store.size()));
-  if (!in) return std::nullopt;
+  // A rejected image hands the adopted storage back to the arena.
+  const auto reject = [this, &staged] {
+    discard_restore(std::move(staged));
+    return std::nullopt;
+  };
+  if (!in) return reject();
 
   // Rebuild the tree from the image's counter lines and check its root
   // level against the sealed snapshot — offline counter tamper dies here.
@@ -1136,9 +1141,24 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
     in.read(reinterpret_cast<char*>(sealed.data()), 64);
     const auto computed = staged.tree.read_node(top, node);
     if (!in || !ct_equal(computed.data(), sealed.data(), sealed.size()))
-      return std::nullopt;
+      return reject();
   }
   return staged;
+}
+
+void SecureMemory::discard_restore(StagedRestore&& staged) const {
+  if (!batch_snapshot_) return;  // scalar mode allocates per restore
+  snap_arena_.ciphertext = std::move(staged.ciphertext);
+  snap_arena_.lanes = std::move(staged.lanes);
+  snap_arena_.macs = std::move(staged.macs);
+  snap_arena_.counter_store = std::move(staged.counter_store);
+}
+
+std::uint64_t SecureMemory::snapshot_arena_bytes() const noexcept {
+  return snap_arena_.ciphertext.capacity() * sizeof(DataBlock) +
+         snap_arena_.lanes.capacity() * sizeof(EccLane) +
+         snap_arena_.macs.capacity() * sizeof(std::uint64_t) +
+         snap_arena_.counter_store.capacity();
 }
 
 void SecureMemory::commit_restore(StagedRestore&& staged) {
@@ -1177,12 +1197,7 @@ void SecureMemory::commit_restore(StagedRestore&& staged) {
     for (std::uint64_t b = 0; b < layout_.num_blocks(); ++b)
       shadow_ctr_[b] = scheme_->read_counter(b);
   }
-  if (batch_snapshot_) {
-    snap_arena_.ciphertext = std::move(staged.ciphertext);
-    snap_arena_.lanes = std::move(staged.lanes);
-    snap_arena_.macs = std::move(staged.macs);
-    snap_arena_.counter_store = std::move(staged.counter_store);
-  }
+  discard_restore(std::move(staged));  // park the replaced vectors
   metrics_.add(MetricId::kRestores);
   trace(TraceEvent::Kind::kRestore, Status::kOk, 0);
   // Full images carry no chain state: the restored image becomes epoch

@@ -334,6 +334,14 @@ class SecureMemory : public SecureMemoryLike {
   [[nodiscard]] std::optional<StagedRestore> stage_restore(
       std::istream& in, std::uint64_t master_key) const;
   void commit_restore(StagedRestore&& staged);
+  /// Drop a staged image that will not be committed (another shard of
+  /// an all-or-nothing restore was rejected), parking its storage for
+  /// the next stage_restore as commit_restore would. Engine state is
+  /// untouched.
+  void discard_restore(StagedRestore&& staged) const;
+  /// Bytes of staging storage parked for the next stage_restore (tests
+  /// check that a rejected restore does not drop it).
+  std::uint64_t snapshot_arena_bytes() const noexcept;
 
   /// Two-phase delta restore, mirroring stage_restore/commit_restore for
   /// the sharded all-or-nothing path. stage_delta consumes a delta image
@@ -575,8 +583,9 @@ class SecureMemory : public SecureMemoryLike {
   };
   BatchScratch scratch_;
   /// Staging-storage recycler for the batched restore path:
-  /// commit_restore parks the replaced state vectors here and the next
-  /// stage_restore adopts them, so steady-state crash/restore loops
+  /// commit_restore parks the replaced state vectors here (a rejected
+  /// or discarded staging parks its own) and the next stage_restore
+  /// adopts them, so steady-state crash/restore loops
   /// allocate (and page-fault) nothing — the dominant cost of a large
   /// restore once the stream calls are chunked. Mutable because
   /// stage_restore is const by contract (it never changes engine

@@ -239,7 +239,7 @@ bool seqlock_reads_enabled() noexcept;
 /// Kill switch for the batched snapshot pipeline: SECMEM_BATCH_SNAPSHOT=0
 /// in the environment pins save/restore to the scalar per-element
 /// reference (one stream call per block/lane/MAC, leaf-by-leaf tree
-/// rebuild, sequential shard staging); anything else — including unset —
+/// rebuild, no staging-storage reuse); anything else — including unset —
 /// takes the chunked/batched path. The two paths produce bit-identical
 /// images and accept exactly the same ones. Sampled once at engine
 /// construction, like SECMEM_SEQLOCK.

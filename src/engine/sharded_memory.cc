@@ -58,9 +58,8 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 }
 
 /// ostream sink appending straight into a caller-owned byte vector, so
-/// the parallel save workers each serialize into private storage instead
-/// of contending on one shared stream. reserve() up front makes xsputn
-/// a memcpy-and-bump in steady state.
+/// the parallel delta-save workers each serialize into private storage
+/// instead of contending on one shared stream.
 class VectorSink final : public std::streambuf {
  public:
   explicit VectorSink(std::vector<char>& out) : out_(out) {}
@@ -80,8 +79,9 @@ class VectorSink final : public std::streambuf {
   std::vector<char>& out_;
 };
 
-/// istream source over a borrowed byte slice — each parallel restore
-/// worker parses its cut of the bulk-read container without copying it.
+/// istream source over a borrowed byte slice — each parallel delta
+/// restore worker parses its cut of the bulk-read container without
+/// copying it.
 /// The const_cast is the std::streambuf get-area API's; the get area is
 /// never written through.
 class SpanSource final : public std::streambuf {
@@ -109,20 +109,12 @@ std::uint64_t read_u64(std::istream& in) {
 /// The old one-thread-per-shard policy oversubscribed badly (a 64-shard
 /// region on a 4-core box spawned 64 threads that mostly context-switch);
 /// the cap keeps maintenance sweeps at hardware parallelism while the
-/// cursor still load-balances uneven shards.
-/// Worker count parallel_over_shards will use. The snapshot paths probe
-/// it to pick the buffered shard-parallel pipeline only when there is
-/// actual parallelism to buy — with one worker, per-shard buffers would
-/// add a full extra image copy for nothing, so they stream directly.
-unsigned shard_pool_workers(unsigned num_shards) {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;  // unknown topology: stay sequential
-  return std::min(num_shards, hw);
-}
-
+/// cursor still load-balances uneven shards. With one worker (one core,
+/// or an unknown topology) the shards run in order on the caller.
 template <typename Fn>
 void parallel_over_shards(unsigned num_shards, Fn&& fn) {
-  const unsigned workers = shard_pool_workers(num_shards);
+  const unsigned workers =
+      std::min(num_shards, std::max(1u, std::thread::hardware_concurrency()));
   if (workers <= 1) {
     for (unsigned s = 0; s < num_shards; ++s) fn(s);
     return;
@@ -150,8 +142,7 @@ ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
       num_shards_(num_shards),
       granule_blocks_(routing_granule_blocks(config)),
       num_blocks_(config.size_bytes / 64),
-      seqlock_reads_(seqlock_reads_enabled()),
-      batch_snapshot_(batch_snapshot_enabled()) {
+      seqlock_reads_(seqlock_reads_enabled()) {
   if (num_shards == 0)
     throw std::invalid_argument("ShardedSecureMemory: need >= 1 shard");
   const std::uint64_t granule_bytes = granule_blocks_ * 64ULL;
@@ -716,54 +707,21 @@ Status ShardedSecureMemory::save(std::ostream& out) {
   out.write(kShardMagic, sizeof(kShardMagic));
   write_u64(out, num_shards_);
   write_u64(out, granule_blocks_);
-  if (!batch_snapshot_ || shard_pool_workers(num_shards_) <= 1) {
-    // Direct-to-stream, shard by shard: the scalar reference
-    // (SECMEM_BATCH_SNAPSHOT=0), and also the batched path's shape when
-    // the worker pool is sequential anyway — the shard engines still
-    // stream chunked internally, and skipping the per-shard buffers
-    // skips a whole extra image copy. The buffered path below must emit
-    // bit-identical bytes.
-    Status folded = Status::kOk;
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      Shard& shard = shards_[s];
-      const SeqWriteLock lock(shard.mu);
-      folded = worse(folded, shard.engine->save(out));
-    }
-    if (!status_ok(folded)) break_shard_chains();
-    return folded;
-  }
-
-  // Shard-parallel: each worker serializes its shard into an
-  // exactly-sized private buffer under that shard's lock; concatenating
-  // in shard order afterwards reproduces the sequential stream byte for
-  // byte. Shards not yet serialized keep serving their callers — the
-  // sequential loop above holds each lock anyway, so parallelism only
-  // shortens the total window.
-  std::vector<std::vector<char>> images(num_shards_);
-  std::vector<Status> statuses(num_shards_, Status::kOk);
-  parallel_over_shards(num_shards_, [this, &images, &statuses](unsigned s) {
-    Shard& shard = shards_[s];
-    const SeqWriteLock lock(shard.mu);
-    images[s].reserve(shard.engine->image_bytes());
-    VectorSink sink(images[s]);
-    std::ostream shard_out(&sink);
-    statuses[s] = shard.engine->save(shard_out);
-  });
+  // Straight into the caller's stream, shard by shard, each under its
+  // own lock: the image is memory-bandwidth bound, so staging shards in
+  // private buffers would only add a whole-image copy. Shards not yet
+  // reached keep serving their callers.
   Status folded = Status::kOk;
   for (unsigned s = 0; s < num_shards_; ++s) {
-    folded = worse(folded, statuses[s]);
-    out.write(images[s].data(),
-              static_cast<std::streamsize>(images[s].size()));
+    Shard& shard = shards_[s];
+    const SeqWriteLock lock(shard.mu);
+    folded = worse(folded, shard.engine->save(out));
   }
-  // The shard engines aligned their chains into the private buffers; if
-  // the container-level write then failed, those bases describe an image
-  // that never persisted. Break the chains so the next save_delta falls
-  // back to a full image instead of sealing deltas nothing can apply.
-  out.flush();
-  if (!out) {
-    break_shard_chains();
-    folded = worse(folded, Status::kSnapshotIoError);
-  }
+  // Shards saved before a stream failure aligned their chains on bytes
+  // that never persisted as a container. Break every chain so the next
+  // save_delta falls back to full images instead of sealing deltas
+  // nothing can apply.
+  if (!status_ok(folded)) break_shard_chains();
   return folded;
 }
 
@@ -826,85 +784,40 @@ bool ShardedSecureMemory::restore_full_tail(std::istream& in,
   // rollback a shard can be stranded on a half-rotated key, and this is
   // exactly how restore() un-poisons it — commit_restore re-derives that
   // shard's working keys from the image's master.
-  if (!batch_snapshot_ || shard_pool_workers(num_shards_) <= 1) {
-    // Straight off the stream, shard by shard: the scalar reference
-    // (SECMEM_BATCH_SNAPSHOT=0), and also the batched path's shape when
-    // the worker pool is sequential — same staging-then-commit
-    // atomicity, no bulk payload copy. In batched mode the shard
-    // engines still stage through their chunked readers and bulk tree
-    // rebuilds.
-    std::vector<SecureMemory::StagedRestore> staged;
-    staged.reserve(num_shards_);
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      auto image = shards_[s].engine->stage_restore(
-          in, shard_master_key(config_.master_key, s));
-      if (!image) {
-        if (trace_)
-          trace_->record(TraceEvent::Kind::kRestore,
-                         Status::kIntegrityViolation, 0,
-                         static_cast<std::uint16_t>(s));
-        return false;
-      }
-      staged.push_back(std::move(*image));
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    for (unsigned s = 0; s < num_shards_; ++s)
-      shards_[s].engine->commit_restore(std::move(staged[s]));
-    if (timing) {
-      timing->stage_s = seconds_between(t0, t1);
-      timing->commit_s =
-          seconds_between(t1, std::chrono::steady_clock::now());
-    }
-    // A fully-restored region is uniformly keyed again by construction.
-    poisoned_.store(false, std::memory_order_release);
-    return true;
-  }
-
-  // Shard-parallel staging. The per-shard payload is fixed-size (every
-  // shard shares one config), so one bulk read cuts the container into
-  // N independent slices and the maintenance pool stages them
-  // concurrently — each worker parses, MACs, and sealed-root-checks its
-  // own shard via a SpanSource over its slice. All locks stay held, so
-  // the all-or-nothing contract is exactly the sequential path's: a
-  // short or tampered image leaves every shard untouched.
-  // The workers receive raw engine pointers gathered here, where the
-  // analysis already knows this runtime lock set is beyond it: every
-  // shard lock is held for the whole function, and each worker touches
-  // only its own shard's engine.
+  //
+  // Staging reads straight off the caller's stream, shard by shard,
+  // into each engine's recycled staging storage: a bulk read first
+  // would only add a whole-image copy. The workers of the commit below
+  // receive raw engine pointers gathered here, where the analysis
+  // already knows this runtime lock set is beyond it: every shard lock
+  // is held for the whole function, and each worker touches only its
+  // own shard's engine.
   std::vector<SecureMemory*> engines(num_shards_);
   for (unsigned s = 0; s < num_shards_; ++s)
     engines[s] = shards_[s].engine.get();
-
-  const std::uint64_t per_shard = engines[0]->image_bytes();
-  std::vector<char> payload;
-  payload.resize(static_cast<std::size_t>(per_shard) * num_shards_);
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in || static_cast<std::uint64_t>(in.gcount()) != payload.size()) {
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
-                     0, 0);
-    return false;
-  }
-
-  std::vector<std::optional<SecureMemory::StagedRestore>> staged(num_shards_);
-  parallel_over_shards(num_shards_, [this, &payload, per_shard, &engines,
-                                     &staged](unsigned s) {
-    SpanSource source(payload.data() + s * per_shard,
-                      static_cast<std::size_t>(per_shard));
-    std::istream shard_in(&source);
-    staged[s] = engines[s]->stage_restore(
-        shard_in, shard_master_key(config_.master_key, s));
-  });
+  std::vector<SecureMemory::StagedRestore> staged;
+  staged.reserve(num_shards_);
   for (unsigned s = 0; s < num_shards_; ++s) {
-    if (staged[s]) continue;
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
-                     0, static_cast<std::uint16_t>(s));
-    return false;
+    auto image = engines[s]->stage_restore(
+        in, shard_master_key(config_.master_key, s));
+    if (!image) {
+      // Hand the shards staged so far their storage back, so the next
+      // restore does not re-allocate and re-fault it.
+      for (unsigned k = 0; k < staged.size(); ++k)
+        engines[k]->discard_restore(std::move(staged[k]));
+      if (trace_)
+        trace_->record(TraceEvent::Kind::kRestore,
+                       Status::kIntegrityViolation, 0,
+                       static_cast<std::uint16_t>(s));
+      return false;
+    }
+    staged.push_back(std::move(*image));
   }
+  // Commit touches only per-shard state (counter decode, shadow
+  // counters, arena parking), so it runs shard-parallel.
   const auto t1 = std::chrono::steady_clock::now();
   parallel_over_shards(num_shards_, [&engines, &staged](unsigned s) {
-    engines[s]->commit_restore(std::move(*staged[s]));
+    engines[s]->commit_restore(std::move(staged[s]));
   });
   if (timing) {
     timing->stage_s = seconds_between(t0, t1);
@@ -922,24 +835,17 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
   // Per-shard deltas are variable-sized (and a broken-chain shard falls
   // back to its full image), so the container needs a length table
   // ahead of the payloads — every shard therefore serializes into a
-  // private buffer; the batch switch only decides whether the buffers
-  // fill in parallel. Unlike save(), the sequential shape buffers too:
-  // a delta buffer is a few percent of the image, so the copy the full
-  // path avoids is noise here.
+  // private buffer, filled shard-parallel. Unlike save(), this costs
+  // little: a delta buffer is a few percent of the image.
   std::vector<std::vector<char>> images(num_shards_);
   std::vector<Status> statuses(num_shards_, Status::kOk);
-  const auto save_one = [this, &images, &statuses](unsigned s) {
+  parallel_over_shards(num_shards_, [this, &images, &statuses](unsigned s) {
     Shard& shard = shards_[s];
     const SeqWriteLock lock(shard.mu);
     VectorSink sink(images[s]);
     std::ostream shard_out(&sink);
     statuses[s] = shard.engine->save_delta(shard_out);
-  };
-  if (!batch_snapshot_ || shard_pool_workers(num_shards_) <= 1) {
-    for (unsigned s = 0; s < num_shards_; ++s) save_one(s);
-  } else {
-    parallel_over_shards(num_shards_, save_one);
-  }
+  });
 
   out.write(kShardDeltaMagic, sizeof(kShardDeltaMagic));
   write_u64(out, num_shards_);
@@ -997,10 +903,11 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   for (unsigned s = 0; s < num_shards_; ++s)
     engines[s] = shards_[s].engine.get();
 
-  // One bulk read, sliced by the length table (slices are
-  // variable-sized, so unlike the full path there is no streamed
-  // sequential variant: a short-reading stager would desync every
-  // following shard's cut).
+  // One bulk read, sliced by the length table. Unlike the full path,
+  // which stages straight off the stream, the slices are variable-sized
+  // and staged shard-parallel: a stager that read short would desync
+  // every following shard's cut, so each one gets a bounded slice. The
+  // copy is small — a delta is a few percent of the image.
   std::vector<char> payload(static_cast<std::size_t>(total));
   in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!in || static_cast<std::uint64_t>(in.gcount()) != payload.size()) {
@@ -1025,8 +932,8 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
     bool ok = false;
   };
   std::vector<StagedShard> staged(num_shards_);
-  const auto stage_one = [this, &payload, &offsets, &lengths, &engines,
-                          &staged](unsigned s) {
+  parallel_over_shards(num_shards_, [this, &payload, &offsets, &lengths,
+                                     &engines, &staged](unsigned s) {
     const char* slice = payload.data() + offsets[s];
     const auto len = static_cast<std::size_t>(lengths[s]);
     SpanSource source(slice, len);
@@ -1039,14 +946,14 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
           shard_in, shard_master_key(config_.master_key, s));
       staged[s].ok = staged[s].full.has_value();
     }
-  };
-  if (!batch_snapshot_ || shard_pool_workers(num_shards_) <= 1) {
-    for (unsigned s = 0; s < num_shards_; ++s) stage_one(s);
-  } else {
-    parallel_over_shards(num_shards_, stage_one);
-  }
+  });
   for (unsigned s = 0; s < num_shards_; ++s) {
     if (staged[s].ok) continue;
+    // Full fallback slices that did stage hand their storage back.
+    for (unsigned k = 0; k < num_shards_; ++k) {
+      if (staged[k].full)
+        engines[k]->discard_restore(std::move(*staged[k].full));
+    }
     if (trace_)
       trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
                      0, static_cast<std::uint16_t>(s));
@@ -1055,18 +962,14 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
 
   const auto t1 = std::chrono::steady_clock::now();
   std::vector<char> commit_failed(num_shards_, 0);
-  const auto commit_one = [&engines, &staged, &commit_failed](unsigned s) {
+  parallel_over_shards(num_shards_, [&engines, &staged,
+                                     &commit_failed](unsigned s) {
     if (staged[s].full) {
       engines[s]->commit_restore(std::move(*staged[s].full));
     } else if (!engines[s]->commit_delta(std::move(*staged[s].delta))) {
       commit_failed[s] = 1;
     }
-  };
-  if (!batch_snapshot_ || shard_pool_workers(num_shards_) <= 1) {
-    for (unsigned s = 0; s < num_shards_; ++s) commit_one(s);
-  } else {
-    parallel_over_shards(num_shards_, commit_one);
-  }
+  });
   for (unsigned s = 0; s < num_shards_; ++s) {
     if (!commit_failed[s]) continue;
     // commit_delta's defense-in-depth verdict fired (a base-seal

@@ -203,14 +203,15 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// return means the region is EXACTLY as it was, including a poisoned
   /// flag; a true return restores every shard and clears poisoning.
   ///
-  /// Both directions are shard-parallel on the maintenance worker pool
-  /// (see scrub_all): save() serializes each shard into its own
-  /// exactly-sized buffer under that shard's lock and concatenates them
-  /// in shard order — byte-identical to the sequential stream; restore()
-  /// bulk-reads the whole per-shard payload once and stages every
-  /// shard's slice concurrently, all locks held throughout, so the
-  /// atomicity contract above is unchanged. SECMEM_BATCH_SNAPSHOT=0 at
-  /// construction pins the sequential scalar reference.
+  /// The container is the 24-byte header (magic, shard count, granule
+  /// blocks) followed by each shard's SecureMemory::save image in shard
+  /// order. Both directions stream straight through the caller's
+  /// stream, with no whole-image staging copy: save() writes each shard
+  /// under that shard's lock, so shards not yet reached keep serving;
+  /// restore() stages each shard off the stream into that engine's
+  /// recycled staging storage, then commits the shards in parallel on
+  /// the maintenance worker pool (see scrub_all). A save that fails
+  /// mid-stream breaks every shard's delta chain.
   [[nodiscard]] Status save(std::ostream& out) override;
   [[nodiscard]] bool restore(std::istream& in) override;
 
@@ -220,9 +221,8 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// hot working set emits a small COPY/ADD delta while a shard with a
   /// broken chain (fresh, just rotated) falls back to its full image —
   /// so a length table sits between the header and the payloads, and
-  /// every shard serializes into a private buffer regardless of the
-  /// batch switch (the switch only decides whether those buffers fill
-  /// in parallel).
+  /// every shard serializes into a private buffer, filled in parallel
+  /// on the maintenance worker pool.
   ///
   /// restore_delta() accepts BOTH container kinds, dispatching on the
   /// magic: a full container (save()'s output) takes the full-restore
@@ -317,11 +317,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
   unsigned granule_blocks_;
   std::uint64_t num_blocks_;
   /// Shared-read fast path enabled (SECMEM_SEQLOCK, construction-time).
+  /// SECMEM_BATCH_SNAPSHOT is sampled by the shard engines alone: the
+  /// container has one snapshot path.
   bool seqlock_reads_;
-  /// Shard-parallel snapshot pipeline enabled (SECMEM_BATCH_SNAPSHOT,
-  /// construction-time; the shard engines sample the same switch for
-  /// their own chunked-I/O and bulk-tree-rebuild paths).
-  bool batch_snapshot_;
   /// Fixed-size at construction; Shard is neither movable nor copyable.
   std::unique_ptr<Shard[]> shards_;
   /// Set on key-rotation rollback failure; cleared by successful

@@ -509,6 +509,36 @@ TEST(DeltaSaveIoFailure, ShardedContainerFailureBreaksChainsAndRecovers) {
   EXPECT_EQ(replica.read_block(5).data, pattern(0x51));
 }
 
+TEST(DeltaSaveIoFailure, ShardedFullSaveFailingMidStreamBreaksChains) {
+  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
+  ShardedSecureMemory source(small_config(), 4);
+  ShardedSecureMemory replica(small_config(), 4);
+  populate(source, 53);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+
+  // Dirty shards 0 and 1: their images reach the stream before it fails.
+  const std::uint64_t in_shard1 = source.granule_blocks();
+  ASSERT_EQ(source.shard_of_block(5), 0u);
+  ASSERT_EQ(source.shard_of_block(in_shard1), 1u);
+  ASSERT_EQ(source.write_block(5, pattern(0x5A)), Status::kOk);
+  ASSERT_EQ(source.write_block(in_shard1, pattern(0x5B)), Status::kOk);
+
+  const std::uint64_t shard_image = source.with_shard_exclusive(
+      0, [](SecureMemory& m) { return m.image_bytes(); });
+  // 24-byte container header, shards 0-1 whole, then half of shard 2.
+  TruncatingSink sink(24 + 2 * shard_image + shard_image / 2);
+  std::ostream bad(&sink);
+  EXPECT_EQ(source.save(bad), Status::kSnapshotIoError);
+
+  // Shards 0-1 aligned their chains on images that never persisted as a
+  // container. Had those chains survived, the next delta would seal
+  // against a base the replica never saw, and the replica would refuse it.
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  EXPECT_EQ(image_of(source), image_of(replica));
+  EXPECT_EQ(replica.read_block(5).data, pattern(0x5A));
+  EXPECT_EQ(replica.read_block(in_shard1).data, pattern(0x5B));
+}
+
 // --------------------------------------------- cross-instance diffing
 
 TEST(DeltaEncode, DiffsTwoImagesIntoAnApplicableDelta) {

@@ -2,13 +2,15 @@
 // all three engines in both pipeline modes (batched default vs the
 // SECMEM_BATCH_SNAPSHOT=0 scalar reference), bit-identical image format
 // across modes, rejection contracts (truncation, byte flips) leaving a
-// usable region, and restore under a stale hot tree cache.
+// usable region, the sharded container layout, staging storage kept
+// across rejected restores, and restore under a stale hot tree cache.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/concurrent.h"
@@ -261,6 +263,102 @@ TEST(ShardedSnapshot, FailedRestoreLeavesOldStateIntact) {
     EXPECT_EQ(r.status, ReadStatus::kOk) << b;
     EXPECT_EQ(r.data, pattern(static_cast<std::uint8_t>(b))) << b;
   }
+}
+
+/// The container format, pinned: a 24-byte header (magic, shard count,
+/// granule blocks) and then each shard's own image, in shard order — in
+/// both pipeline modes.
+TEST(ShardedSnapshot, ContainerIsHeaderThenShardImagesInOrder) {
+  const auto le64 = [](std::uint64_t v) {
+    std::string bytes(8, '\0');
+    for (int i = 0; i < 8; ++i)
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    return bytes;
+  };
+  std::string images[2];
+  for (const bool batched : {true, false}) {
+    std::optional<EnvOverride> pin;
+    if (!batched) pin.emplace("SECMEM_BATCH_SNAPSHOT", "0");
+    ShardedSecureMemory engine(small_config(), 4);
+    populate(engine, 61);
+    std::string expected = std::string("SECSHRD1", 8) +
+                           le64(engine.num_shards()) +
+                           le64(engine.granule_blocks());
+    for (unsigned s = 0; s < engine.num_shards(); ++s) {
+      expected += engine.with_shard_exclusive(
+          s, [](SecureMemory& shard) { return image_of(shard); });
+    }
+    images[batched] = image_of(engine);
+    EXPECT_EQ(images[batched], expected) << (batched ? "batched" : "scalar");
+  }
+  EXPECT_EQ(images[true], images[false]);
+}
+
+// ------------------------------------------------ staging-storage reuse
+
+TEST(SnapshotArena, RejectedRestoreKeepsStagingStorage) {
+  EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "1");
+  SecureMemory donor(small_config());
+  populate(donor, 67);
+  const std::string image = image_of(donor);
+  const std::string truncated = image.substr(0, image.size() - 100);
+  std::string bad_root = image;  // the sealed root closes the image
+  bad_root.back() = static_cast<char>(bad_root.back() ^ 0x01);
+
+  SecureMemory engine(small_config());
+  std::istringstream first(image);
+  ASSERT_TRUE(engine.restore(first));
+  const std::uint64_t parked = engine.snapshot_arena_bytes();
+  ASSERT_GT(parked, 0u);
+  for (const std::string& rejected : {truncated, bad_root}) {
+    std::istringstream in(rejected);
+    ASSERT_FALSE(engine.restore(in));
+    EXPECT_EQ(engine.snapshot_arena_bytes(), parked);
+  }
+  std::istringstream good(image);
+  ASSERT_TRUE(engine.restore(good));
+  EXPECT_EQ(engine.snapshot_arena_bytes(), parked);
+  expect_populated(engine);
+}
+
+/// One rejected shard aborts a sharded restore after the earlier shards
+/// staged; every shard keeps its staging storage — for full containers
+/// and for delta containers whose slices are full fallback images.
+TEST(SnapshotArena, ShardedRejectedRestoreKeepsEveryShardsStorage) {
+  EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "1");
+  const auto parked_per_shard = [](ShardedSecureMemory& engine) {
+    std::vector<std::uint64_t> bytes;
+    for (unsigned s = 0; s < engine.num_shards(); ++s) {
+      bytes.push_back(engine.with_shard_exclusive(
+          s, [](SecureMemory& m) { return m.snapshot_arena_bytes(); }));
+    }
+    return bytes;
+  };
+  ShardedSecureMemory donor(small_config(), 4);
+  populate(donor, 71);
+  // First delta of a fresh chain: every slice is a full fallback image.
+  std::stringstream delta_out;
+  ASSERT_EQ(donor.save_delta(delta_out), Status::kOk);
+  const std::string image = image_of(donor);
+
+  ShardedSecureMemory engine(small_config(), 4);
+  std::istringstream first(image);
+  ASSERT_TRUE(engine.restore(first));
+  const std::vector<std::uint64_t> parked = parked_per_shard(engine);
+  for (const std::uint64_t bytes : parked) ASSERT_GT(bytes, 0u);
+
+  for (std::string rejected : {image, delta_out.str()}) {
+    // Corrupt the LAST shard's slice so the earlier shards stage first.
+    char& byte = rejected[rejected.size() - 70];
+    byte = static_cast<char>(byte ^ 0x20);
+    std::istringstream in(rejected);
+    ASSERT_FALSE(engine.restore_delta(in));
+    EXPECT_EQ(parked_per_shard(engine), parked);
+  }
+  std::istringstream good(image);
+  ASSERT_TRUE(engine.restore(good));
+  EXPECT_EQ(parked_per_shard(engine), parked);
+  expect_populated(engine);
 }
 
 // --------------------------------------------------- stale tree cache
