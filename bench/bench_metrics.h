@@ -25,9 +25,9 @@
 
 namespace secmem_bench {
 
-inline std::string metrics_output_path(const std::string& tag) {
-  if (const char* env = std::getenv("SECMEM_METRICS_JSON")) return env;
-  const std::string name = tag + ".metrics.json";
+/// `name` in the directory of the running bench binary (the build tree),
+/// or in the current directory where the binary's path is unknown.
+inline std::string binary_dir_path(const std::string& name) {
 #if defined(__linux__)
   char exe[4096];
   const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
@@ -38,6 +38,11 @@ inline std::string metrics_output_path(const std::string& tag) {
   }
 #endif
   return name;  // fallback: current directory
+}
+
+inline std::string metrics_output_path(const std::string& tag) {
+  if (const char* env = std::getenv("SECMEM_METRICS_JSON")) return env;
+  return binary_dir_path(tag + ".metrics.json");
 }
 
 /// Scope guard owning the bench's StatRegistry: benches record run-level

@@ -185,6 +185,22 @@ void BM_CwMacComputeBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_CwMacComputeBatch64);
 
+void BM_CwMacPrfDeltaCommand(benchmark::State& state) {
+  // A delta command stream's MAC: compute_prf over 192 KiB, the shape the
+  // snapshot layer seals once per save_delta and checks once per stage.
+  const CwMac mac(mac_key());
+  std::vector<std::uint8_t> stream(192 * 1024);
+  Xoshiro256 rng(11);
+  for (auto& b : stream) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mac.compute_prf(3, stream));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+  state.SetLabel(mac.gf_backend_name());
+}
+BENCHMARK(BM_CwMacPrfDeltaCommand);
+
 void BM_CwMacVerifyWithHoistedPad(benchmark::State& state) {
   // The flip-and-check inner loop: pad hoisted, polyhash only.
   const CwMac mac(mac_key());

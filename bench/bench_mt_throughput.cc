@@ -5,8 +5,8 @@
 // verify, Bonsai counter authentication — so the crypto dominates and
 // the experiment isolates what the ISSUE targets: whether the locking
 // architecture lets threads do that work in parallel. Results are
-// emitted as JSON (stdout + a *.bench.json file, git-ignored) so CI can
-// trend them.
+// emitted as JSON (stdout + a *.bench.json file next to the binary, or
+// --out FILE) so CI can trend them.
 //
 // A hot-set phase runs first: a single-threaded plain engine re-reading a
 // small working set, with the verified-frontier tree cache off (eager
@@ -185,7 +185,8 @@ int main(int argc, char** argv) {
   std::uint64_t hot_mib = 32;
   std::uint64_t hot_blocks = 1024;
   std::uint64_t hot_reads = 200000;
-  std::string out_path = "mt_throughput.bench.json";
+  std::string out_path =
+      secmem_bench::binary_dir_path("mt_throughput.bench.json");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {

@@ -16,7 +16,8 @@
 // delta_save_gibps / save_gibps reads directly as the speedup, and
 // delta_bytes / image_bytes as the size ratio. Streams are fixed
 // preallocated buffers, so the numbers measure the pipeline, not
-// allocator churn.
+// allocator churn. The JSON goes to stdout and to snapshot.bench.json
+// next to the binary (or --out FILE).
 //
 //   bench_snapshot [--mib N[,N...]] [--shards N] [--reps N] [--quick]
 //                  [--out FILE]
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> sizes{8, 32};
   unsigned shards = 8;
   unsigned reps = 5;
-  std::string out_path = "snapshot.bench.json";
+  std::string out_path = secmem_bench::binary_dir_path("snapshot.bench.json");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {

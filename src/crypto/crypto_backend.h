@@ -50,6 +50,12 @@ struct Gf64Ops {
   const char* name;
   Clmul128 (*clmul)(std::uint64_t a, std::uint64_t b);
   std::uint64_t (*mul)(std::uint64_t a, std::uint64_t b);
+  /// One 64-byte chunk of a polynomial hash:
+  ///   sum_j (m_j ^ [j == 0] * u) * coeffs[j]      (j = 0..7)
+  /// where m_j is little-endian word j of `chunk`. With coeffs[j] =
+  /// h^(8-j) this is eight Horner steps u = (u ^ m_j) * h in one go.
+  std::uint64_t (*fold8)(std::uint64_t u, const std::uint64_t* coeffs,
+                         const std::uint8_t* chunk);
 };
 
 const Aes128Ops& aes128_ops_portable() noexcept;

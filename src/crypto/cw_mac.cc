@@ -48,25 +48,36 @@ std::uint64_t CwMac::mul_h(std::uint64_t x) const noexcept {
   return mul_h_ ? mul_h_->mul(x) : gf_->mul(x, h_);
 }
 
+std::uint64_t CwMac::fold8(std::uint64_t u,
+                           const std::uint8_t* chunk) const noexcept {
+  if (!mul_h_) return gf_->fold8(u, word_coeff_.data(), chunk);
+  for (std::size_t j = 0; j < kBlockWords; ++j)
+    u = mul_h_->mul(u ^ load_le64(chunk + 8 * j));
+  return u;
+}
+
 std::uint64_t CwMac::polyhash(
     std::span<const std::uint8_t> message) const noexcept {
-  // Horner evaluation: acc = ((m0*h + m1)*h + m2)*h ... + len, all in
-  // GF(2^64). Absorbing the length defends against extension-style
-  // ambiguity between messages that differ only in trailing zeros.
-  std::uint64_t acc = 0;
+  // Horner evaluation over the 64-bit words m_0..m_{n-1} (the last one
+  // zero-padded), then the bit length:
+  //   H = m_0*h^n + m_1*h^(n-1) + ... + m_{n-1}*h  +  8*len
+  // all in GF(2^64). Absorbing the length defends against extension-style
+  // ambiguity between messages that differ only in trailing zeros. The
+  // state u carries one factor of h already: u <- (u + m)*h per word,
+  // and fold8 takes eight such steps per 64-byte chunk.
+  const std::uint8_t* data = message.data();
+  const std::size_t size = message.size();
+  std::uint64_t u = 0;
   std::size_t i = 0;
-  while (i + 8 <= message.size()) {
-    acc = mul_h(acc) ^ load_le64(message.data() + i);
-    i += 8;
-  }
-  if (i < message.size()) {
+  for (; i + kBlockBytes <= size; i += kBlockBytes) u = fold8(u, data + i);
+  for (; i + 8 <= size; i += 8) u = mul_h(u ^ load_le64(data + i));
+  if (i < size) {
     std::uint64_t last = 0;
-    for (std::size_t j = 0; i + j < message.size(); ++j)
-      last |= std::uint64_t{message[i + j]} << (8 * j);
-    acc = mul_h(acc) ^ last;
+    for (std::size_t j = 0; i + j < size; ++j)
+      last |= std::uint64_t{data[i + j]} << (8 * j);
+    u = mul_h(u ^ last);
   }
-  acc = mul_h(acc) ^ (static_cast<std::uint64_t>(message.size()) * 8);
-  return acc;
+  return u ^ (static_cast<std::uint64_t>(size) * 8);
 }
 
 std::uint64_t CwMac::block_polyhash(const DataBlock& block) const noexcept {

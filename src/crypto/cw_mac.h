@@ -13,10 +13,17 @@
 // counter value, so protecting counter integrity (via the tree) is enough
 // to prevent replay of data blocks.
 //
-// The GF(2^64) multiplies dispatch with the rest of the crypto kernels:
-// on a PCLMULQDQ host each multiply-by-h is three carry-less multiplies
-// and the 16KB windowed table is never built; on the portable path the
-// table is built once per key and each product is 8 loads + 7 XORs.
+// The GF(2^64) multiplies dispatch with the rest of the crypto kernels.
+// On a PCLMULQDQ host the hash takes each 64-byte chunk in one step with
+// aggregated reduction: the eight words are multiplied by the
+// precomputed powers h^8..h^1 (eight independent carry-less multiplies),
+// the unreduced 128-bit products are XORed, and the sum is reduced once.
+// Reduction mod the field polynomial is GF(2)-linear, so this is the
+// same polynomial as the word-by-word Horner chain, bit for bit, with
+// one reduction instead of eight on the critical path. Tail words take
+// one multiply-by-h each, and the 16KB windowed table is never built.
+// On the portable path the table is built once per key and each product
+// is 8 loads + 7 XORs.
 #pragma once
 
 #include <array>
@@ -165,6 +172,12 @@ class CwMac {
 
   /// x * h on whichever path this key bound to.
   std::uint64_t mul_h(std::uint64_t x) const noexcept;
+
+  /// Eight Horner steps u <- (u ^ m_j) * h over the words of one 64-byte
+  /// chunk: Gf64Ops::fold8 with word_coeff_, or the table on the
+  /// portable path.
+  std::uint64_t fold8(std::uint64_t u,
+                      const std::uint8_t* chunk) const noexcept;
 
   std::uint64_t h_;
   const Gf64Ops* gf_;

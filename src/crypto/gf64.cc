@@ -1,5 +1,6 @@
 #include "crypto/gf64.h"
 
+#include "common/bitops.h"
 #include "crypto/crypto_backend.h"
 
 namespace secmem {
@@ -31,6 +32,18 @@ std::uint64_t gf64_mul_portable(std::uint64_t a, std::uint64_t b) noexcept {
   return lo;
 }
 
+namespace {
+
+std::uint64_t fold8_portable(std::uint64_t u, const std::uint64_t* coeffs,
+                             const std::uint8_t* chunk) {
+  std::uint64_t acc = gf64_mul_portable(load_le64(chunk) ^ u, coeffs[0]);
+  for (int j = 1; j < 8; ++j)
+    acc ^= gf64_mul_portable(load_le64(chunk + 8 * j), coeffs[j]);
+  return acc;
+}
+
+}  // namespace
+
 Clmul128 clmul64(std::uint64_t a, std::uint64_t b) noexcept {
   return gf64_ops().clmul(a, b);
 }
@@ -41,7 +54,7 @@ std::uint64_t gf64_mul(std::uint64_t a, std::uint64_t b) noexcept {
 
 const Gf64Ops& gf64_ops_portable() noexcept {
   static constexpr Gf64Ops ops = {"portable", clmul64_portable,
-                                  gf64_mul_portable};
+                                  gf64_mul_portable, fold8_portable};
   return ops;
 }
 

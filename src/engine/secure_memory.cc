@@ -437,6 +437,7 @@ void SecureMemory::account_read(const ReadResult& result,
       metrics_.add(MetricId::kCounterTampers);
       break;
     case ReadStatus::kRegionPoisoned:
+    case ReadStatus::kSnapshotIoError:  // never a read outcome; fail closed
       metrics_.add(MetricId::kIntegrityViolations);
       break;
   }
@@ -898,6 +899,7 @@ ScrubStatus SecureMemory::scrub_block(std::uint64_t block, bool deep) {
       break;
     case ReadStatus::kIntegrityViolation:
     case ReadStatus::kRegionPoisoned:
+    case ReadStatus::kSnapshotIoError:  // never a read outcome; fail closed
       scrubbed = ScrubStatus::kUncorrectable;
       break;
   }

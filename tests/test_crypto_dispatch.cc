@@ -10,6 +10,7 @@
 // suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <vector>
@@ -202,6 +203,23 @@ TEST(CryptoDispatch, DifferentialGf64) {
     ASSERT_EQ(ps.hi, ph.hi) << a << "*" << b;
     ASSERT_EQ(gf64_mul_portable(a, b), hw->mul(a, b)) << a << "*" << b;
   }
+  // fold8: all-ones words and coefficients put every product's high half
+  // in play, so the single aggregated reduction must absorb the XOR of
+  // eight 127-bit products.
+  const Gf64Ops& soft = gf64_ops_portable();
+  std::uint64_t coeffs[8];
+  std::uint8_t chunk[64];
+  std::fill(std::begin(coeffs), std::end(coeffs), ~0ULL);
+  std::fill(std::begin(chunk), std::end(chunk), 0xFF);
+  ASSERT_EQ(soft.fold8(~0ULL, coeffs, chunk), hw->fold8(~0ULL, coeffs, chunk));
+  ASSERT_EQ(soft.fold8(0, coeffs, chunk), hw->fold8(0, coeffs, chunk));
+  for (int trial = 0; trial < 500; ++trial) {
+    for (auto& c : coeffs) c = rng.next();
+    for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t u = rng.next();
+    ASSERT_EQ(soft.fold8(u, coeffs, chunk), hw->fold8(u, coeffs, chunk))
+        << "trial " << trial;
+  }
 }
 
 TEST(CryptoDispatch, DifferentialCtrKeystream) {
@@ -264,14 +282,17 @@ TEST(CryptoDispatch, DifferentialCwMac) {
     EXPECT_STREQ(hard.gf_backend_name(), "pclmul");
     const std::uint64_t addr = rng.next() & ~std::uint64_t{63};
     const std::uint64_t counter = rng.next() & ((1ULL << 56) - 1);
-    // Whole blocks plus ragged lengths exercise the tail path.
-    std::uint8_t message[96];
+    const std::uint64_t domain = rng.next() & ((1ULL << 56) - 1);
+    // Every length up to four chunks plus one: each mix of whole 64-byte
+    // chunks, whole tail words and a ragged last word the hash splits.
+    std::uint8_t message[257];
     for (auto& b : message) b = static_cast<std::uint8_t>(rng.next());
-    for (const std::size_t len : {std::size_t{0}, std::size_t{5},
-                                  std::size_t{64}, std::size_t{96}}) {
+    for (std::size_t len = 0; len <= sizeof(message); ++len) {
       const std::span<const std::uint8_t> msg(message, len);
       ASSERT_EQ(soft.compute(addr, counter, msg),
                 hard.compute(addr, counter, msg))
+          << "trial " << trial << " len " << len;
+      ASSERT_EQ(soft.compute_prf(domain, msg), hard.compute_prf(domain, msg))
           << "trial " << trial << " len " << len;
     }
     ASSERT_EQ(soft.pad_for(addr, counter), hard.pad_for(addr, counter));
@@ -280,6 +301,47 @@ TEST(CryptoDispatch, DifferentialCwMac) {
     for (std::size_t w = 0; w < CwMac::kBlockWords; ++w)
       ASSERT_EQ(soft.word_coefficient(w), hard.word_coefficient(w)) << w;
   }
+
+  CwMacKey key{};
+  key.hash_key = rng.next();
+  key.pad_key = random_key(rng);
+  const CwMac soft(key, aes128_ops_portable(), gf64_ops_portable());
+  const CwMac hard(key, *ni, *hw);
+  // A delta command stream's size: thousands of whole chunks and a
+  // ragged tail.
+  std::vector<std::uint8_t> stream(192 * 1024 + 13);
+  for (auto& b : stream) b = static_cast<std::uint8_t>(rng.next());
+  ASSERT_EQ(soft.compute_prf(0x1234, stream), hard.compute_prf(0x1234, stream));
+  ASSERT_EQ(soft.compute(0x40, 7, stream), hard.compute(0x40, 7, stream));
+
+  // Both compute_batch overloads, over a count that is not a multiple of
+  // the 8-wide pad kernel or the 32-entry pad chunk.
+  constexpr std::size_t kCount = 41;
+  std::vector<std::uint64_t> addrs, counters;
+  std::vector<DataBlock> blocks;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    addrs.push_back(rng.next() & ~std::uint64_t{63});
+    counters.push_back(rng.next() & ((1ULL << 56) - 1));
+    blocks.push_back(random_block64(rng));
+  }
+  std::vector<std::uint8_t> lines(kCount * kBlockBytes);
+  for (std::size_t i = 0; i < kCount; ++i)
+    std::memcpy(lines.data() + i * kBlockBytes, blocks[i].data(), kBlockBytes);
+  std::vector<std::uint64_t> soft_tags(kCount), hard_tags(kCount),
+      soft_line_tags(kCount), hard_line_tags(kCount);
+  soft.compute_batch(addrs, counters, blocks, soft_tags);
+  hard.compute_batch(addrs, counters, blocks, hard_tags);
+  soft.compute_batch(addrs, counters, std::span<const std::uint8_t>(lines),
+                     soft_line_tags);
+  hard.compute_batch(addrs, counters, std::span<const std::uint8_t>(lines),
+                     hard_line_tags);
+  EXPECT_EQ(soft_tags, hard_tags);
+  EXPECT_EQ(soft_line_tags, hard_line_tags);
+  EXPECT_EQ(hard_tags, hard_line_tags);
+  for (std::size_t i = 0; i < kCount; ++i)
+    ASSERT_EQ(hard_tags[i], soft.compute_block(addrs[i], counters[i],
+                                               blocks[i]))
+        << i;
 }
 
 TEST(CryptoDispatch, CwMacBatchMatchesScalar) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/crypto_backend.h"
 
 namespace secmem {
 namespace {
@@ -23,6 +26,77 @@ DataBlock pattern_block(std::uint8_t seed) {
   for (std::size_t i = 0; i < b.size(); ++i)
     b[i] = static_cast<std::uint8_t>(seed + i * 7);
   return b;
+}
+
+// Known-answer values, computed with a plain word-by-word Horner
+// evaluation (one multiply-by-h per 64-bit word). They pin the off-chip
+// tag format independently of any backend: a hash change that is wrong
+// on the portable and the PCLMULQDQ path alike still fails here. Message byte i is
+// (i * 0x9D + 0x3B) mod 256; compute() is bound to (addr 0x1240,
+// counter 0x2a), compute_prf() to domain 0x5eed, and block_polyhash()
+// hashes the first 64 message bytes.
+struct CwMacKat {
+  std::size_t len;
+  std::uint64_t compute;
+  std::uint64_t prf;
+};
+
+struct CwMacKatKey {
+  CwMacKey key;
+  std::uint64_t block_polyhash;
+  std::array<CwMacKat, 5> rows;
+};
+
+std::vector<CwMacKatKey> kat_keys() {
+  CwMacKey k1{};
+  k1.hash_key = 0x0123456789abcdefULL;
+  for (int i = 0; i < 16; ++i)
+    k1.pad_key[i] = static_cast<std::uint8_t>(0x3C * i + 1);
+  return {
+      {test_key(),
+       0xb590aa5c4c140ad2ULL,
+       {{{0, 0x00ad9854e9652dc7ULL, 0x2dac86942a1489aeULL},
+         {7, 0x00c94dcb227f8ec2ULL, 0x61cd4df02fbdb3e8ULL},
+         {64, 0x003d3208a5712715ULL, 0x83e41a0d5bd93038ULL},
+         {200, 0x00bdf608d0467c24ULL, 0x016067bdb62994b2ULL},
+         {4099, 0x00355c565d2b4605ULL, 0xc8cc005c36dec32aULL}}}},
+      {k1,
+       0x614475f6d5b5a2ecULL,
+       {{{0, 0x002da5582afccde1ULL, 0xfa9f3c4175037db7ULL},
+         {7, 0x000dfa24e540b05eULL, 0x46b24273bb50a361ULL},
+         {64, 0x0069d0aeff496f0dULL, 0x4618c059d70107acULL},
+         {200, 0x008844a98bf64f35ULL, 0xafad857b030cabebULL},
+         {4099, 0x000ac729162a1372ULL, 0xff01497d326c5c2eULL}}}},
+  };
+}
+
+TEST(CwMac, KnownAnswersOnEveryBackend) {
+  std::vector<std::uint8_t> msg(4099);
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 0x9D + 0x3B);
+  DataBlock block;
+  std::copy_n(msg.begin(), block.size(), block.begin());
+
+  std::vector<std::pair<const Aes128Ops*, const Gf64Ops*>> backends = {
+      {&aes128_ops_portable(), &gf64_ops_portable()}};
+  if (aes128_ops_accelerated() != nullptr &&
+      gf64_ops_accelerated() != nullptr)
+    backends.emplace_back(aes128_ops_accelerated(), gf64_ops_accelerated());
+
+  for (const auto& [aes, gf] : backends) {
+    for (const CwMacKatKey& k : kat_keys()) {
+      const CwMac mac(k.key, *aes, *gf);
+      EXPECT_EQ(mac.block_polyhash(block), k.block_polyhash)
+          << mac.gf_backend_name();
+      for (const CwMacKat& row : k.rows) {
+        const std::span<const std::uint8_t> m(msg.data(), row.len);
+        EXPECT_EQ(mac.compute(0x1240, 0x2a, m), row.compute)
+            << mac.gf_backend_name() << " len " << row.len;
+        EXPECT_EQ(mac.compute_prf(0x5eed, m), row.prf)
+            << mac.gf_backend_name() << " len " << row.len;
+      }
+    }
+  }
 }
 
 TEST(CwMac, Deterministic) {

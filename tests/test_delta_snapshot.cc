@@ -213,8 +213,9 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
     // ACCEPTED at stage (it surfaces on read — the full-image posture,
     // see test_snapshot.cc), so re-apply unconditionally there: full
     // restores are idempotent.
-    if (!damaged_ok || !delta_enabled())
+    if (!damaged_ok || !delta_enabled()) {
       ASSERT_TRUE(apply_delta(*replica, delta)) << "round " << round;
+    }
   }
   EXPECT_EQ(image_of(*source), image_of(*replica));
 }

@@ -71,7 +71,9 @@ TEST_P(GenericDeltaWidth, NonceFreshnessUnderRandomWrites) {
         rng.chance(0.7) ? rng.next_below(4) : rng.next_below(256);
     const auto outcome = scheme.on_write(block);
     auto it = last.find(block);
-    if (it != last.end()) EXPECT_GT(outcome.counter, it->second);
+    if (it != last.end()) {
+      EXPECT_GT(outcome.counter, it->second);
+    }
     last[block] = outcome.counter;
     if (outcome.event == CounterEvent::kReencrypt) {
       const BlockIndex first = outcome.group * scheme.blocks_per_group();

@@ -109,6 +109,9 @@ TEST_P(SecureMemoryFuzz, NoSilentCorruptionUnderRandomTampering) {
       case ReadStatus::kRegionPoisoned:
         FAIL() << "single engines never poison (sharded-only state)";
         break;
+      case ReadStatus::kSnapshotIoError:
+        FAIL() << "reads never report a snapshot stream error";
+        break;
     }
     // Restore a clean state for the next round (rewrite block and heal
     // counter storage by rewriting a block in the same line's group).
