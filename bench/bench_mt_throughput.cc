@@ -14,10 +14,9 @@
 // lines verify by compare). This isolates the tree-walk cost the cache
 // removes, the functional analog of the paper's metadata-cache argument.
 //
-// A final 95/5 read-mostly phase compares the sharded engine's seqlock
-// shared-read fast path against the same engine constructed with
-// SECMEM_SEQLOCK=0 (every read on the exclusive side, the pre-seqlock
-// behavior) — what reader/writer locking buys when readers dominate.
+// A final 95/5 read-mostly phase runs the sharded engine with writers
+// mixed in, so readers take the seqlock shared-read fast path while
+// shard generations keep moving.
 //
 //   bench_mt_throughput [--mib N] [--shards N] [--reads-per-thread N]
 //                       [--hot-mib N] [--hot-blocks N] [--hot-reads N]
@@ -224,28 +223,15 @@ int main(int argc, char** argv) {
   config.size_bytes = mib << 20;
   std::optional<ConcurrentSecureMemory> single_mem;
   std::optional<ShardedSecureMemory> sharded_mem;
-  std::optional<ShardedSecureMemory> sharded_excl_mem;
   try {
     single_mem.emplace(config);
     sharded_mem.emplace(config, shards);
-    // Exclusive-lock baseline for the 95/5 phase: identical engine, but
-    // constructed with the seqlock kill switch thrown, so every read
-    // takes the writer lock — the pre-seqlock behavior.
-    const char* prev = std::getenv("SECMEM_SEQLOCK");
-    const std::string saved = prev ? prev : "";
-    setenv("SECMEM_SEQLOCK", "0", 1);
-    sharded_excl_mem.emplace(config, shards);
-    if (prev)
-      setenv("SECMEM_SEQLOCK", saved.c_str(), 1);
-    else
-      unsetenv("SECMEM_SEQLOCK");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   ConcurrentSecureMemory& single = *single_mem;
   ShardedSecureMemory& sharded = *sharded_mem;
-  ShardedSecureMemory& sharded_excl = *sharded_excl_mem;
 
   std::atomic<int> bad{0};
 
@@ -257,7 +243,6 @@ int main(int argc, char** argv) {
     const std::uint64_t target = rng.next_below(single.num_blocks());
     bad += single.write_block(target, block) != Status::kOk;
     bad += sharded.write_block(target, block) != Status::kOk;
-    bad += sharded_excl.write_block(target, block) != Status::kOk;
   }
 
   std::vector<Sample> samples;
@@ -316,21 +301,14 @@ int main(int argc, char** argv) {
                  base_s / shard_s, total / batch_s, base_s / batch_s);
   }
 
-  // Phase 2: the 95/5 read-mostly mix, seqlock shared reads vs the
-  // exclusive-lock baseline on the SAME sharded geometry.
+  // Phase 2: the 95/5 read-mostly mix on the sharded engine.
   for (const unsigned threads : thread_counts) {
     const std::uint64_t total = threads * reads_per_thread;
-    const double excl_s =
-        timed_mixed(sharded_excl, threads, reads_per_thread, bad);
-    samples.push_back(
-        {"mixed95-exclusive", threads, total, excl_s, total / excl_s});
     const double seq_s = timed_mixed(sharded, threads, reads_per_thread, bad);
     samples.push_back(
         {"mixed95-seqlock", threads, total, seq_s, total / seq_s});
-    std::fprintf(stderr,
-                 "95/5 mix, %u thread(s): exclusive %.0f ops/s | "
-                 "seqlock %.0f ops/s (%.2fx)\n",
-                 threads, total / excl_s, total / seq_s, excl_s / seq_s);
+    std::fprintf(stderr, "95/5 mix, %u thread(s): seqlock %.0f ops/s\n",
+                 threads, total / seq_s);
   }
   if (bad.load() != 0) {
     std::fprintf(stderr, "FAIL: %d reads did not verify\n", bad.load());

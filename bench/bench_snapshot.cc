@@ -1,9 +1,7 @@
 // Snapshot pipeline throughput: save / restore bandwidth for the plain
-// and sharded engines, batched (default) vs the SECMEM_BATCH_SNAPSHOT=0
-// scalar reference — the before/after for the streaming snapshot ISSUE —
-// plus the delta phase: steady-state incremental snapshots
-// (save_delta / restore_delta) over a 2% hot set, rolled source→replica
-// so every delta applies on its exact base.
+// and sharded engines, plus the delta phase: steady-state incremental
+// snapshots (save_delta / restore_delta) over a 2% hot set, rolled
+// source→replica so every delta applies on its exact base.
 //
 // save() and restore() move the whole off-chip image (ciphertext, ECC
 // lanes, MACs, counter storage, sealed root), so bandwidth is reported
@@ -27,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <streambuf>
@@ -42,29 +39,6 @@
 namespace {
 
 using namespace secmem;
-
-/// Scoped environment override (restores the previous value on exit) —
-/// the snapshot kill switch is sampled at engine construction, so the
-/// scalar-reference engines are built inside one of these.
-class EnvOverride {
- public:
-  EnvOverride(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) prev_ = prev;
-    setenv(name, value, 1);
-  }
-  ~EnvOverride() {
-    if (prev_)
-      setenv(name_.c_str(), prev_->c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  EnvOverride(const EnvOverride&) = delete;
-  EnvOverride& operator=(const EnvOverride&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> prev_;
-};
 
 /// ostream sink over a caller-owned fixed buffer: save() streams into
 /// preallocated storage with zero allocation or copying per rep.
@@ -108,7 +82,6 @@ class VectorSink final : public std::streambuf {
 
 struct Sample {
   std::string engine;  ///< "plain" | "sharded"
-  std::string mode;    ///< "batched" | "scalar"
   std::uint64_t mib;
   double save_gibps;
   double restore_gibps;
@@ -142,7 +115,7 @@ void dirty_region(Engine& engine, int& bad) {
   }
 }
 
-/// One engine x mode x size measurement. `reps` timed passes each for
+/// One engine x size measurement. `reps` timed passes each for
 /// save and restore (plus the stage/commit split when `split` is set),
 /// then the delta phase: a 2% hot set re-dirtied (untimed) before each
 /// timed save_delta, every delta applied (timed) to `replica` — which
@@ -150,8 +123,7 @@ void dirty_region(Engine& engine, int& bad) {
 /// image-bandwidth samples.
 template <typename Engine>
 Sample measure(Engine& engine, Engine& replica, const std::string& name,
-               const std::string& mode, std::uint64_t mib, unsigned reps,
-               bool split, int& bad) {
+               std::uint64_t mib, unsigned reps, bool split, int& bad) {
   dirty_region(engine, bad);
 
   // Size the image with one untimed save, then reuse the buffer.
@@ -167,7 +139,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
   const double gib = static_cast<double>(image.size()) / (1 << 30);
 
   // Untimed warmup restore: the first restore after construction pays
-  // the staging allocation (batched mode recycles it afterwards) —
+  // the staging allocation (recycled afterwards) —
   // steady-state crash/restore bandwidth is the number of interest.
   {
     MemSource source(image.data(), image.size());
@@ -175,7 +147,7 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
     bad += !engine.restore(in);
   }
 
-  Sample s{name, mode, mib, 0, 0, 0, 0, 0, 0, 0, 0};
+  Sample s{name, mib, 0, 0, 0, 0, 0, 0, 0, 0};
   s.image_bytes = image.size();
   {
     const auto start = std::chrono::steady_clock::now();
@@ -233,49 +205,46 @@ Sample measure(Engine& engine, Engine& replica, const std::string& name,
   // Delta phase: chain replica onto the engine's current base (the
   // restores above re-aligned both sides to `image`), then per rep
   // re-dirty a 2% hot set (untimed), seal a delta (timed), and roll it
-  // onto the replica (timed). Skipped when the kill switch has the
-  // engine emitting full images — the full rows above already cover it.
-  if (delta_snapshot_enabled()) {
-    {
-      MemSource source(image.data(), image.size());
-      std::istream in(&source);
-      bad += !replica.restore(in);
-    }
-    const std::uint64_t hot_blocks =
-        std::max<std::uint64_t>(1, engine.num_blocks() / 50);
-    std::vector<char> delta;
-    delta.reserve(image.size() / 8);
-    double dsave_s = 0, drestore_s = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-      std::vector<BlockWrite> writes;
-      writes.reserve(256);
-      for (std::uint64_t b = 0; b < hot_blocks;) {
-        writes.clear();
-        for (; b < hot_blocks && writes.size() < 256; ++b) {
-          BlockWrite w;
-          w.block = b;
-          w.data[0] = static_cast<std::uint8_t>(r + 1);
-          w.data[1] = static_cast<std::uint8_t>(b);
-          writes.push_back(w);
-        }
-        bad += engine.write_blocks(writes) != Status::kOk;
-      }
-      delta.clear();
-      VectorSink sink(delta);
-      std::ostream out(&sink);
-      const auto t0 = std::chrono::steady_clock::now();
-      bad += engine.save_delta(out) != Status::kOk;
-      dsave_s += seconds_since(t0);
-      MemSource source(delta.data(), delta.size());
-      std::istream in(&source);
-      const auto t1 = std::chrono::steady_clock::now();
-      bad += !replica.restore_delta(in);
-      drestore_s += seconds_since(t1);
-    }
-    s.delta_bytes = delta.size();
-    s.delta_save_gibps = reps * gib / dsave_s;
-    s.delta_restore_gibps = reps * gib / drestore_s;
+  // onto the replica (timed).
+  {
+    MemSource source(image.data(), image.size());
+    std::istream in(&source);
+    bad += !replica.restore(in);
   }
+  const std::uint64_t hot_blocks =
+      std::max<std::uint64_t>(1, engine.num_blocks() / 50);
+  std::vector<char> delta;
+  delta.reserve(image.size() / 8);
+  double dsave_s = 0, drestore_s = 0;
+  for (unsigned r = 0; r < reps; ++r) {
+    std::vector<BlockWrite> writes;
+    writes.reserve(256);
+    for (std::uint64_t b = 0; b < hot_blocks;) {
+      writes.clear();
+      for (; b < hot_blocks && writes.size() < 256; ++b) {
+        BlockWrite w;
+        w.block = b;
+        w.data[0] = static_cast<std::uint8_t>(r + 1);
+        w.data[1] = static_cast<std::uint8_t>(b);
+        writes.push_back(w);
+      }
+      bad += engine.write_blocks(writes) != Status::kOk;
+    }
+    delta.clear();
+    VectorSink sink(delta);
+    std::ostream out(&sink);
+    const auto t0 = std::chrono::steady_clock::now();
+    bad += engine.save_delta(out) != Status::kOk;
+    dsave_s += seconds_since(t0);
+    MemSource source(delta.data(), delta.size());
+    std::istream in(&source);
+    const auto t1 = std::chrono::steady_clock::now();
+    bad += !replica.restore_delta(in);
+    drestore_s += seconds_since(t1);
+  }
+  s.delta_bytes = delta.size();
+  s.delta_save_gibps = reps * gib / dsave_s;
+  s.delta_restore_gibps = reps * gib / drestore_s;
   return s;
 }
 
@@ -288,13 +257,13 @@ void emit_json(std::FILE* out, const std::vector<Sample>& samples,
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(out,
-                 "    {\"engine\": \"%s\", \"mode\": \"%s\", "
+                 "    {\"engine\": \"%s\", "
                  "\"region_mib\": %llu, \"save_gibps\": %.3f, "
                  "\"restore_gibps\": %.3f, \"stage_gibps\": %.3f, "
                  "\"commit_gibps\": %.3f, \"image_bytes\": %llu, "
                  "\"delta_bytes\": %llu, \"delta_save_gibps\": %.3f, "
                  "\"delta_restore_gibps\": %.3f}%s\n",
-                 s.engine.c_str(), s.mode.c_str(),
+                 s.engine.c_str(),
                  static_cast<unsigned long long>(s.mib), s.save_gibps,
                  s.restore_gibps, s.stage_gibps, s.commit_gibps,
                  static_cast<unsigned long long>(s.image_bytes),
@@ -353,42 +322,32 @@ int main(int argc, char** argv) {
   for (const std::uint64_t mib : sizes) {
     SecureMemoryConfig config;
     config.size_bytes = mib << 20;
-    for (const bool batched : {true, false}) {
-      const std::string mode = batched ? "batched" : "scalar";
-      // Scalar engines run one rep — the reference path is the slow one
-      // being measured against, not the product.
-      const unsigned mode_reps = batched ? reps : std::min(reps, 2u);
-      std::optional<EnvOverride> pin;
-      if (!batched) pin.emplace("SECMEM_BATCH_SNAPSHOT", "0");
-      try {
-        SecureMemory plain(config);
-        SecureMemory plain_replica(config);
-        samples.push_back(measure(plain, plain_replica, "plain", mode, mib,
-                                  mode_reps, /*split=*/true, bad));
-        ShardedSecureMemory sharded(config, shards);
-        ShardedSecureMemory sharded_replica(config, shards);
-        samples.push_back(measure(sharded, sharded_replica, "sharded", mode,
-                                  mib, mode_reps, /*split=*/true, bad));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-      for (auto it = samples.end() - 2; it != samples.end(); ++it) {
-        std::string extra;
-        if (it->stage_gibps > 0)
-          extra += " (stage " + std::to_string(it->stage_gibps) + " / commit " +
-                   std::to_string(it->commit_gibps) + ")";
-        if (it->delta_bytes > 0)
-          extra += " | delta save " + std::to_string(it->delta_save_gibps) +
-                   " / restore " + std::to_string(it->delta_restore_gibps) +
-                   " eff GiB/s, " + std::to_string(it->delta_bytes) + " B";
-        std::fprintf(stderr,
-                     "%7s %7s %3llu MiB: save %.3f GiB/s | restore %.3f "
-                     "GiB/s%s\n",
-                     it->engine.c_str(), mode.c_str(),
-                     static_cast<unsigned long long>(mib), it->save_gibps,
-                     it->restore_gibps, extra.c_str());
-      }
+    try {
+      SecureMemory plain(config);
+      SecureMemory plain_replica(config);
+      samples.push_back(measure(plain, plain_replica, "plain", mib, reps,
+                                /*split=*/true, bad));
+      ShardedSecureMemory sharded(config, shards);
+      ShardedSecureMemory sharded_replica(config, shards);
+      samples.push_back(measure(sharded, sharded_replica, "sharded", mib,
+                                reps, /*split=*/true, bad));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+    for (auto it = samples.end() - 2; it != samples.end(); ++it) {
+      std::string extra;
+      if (it->stage_gibps > 0)
+        extra += " (stage " + std::to_string(it->stage_gibps) + " / commit " +
+                 std::to_string(it->commit_gibps) + ")";
+      if (it->delta_bytes > 0)
+        extra += " | delta save " + std::to_string(it->delta_save_gibps) +
+                 " / restore " + std::to_string(it->delta_restore_gibps) +
+                 " eff GiB/s, " + std::to_string(it->delta_bytes) + " B";
+      std::fprintf(stderr,
+                   "%7s %3llu MiB: save %.3f GiB/s | restore %.3f GiB/s%s\n",
+                   it->engine.c_str(), static_cast<unsigned long long>(mib),
+                   it->save_gibps, it->restore_gibps, extra.c_str());
     }
   }
   if (bad != 0) {
@@ -399,7 +358,7 @@ int main(int argc, char** argv) {
   secmem_bench::MetricsDump metrics("snapshot");
   for (const Sample& s : samples) {
     const std::string base = metric_path(
-        {"snapshot", s.engine, s.mode, std::to_string(s.mib) + "mib"});
+        {"snapshot", s.engine, std::to_string(s.mib) + "mib"});
     metrics.registry().scalar(metric_path({base, "save_gibps"}))
         .sample(s.save_gibps);
     metrics.registry().scalar(metric_path({base, "restore_gibps"}))

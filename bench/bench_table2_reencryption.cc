@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "bench_metrics.h"
@@ -28,17 +27,11 @@ using namespace secmem;
 /// One engine being overflow-hammered: hot-block writes overflow its
 /// 7-bit delta every kDeltaMax+1 writes, forcing a group re-encryption.
 struct DrainRig {
-  explicit DrainRig(bool batched) {
-    const char* prev = std::getenv("SECMEM_BATCH_REENC");
-    const std::string saved = prev ? prev : "";
-    setenv("SECMEM_BATCH_REENC", batched ? "1" : "0", 1);
+  DrainRig() : mem(config()) {}
+  static SecureMemoryConfig config() {
     SecureMemoryConfig config;
     config.size_bytes = 4 * 1024 * 1024;
-    mem.emplace(config);
-    if (prev)
-      setenv("SECMEM_BATCH_REENC", saved.c_str(), 1);
-    else
-      unsetenv("SECMEM_BATCH_REENC");
+    return config;
   }
 
   /// Populate the hot group (re-encryption must move real ciphertext)
@@ -47,11 +40,11 @@ struct DrainRig {
     DataBlock block{};
     for (std::uint64_t b = 0; b < 64; ++b) {
       block[0] = static_cast<std::uint8_t>(b + 1);
-      if (mem->write_block(b, block) != Status::kOk) return false;
+      if (mem.write_block(b, block) != Status::kOk) return false;
     }
     for (int i = 0; i < 256; ++i)
-      if (mem->write_block(0, block) != Status::kOk) return false;
-    mem->reset_stats();
+      if (mem.write_block(0, block) != Status::kOk) return false;
+    mem.reset_stats();
     return true;
   }
 
@@ -59,12 +52,12 @@ struct DrainRig {
   /// wall time into ns_total.
   bool drive(std::uint64_t delta) {
     DataBlock block{};
-    const std::uint64_t target = mem->stats().group_reencryptions + delta;
+    const std::uint64_t target = mem.stats().group_reencryptions + delta;
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t writes = 0;
-    while (mem->stats().group_reencryptions < target) {
+    while (mem.stats().group_reencryptions < target) {
       block[0] = static_cast<std::uint8_t>(writes);
-      if (mem->write_block(0, block) != Status::kOk) return false;
+      if (mem.write_block(0, block) != Status::kOk) return false;
       ++writes;
     }
     ns_total += static_cast<double>(
@@ -82,7 +75,7 @@ struct DrainRig {
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < n; ++i) {
       block[0] = static_cast<std::uint8_t>(i);
-      if (mem->write_block(0, block) != Status::kOk) return false;
+      if (mem.write_block(0, block) != Status::kOk) return false;
     }
     plain_ns += static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -95,7 +88,7 @@ struct DrainRig {
   double ns_per_group() const {
     // plain_ns covers writes inside a cycle that the next drive() then
     // completes, so the full cost of a group cycle is the sum of both.
-    const std::uint64_t g = mem->stats().group_reencryptions;
+    const std::uint64_t g = mem.stats().group_reencryptions;
     return g ? (ns_total + plain_ns) / static_cast<double>(g) : -1;
   }
   /// ns_per_group minus the amortized 127 plain writes: the cost of the
@@ -106,34 +99,31 @@ struct DrainRig {
     const double w = plain_ns / static_cast<double>(plain_writes);
     return ns_per_group() - 127.0 * w;
   }
-  std::uint64_t groups() const { return mem->stats().group_reencryptions; }
+  std::uint64_t groups() const { return mem.stats().group_reencryptions; }
 
-  std::optional<SecureMemory> mem;  // non-movable (atomics): emplace in place
+  SecureMemory mem;
   double ns_total = 0;
   double plain_ns = 0;
   std::uint64_t plain_writes = 0;
 };
 
-/// Price `target_groups` re-encryptions on the scalar and batched paths,
-/// interleaved in short chunks so clock/thermal drift hits both equally.
-/// The kDeltaMax non-overflowing writes per group cost the same on both
-/// paths and are amortized in, so the reported batched/scalar ratio
-/// UNDERSTATES the pure drain-kernel speedup (the microbench
-/// BM_CtrKeystreamBatch64 isolates the kernel-level gain).
-bool time_group_reencryption(std::uint64_t target_groups, DrainRig& scalar,
-                             DrainRig& batched) {
-  if (!scalar.prime() || !batched.prime()) return false;
+/// Price `target_groups` re-encryptions, in short chunks interleaved
+/// with samples of the plain hot-write baseline so clock/thermal drift
+/// hits both equally. The kDeltaMax non-overflowing writes per group are
+/// amortized into the full-cycle figure; the drain figure subtracts them
+/// (the microbench BM_CtrKeystreamBatch64 isolates the kernel itself).
+bool time_group_reencryption(std::uint64_t target_groups, DrainRig& rig) {
+  if (!rig.prime()) return false;
   const std::uint64_t chunk = std::max<std::uint64_t>(target_groups / 16, 1);
-  while (scalar.groups() < target_groups) {
-    if (!scalar.drive(chunk) || !batched.drive(chunk)) return false;
-    if (scalar.groups() >= target_groups) break;
+  while (rig.groups() < target_groups) {
+    if (!rig.drive(chunk)) return false;
+    if (rig.groups() >= target_groups) break;
     // Fresh deltas right after an overflow: sample the plain hot-write
     // baseline the drain estimate subtracts (100 < kDeltaMax, so none of
     // these writes re-encrypts; the next drive() completes the cycle).
-    if (!scalar.time_plain_writes(100) || !batched.time_plain_writes(100))
-      return false;
+    if (!rig.time_plain_writes(100)) return false;
   }
-  return scalar.ns_per_group() > 0 && batched.ns_per_group() > 0;
+  return rig.ns_per_group() > 0;
 }
 }  // namespace
 
@@ -204,48 +194,31 @@ int main(int argc, char** argv) {
       "where concurrent hot delta-groups overflow the 6-bit lanes;\n"
       "swaptions/blackscholes/bodytrack stay at 0 (cache-resident).\n");
 
-  // --- functional drain cost: batched vs scalar group re-encryption ----
+  // --- functional drain cost of one group re-encryption ---------------
   // The simulator above counts re-encryption EVENTS; this phase prices
-  // one in the functional engine, comparing the crypt_batch/
-  // pack_lane_batch group drain against the per-block scalar path
-  // (SECMEM_BATCH_REENC=0). Costs include the 127 amortized
-  // non-overflowing writes per group, so the speedup shown understates
-  // the pure drain-kernel gain.
+  // one in the functional engine's batched group drain (crypt_batch /
+  // compute_batch / pack_lane_batch over the group's 63 other blocks).
   const std::uint64_t target_groups = refs >= 1000000 ? 2048 : 256;
-  DrainRig scalar(false);
-  DrainRig batched(true);
-  if (time_group_reencryption(target_groups, scalar, batched)) {
-    const double scalar_ns = scalar.ns_per_group();
-    const double batched_ns = batched.ns_per_group();
-    const double scalar_drain = scalar.drain_ns_per_group();
-    const double batched_drain = batched.drain_ns_per_group();
+  DrainRig rig;
+  if (time_group_reencryption(target_groups, rig)) {
+    const double cycle_ns = rig.ns_per_group();
+    const double drain_ns = rig.drain_ns_per_group();
     StatRegistry& reg = metrics.registry();
-    reg.scalar("bench.reenc_scalar_ns_per_group").sample(scalar_ns);
-    reg.scalar("bench.reenc_batched_ns_per_group").sample(batched_ns);
-    reg.scalar("bench.reenc_batched_speedup").sample(scalar_ns / batched_ns);
-    if (scalar_drain > 0 && batched_drain > 0) {
-      reg.scalar("bench.reenc_scalar_drain_ns").sample(scalar_drain);
-      reg.scalar("bench.reenc_batched_drain_ns").sample(batched_drain);
-      reg.scalar("bench.reenc_drain_speedup")
-          .sample(scalar_drain / batched_drain);
-    }
+    reg.scalar("bench.reenc_batched_ns_per_group").sample(cycle_ns);
+    if (drain_ns > 0)
+      reg.scalar("bench.reenc_batched_drain_ns").sample(drain_ns);
     std::printf(
         "\n=== group re-encryption drain (functional engine) ===\n"
-        "full overflow cycle (127 plain writes + drain, per group):\n"
-        "  scalar per-block path:  %8.0f ns/group  (%llu groups)\n"
-        "  batched kernel path:    %8.0f ns/group  (%llu groups)  %.2fx\n",
-        scalar_ns, static_cast<unsigned long long>(scalar.groups()),
-        batched_ns, static_cast<unsigned long long>(batched.groups()),
-        scalar_ns / batched_ns);
-    if (scalar_drain > 0 && batched_drain > 0) {
+        "full overflow cycle (127 plain writes + drain): %8.0f ns/group "
+        "(%llu groups)\n",
+        cycle_ns, static_cast<unsigned long long>(rig.groups()));
+    if (drain_ns > 0) {
       std::printf(
-          "drain only (cycle minus measured plain-write baseline):\n"
-          "  scalar per-block path:  %8.0f ns/group\n"
-          "  batched kernel path:    %8.0f ns/group  %.2fx\n",
-          scalar_drain, batched_drain, scalar_drain / batched_drain);
+          "drain only (cycle minus measured plain-write baseline): "
+          "%8.0f ns/group\n",
+          drain_ns);
     }
-    if (csv)
-      std::printf("csv,reenc_drain,%.0f,%.0f\n", scalar_ns, batched_ns);
+    if (csv) std::printf("csv,reenc_drain,%.0f\n", cycle_ns);
   } else {
     std::fprintf(stderr, "group re-encryption drain phase FAILED\n");
     return 1;

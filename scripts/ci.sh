@@ -31,35 +31,12 @@ echo "=== tier 1: portable crypto kernels (SECMEM_FORCE_PORTABLE=1) ==="
 # path CI machines without AES-NI/PCLMULQDQ (and non-x86 ports) take.
 SECMEM_FORCE_PORTABLE=1 ctest --preset default -j "$(nproc)"
 
-echo "=== tier 1: eager tree walks (SECMEM_TREE_CACHE=0) ==="
-# Same binaries with the verified-frontier tree cache kill-switched, so
-# the eager BonsaiTree path stays covered end to end (the default run
-# above covers the cached path).
-SECMEM_TREE_CACHE=0 ctest --preset default -j "$(nproc)"
-
-echo "=== tier 1: exclusive-only locking (SECMEM_SEQLOCK=0) ==="
-# Same binaries with the seqlock shared-read fast path kill-switched:
-# every verified read takes the exclusive lock, the pre-seqlock
-# behavior (the default run above covers the shared/optimistic paths).
-SECMEM_SEQLOCK=0 ctest --preset default -j "$(nproc)"
-
-echo "=== tier 1: scalar snapshot pipeline (SECMEM_BATCH_SNAPSHOT=0) ==="
-# Same binaries with the streaming snapshot pipeline kill-switched:
-# per-element save/restore I/O and update_leaf-per-line tree rebuild,
-# the scalar reference the batched images must stay bit-identical to.
-SECMEM_BATCH_SNAPSHOT=0 ctest --preset default -j "$(nproc)"
-
-echo "=== tier 1: full-image snapshots only (SECMEM_DELTA_SNAPSHOT=0) ==="
-# Same binaries with delta snapshots kill-switched: save_delta emits
-# full images and restore_delta only accepts them — the pre-delta
-# posture every delta-aware caller must degrade to cleanly.
-SECMEM_DELTA_SNAPSHOT=0 ctest --preset default -j "$(nproc)"
-
-echo "=== tier 1: scalar group re-encryption (SECMEM_BATCH_REENC=0) ==="
-# Same binaries with the batched re-encryption kernels kill-switched:
-# group drains re-encrypt block by block through the scalar path the
-# SIMD kernels must stay bit-identical to.
-SECMEM_BATCH_REENC=0 ctest --preset default -j "$(nproc)"
+# The engine has one production path per operation; there are no other
+# env legs. The per-block references live in tests/: ReferenceMemory
+# (BatchedWritePath.*, SnapshotModeEquivalence.*) diffs the batched write
+# drain and snapshot pipeline, the eager tree (tree_cache_kb = 0) is the
+# TreeCacheEngine.* twin of the cached one, and declined shared reads are
+# driven by *.DeclinedSharedReadsFallBackExclusively.
 
 echo "=== tier 1: end-to-end benchmark correctness (bench_e2e_smoke) ==="
 # The benchmark's standalone Release build (the tree e2ebench/run.py
@@ -116,14 +93,13 @@ trap 'rm -rf "$tmp"' EXIT
 # Benches default their export to the build tree; pin it into $tmp here.
 SECMEM_METRICS_JSON="$tmp/fig1_storage.metrics.json" \
   ./build/bench/bench_fig1_storage >/dev/null
-# Small-args smoke of the re-encryption bench: exercises the batched vs
-# scalar group-drain phase end to end and must export valid metrics.
+# Small-args smoke of the re-encryption bench: exercises the functional
+# group-drain phase end to end and must export valid metrics.
 SECMEM_METRICS_JSON="$tmp/table2_reencryption.metrics.json" \
   ./build/bench/bench_table2_reencryption 20000 1 >/dev/null
-# Snapshot-pipeline smoke: one save/restore pass per engine and mode
-# (batched and the SECMEM_BATCH_SNAPSHOT=0 reference both run inside the
-# bench) with the metrics export validated like the rest. The delta
-# phase must report nonzero delta rows for both engines.
+# Snapshot-pipeline smoke: one save/restore pass per engine with the
+# metrics export validated like the rest. The delta phase must report
+# nonzero delta rows for both engines.
 SECMEM_METRICS_JSON="$tmp/snapshot.metrics.json" \
   ./build/bench/bench_snapshot --quick --out "$tmp/snapshot.bench.json" \
   >/dev/null
@@ -132,9 +108,9 @@ import json, sys
 results = json.load(open(sys.argv[1]))["results"]
 for row in results:
     for key in ("delta_bytes", "delta_save_gibps", "delta_restore_gibps"):
-        assert row[key] > 0, f"{row['engine']}/{row['mode']}: {key} is zero"
+        assert row[key] > 0, f"{row['engine']}: {key} is zero"
     assert 0 < row["delta_bytes"] < row["image_bytes"], \
-        f"{row['engine']}/{row['mode']}: delta not smaller than full image"
+        f"{row['engine']}: delta not smaller than full image"
 print(f"ok: delta rows in {sys.argv[1]} ({len(results)} samples)")
 EOF
 for f in "$tmp"/*.metrics.json; do

@@ -14,9 +14,7 @@
 // (tree-cache probe, relaxed-atomic metrics — no engine mutation), so a
 // read-mostly workload runs reader-parallel even under this single-lock
 // facade; only the promotion pulse's occasional declined read pays the
-// exclusive lock. SECMEM_SEQLOCK=0 (sampled at construction) disables
-// the shared path — every read then takes the exclusive lock, the
-// pre-seqlock behavior.
+// exclusive lock.
 //
 // The wrapped engine is SECMEM_GUARDED_BY(mu_): under clang's thread
 // safety analysis (scripts/ci.sh, -Wthread-safety -Werror) an access
@@ -43,8 +41,7 @@ class ConcurrentSecureMemory : public SecureMemoryLike {
   explicit ConcurrentSecureMemory(const SecureMemoryConfig& config)
       : memory_(config),
         size_bytes_(memory_.size_bytes()),
-        num_blocks_(memory_.num_blocks()),
-        seqlock_reads_(seqlock_reads_enabled()) {}
+        num_blocks_(memory_.num_blocks()) {}
 
   /// Immutable geometry, cached at construction — readable lock-free.
   std::uint64_t size_bytes() const noexcept override { return size_bytes_; }
@@ -57,7 +54,7 @@ class ConcurrentSecureMemory : public SecureMemoryLike {
   }
 
   ReadResult read_block(std::uint64_t block) override {
-    if (seqlock_reads_) {
+    {
       const SeqReadLock lock(mu_);
       if (const auto res = memory_.read_block_shared(block)) return *res;
     }
@@ -72,22 +69,18 @@ class ConcurrentSecureMemory : public SecureMemoryLike {
   /// indices the promotion pulse declined pay the exclusive lock.
   [[nodiscard]] std::vector<ReadResult> read_blocks(
       std::span<const std::uint64_t> blocks) override {
-    if (seqlock_reads_) {
-      std::vector<ReadResult> results(blocks.size());
-      std::vector<std::uint32_t> declined;
-      {
-        const SeqReadLock lock(mu_);
-        memory_.read_blocks_shared(blocks, results, declined);
-      }
-      if (!declined.empty()) {
-        const SeqWriteLock lock(mu_);
-        for (const std::uint32_t d : declined)
-          results[d] = memory_.read_block(blocks[d]);
-      }
-      return results;
+    std::vector<ReadResult> results(blocks.size());
+    std::vector<std::uint32_t> declined;
+    {
+      const SeqReadLock lock(mu_);
+      memory_.read_blocks_shared(blocks, results, declined);
     }
-    const SeqWriteLock lock(mu_);
-    return memory_.read_blocks(blocks);
+    if (!declined.empty()) {
+      const SeqWriteLock lock(mu_);
+      for (const std::uint32_t d : declined)
+        results[d] = memory_.read_block(blocks[d]);
+    }
+    return results;
   }
 
   [[nodiscard]] Status write_blocks(std::span<const BlockWrite> writes)
@@ -104,7 +97,7 @@ class ConcurrentSecureMemory : public SecureMemoryLike {
 
   Status read_bytes(std::uint64_t addr,
                     std::span<std::uint8_t> out) override {
-    if (seqlock_reads_) {
+    {
       // One shared acquisition covers the whole range (single lock — no
       // cross-shard snapshot problem here); the engine defers all
       // accounting until the attempt stands, so a declined block that
@@ -199,8 +192,6 @@ class ConcurrentSecureMemory : public SecureMemoryLike {
   SecureMemory memory_ SECMEM_GUARDED_BY(mu_);
   std::uint64_t size_bytes_;
   std::uint64_t num_blocks_;
-  /// Shared-read fast path enabled (SECMEM_SEQLOCK, construction-time).
-  bool seqlock_reads_;
 };
 
 }  // namespace secmem

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <numeric>
@@ -32,25 +31,6 @@ struct DerivedKeys {
   CwMacKey tree_key;
   CwMacKey seal_key;  ///< snapshot-chain seals + delta command MACs
 };
-
-/// Resolve the tree-cache capacity: SECMEM_TREE_CACHE (an integer KB
-/// count; "0" is the kill switch) overrides the config knob.
-unsigned resolved_tree_cache_kb(const SecureMemoryConfig& config) {
-  if (const char* env = std::getenv("SECMEM_TREE_CACHE")) {
-    char* end = nullptr;
-    const unsigned long kb = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') return static_cast<unsigned>(kb);
-  }
-  return config.tree_cache_kb;
-}
-
-/// SECMEM_BATCH_REENC=0 forces the scalar re-encryption loop; anything
-/// else — including unset — takes the batched path. Sampled once at
-/// engine construction, like SECMEM_TREE_CACHE.
-bool resolved_batch_reencrypt() {
-  const char* env = std::getenv("SECMEM_BATCH_REENC");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 DerivedKeys derive_keys(std::uint64_t master) {
   DerivedKeys keys{};
@@ -126,15 +106,12 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
       seal_mac_(derive_keys(config.master_key).seal_key),
       corrector_(FlipAndCheck::Config{config.max_correctable_errors, 1}),
       tree_(layout_.tree(), derive_keys(config.master_key).tree_key),
-      tree_cache_(tree_, TreeCacheConfig{resolved_tree_cache_kb(config), 8},
+      tree_cache_(tree_, TreeCacheConfig{config.tree_cache_kb, 8},
                   &metrics_),
       ciphertext_(layout_.num_blocks()),
       lanes_(layout_.num_blocks()),
       counter_store_(layout_.num_counter_lines() * 64, 0),
-      shadow_ctr_(layout_.num_blocks(), 0),
-      batch_reencrypt_(resolved_batch_reencrypt()),
-      batch_snapshot_(batch_snapshot_enabled()),
-      delta_snapshot_(delta_snapshot_enabled()) {
+      shadow_ctr_(layout_.num_blocks(), 0) {
   assert(config.size_bytes % 64 == 0 && config.size_bytes > 0);
   if (config.mac_placement == MacPlacement::kSeparate)
     macs_.resize(layout_.num_blocks(), 0);
@@ -257,22 +234,7 @@ std::uint64_t SecureMemory::reencrypt_group(std::uint64_t group,
   const std::uint64_t end =
       std::min<std::uint64_t>(first + group_blocks, layout_.num_blocks());
 
-  if (!batch_reencrypt_) {
-    // Scalar reference path (SECMEM_BATCH_REENC=0): decrypt and re-store
-    // one block at a time. The batched path below must leave bit-identical
-    // state — the differential tests diff whole save images against this.
-    std::uint64_t rewritten = 0;
-    for (std::uint64_t b = first; b < end; ++b) {
-      if (b == skip_block) continue;
-      DataBlock plain = ciphertext_[b];
-      keystream_.crypt(layout_.block_addr(b), shadow_ctr_[b], plain);
-      store_block(b, plain, new_counter);
-      ++rewritten;
-    }
-    return rewritten;
-  }
-
-  // Batched: gather the group's stale ciphertexts and old counters, run
+  // Gather the group's stale ciphertexts and old counters, run
   // ONE crypt_batch decrypt over the 4-wide AES kernel, then re-store the
   // lot through store_blocks (batched encrypt + compute_batch MACs +
   // pack_lane_batch/encode_batch lanes).
@@ -981,37 +943,26 @@ Status SecureMemory::save(std::ostream& out) {
   write_u64(out, static_cast<std::uint64_t>(config_.mac_placement));
   write_u64(out, config_.generic_delta_bits);
 
-  // Off-chip state, exactly what sits on the (NV)DIMMs.
-  if (batch_snapshot_) {
-    // Chunked path: ciphertext and lane vectors are contiguous and
-    // byte-identical to the per-element layout (static_asserts above),
-    // so each section is one stream call; the MAC words stream through
-    // the engine-owned chunk buffer with store_le64 conversion.
-    out.write(reinterpret_cast<const char*>(ciphertext_.data()),
-              static_cast<std::streamsize>(ciphertext_.size() *
-                                           sizeof(DataBlock)));
-    out.write(reinterpret_cast<const char*>(lanes_.data()),
-              static_cast<std::streamsize>(lanes_.size() * sizeof(EccLane)));
-    if (!macs_.empty()) {
-      std::vector<std::uint8_t>& buf = scratch_.io_bytes;
-      buf.resize(std::min(macs_.size(), kMacChunk) * 8);
-      for (std::size_t base = 0; base < macs_.size(); base += kMacChunk) {
-        const std::size_t n = std::min(kMacChunk, macs_.size() - base);
-        for (std::size_t i = 0; i < n; ++i)
-          store_le64(buf.data() + 8 * i, macs_[base + i]);
-        out.write(reinterpret_cast<const char*>(buf.data()),
-                  static_cast<std::streamsize>(8 * n));
-      }
+  // Off-chip state, exactly what sits on the (NV)DIMMs. Ciphertext and
+  // lane vectors are contiguous and byte-identical to the per-element
+  // layout (static_asserts above), so each section is one stream call;
+  // the MAC words stream through the engine-owned chunk buffer with
+  // store_le64 conversion.
+  out.write(reinterpret_cast<const char*>(ciphertext_.data()),
+            static_cast<std::streamsize>(ciphertext_.size() *
+                                         sizeof(DataBlock)));
+  out.write(reinterpret_cast<const char*>(lanes_.data()),
+            static_cast<std::streamsize>(lanes_.size() * sizeof(EccLane)));
+  if (!macs_.empty()) {
+    std::vector<std::uint8_t>& buf = scratch_.io_bytes;
+    buf.resize(std::min(macs_.size(), kMacChunk) * 8);
+    for (std::size_t base = 0; base < macs_.size(); base += kMacChunk) {
+      const std::size_t n = std::min(kMacChunk, macs_.size() - base);
+      for (std::size_t i = 0; i < n; ++i)
+        store_le64(buf.data() + 8 * i, macs_[base + i]);
+      out.write(reinterpret_cast<const char*>(buf.data()),
+                static_cast<std::streamsize>(8 * n));
     }
-  } else {
-    // Scalar reference (SECMEM_BATCH_SNAPSHOT=0): one stream call per
-    // element. The chunked path above must emit bit-identical bytes —
-    // the differential tests diff whole images across the two.
-    for (const DataBlock& ct : ciphertext_)
-      out.write(reinterpret_cast<const char*>(ct.data()), 64);
-    for (const EccLane& lane : lanes_)
-      out.write(reinterpret_cast<const char*>(lane.data()), 8);
-    for (const std::uint64_t mac : macs_) write_u64(out, mac);
   }
   out.write(reinterpret_cast<const char*>(counter_store_.data()),
             static_cast<std::streamsize>(counter_store_.size()));
@@ -1061,56 +1012,44 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
   if (read_u64(in) != config_.generic_delta_bits) return std::nullopt;
 
   // Read the off-chip image into staging storage — engine state is not
-  // touched anywhere in this function. The batched path defers the
-  // tree's zero-leaf build: rebuild_from_lines below overwrites every
-  // slot the image's leaves reach, so building zero MACs first would be
-  // pure waste (the scalar path keeps the zero build its update_leaf
-  // walks patch).
+  // touched anywhere in this function. The tree's zero-leaf build is
+  // deferred: rebuild_from_lines below overwrites every slot the image's
+  // leaves reach, so building zero MACs first would be pure waste.
   const CwMacKey tree_key = derive_keys(master_key).tree_key;
   // Staging storage is adopted from the arena (the state vectors the
   // last commit replaced — right-sized and page-warm; empty vectors on
-  // the first restore or in scalar mode, where resize allocates). Every
-  // byte of every section is overwritten by the reads below, so stale
-  // recycled contents can never leak into a staged image.
+  // the first restore, where resize allocates). Every byte of every
+  // section is overwritten by the reads below, so stale recycled
+  // contents can never leak into a staged image.
   StagedRestore staged{master_key,
                        std::move(snap_arena_.ciphertext),
                        std::move(snap_arena_.lanes),
                        std::move(snap_arena_.macs),
                        std::move(snap_arena_.counter_store),
-                       batch_snapshot_
-                           ? BonsaiTree(layout_.tree(), tree_key,
-                                        BonsaiTree::DeferredBuild{})
-                           : BonsaiTree(layout_.tree(), tree_key)};
+                       BonsaiTree(layout_.tree(), tree_key,
+                                  BonsaiTree::DeferredBuild{})};
   staged.ciphertext.resize(layout_.num_blocks());
   staged.lanes.resize(layout_.num_blocks());
   staged.macs.resize(macs_.size());
   staged.counter_store.resize(counter_store_.size());
-  if (batch_snapshot_) {
-    // Chunked reads, mirroring save(): contiguous sections in one stream
-    // call each; the MAC words land in their own storage and convert
-    // endianness in place (each element independently re-read through
-    // load_le64 — the identity on little-endian hosts).
-    in.read(reinterpret_cast<char*>(staged.ciphertext.data()),
-            static_cast<std::streamsize>(staged.ciphertext.size() *
-                                         sizeof(DataBlock)));
-    in.read(reinterpret_cast<char*>(staged.lanes.data()),
-            static_cast<std::streamsize>(staged.lanes.size() *
-                                         sizeof(EccLane)));
-    if (!staged.macs.empty()) {
-      in.read(reinterpret_cast<char*>(staged.macs.data()),
-              static_cast<std::streamsize>(staged.macs.size() * 8));
-      for (std::uint64_t& mac : staged.macs) {
-        std::uint8_t raw[8];
-        std::memcpy(raw, &mac, 8);
-        mac = load_le64(raw);
-      }
+  // Chunked reads, mirroring save(): contiguous sections in one stream
+  // call each; the MAC words land in their own storage and convert
+  // endianness in place (each element independently re-read through
+  // load_le64 — the identity on little-endian hosts).
+  in.read(reinterpret_cast<char*>(staged.ciphertext.data()),
+          static_cast<std::streamsize>(staged.ciphertext.size() *
+                                       sizeof(DataBlock)));
+  in.read(reinterpret_cast<char*>(staged.lanes.data()),
+          static_cast<std::streamsize>(staged.lanes.size() *
+                                       sizeof(EccLane)));
+  if (!staged.macs.empty()) {
+    in.read(reinterpret_cast<char*>(staged.macs.data()),
+            static_cast<std::streamsize>(staged.macs.size() * 8));
+    for (std::uint64_t& mac : staged.macs) {
+      std::uint8_t raw[8];
+      std::memcpy(raw, &mac, 8);
+      mac = load_le64(raw);
     }
-  } else {
-    for (DataBlock& ct : staged.ciphertext)
-      in.read(reinterpret_cast<char*>(ct.data()), 64);
-    for (EccLane& lane : staged.lanes)
-      in.read(reinterpret_cast<char*>(lane.data()), 8);
-    for (std::uint64_t& mac : staged.macs) mac = read_u64(in);
   }
   in.read(reinterpret_cast<char*>(staged.counter_store.data()),
           static_cast<std::streamsize>(staged.counter_store.size()));
@@ -1123,19 +1062,10 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
 
   // Rebuild the tree from the image's counter lines and check its root
   // level against the sealed snapshot — offline counter tamper dies here.
-  if (batch_snapshot_) {
-    // Bottom-up bulk rebuild: O(lines) batched MACs instead of the
-    // O(lines x depth) scalar MACs of per-leaf root walks. Bit-identical
-    // final tree (see BonsaiTree::rebuild_from_lines).
-    staged.tree.rebuild_from_lines(staged.counter_store);
-  } else {
-    for (std::uint64_t line = 0; line < layout_.num_counter_lines();
-         ++line) {
-      staged.tree.update_leaf(
-          line,
-          BonsaiTree::LineView(staged.counter_store.data() + line * 64, 64));
-    }
-  }
+  // Bottom-up bulk rebuild: O(lines) batched MACs instead of the
+  // O(lines x depth) scalar MACs of per-leaf root walks, bit-identical
+  // final tree (see BonsaiTree::rebuild_from_lines).
+  staged.tree.rebuild_from_lines(staged.counter_store);
   const unsigned top = layout_.tree().total_levels() - 1;
   for (std::uint64_t node = 0; node < layout_.tree().nodes_at[top];
        ++node) {
@@ -1149,7 +1079,6 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
 }
 
 void SecureMemory::discard_restore(StagedRestore&& staged) const {
-  if (!batch_snapshot_) return;  // scalar mode allocates per restore
   snap_arena_.ciphertext = std::move(staged.ciphertext);
   snap_arena_.lanes = std::move(staged.lanes);
   snap_arena_.macs = std::move(staged.macs);
@@ -1183,22 +1112,12 @@ void SecureMemory::commit_restore(StagedRestore&& staged) {
   std::swap(counter_store_, staged.counter_store);
   tree_ = std::move(staged.tree);
   tree_cache_.invalidate_all();  // cached state described the old tree
-  if (batch_snapshot_) {
-    // One virtual dispatch per region for the line decode and the shadow
-    // counter refill (schemes override read_counters with direct group
-    // walks) — same state as the per-line/per-block loops below.
-    scheme_->deserialize_all(counter_store_);
-    scheme_->read_counters(shadow_ctr_);
-  } else {
-    for (std::uint64_t line = 0; line < layout_.num_counter_lines();
-         ++line) {
-      scheme_->deserialize_line(
-          line, std::span<const std::uint8_t, 64>(
-                    counter_store_.data() + line * 64, 64));
-    }
-    for (std::uint64_t b = 0; b < layout_.num_blocks(); ++b)
-      shadow_ctr_[b] = scheme_->read_counter(b);
-  }
+  // One virtual dispatch per region for the line decode and the shadow
+  // counter refill (schemes override read_counters with direct group
+  // walks) — same state as per-line deserialize_line and per-block
+  // read_counter.
+  scheme_->deserialize_all(counter_store_);
+  scheme_->read_counters(shadow_ctr_);
   discard_restore(std::move(staged));  // park the replaced vectors
   metrics_.add(MetricId::kRestores);
   trace(TraceEvent::Kind::kRestore, Status::kOk, 0);
@@ -1343,9 +1262,8 @@ std::uint64_t SecureMemory::delta_cmd_mac(
 }
 
 Status SecureMemory::save_delta(std::ostream& out) {
-  if (!delta_snapshot_ || !has_base_) {
-    // No usable base (kill switch, fresh engine, broken chain): fall
-    // back to a full image — which save() re-bases the chain on, so the
+  if (!has_base_) {
+    // No usable base (fresh engine, broken chain): fall back to a full image — which save() re-bases the chain on, so the
     // NEXT save_delta is incremental again.
     metrics_.add(MetricId::kDeltaSaveFallbacks);
     return save(out);
@@ -1412,7 +1330,6 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
 
 std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta_tail(
     std::istream& in) {
-  if (!delta_snapshot_) return std::nullopt;  // kill switch: full only
   if (read_u64(in) != config_.size_bytes) return std::nullopt;
   if (read_u64(in) != static_cast<std::uint64_t>(config_.scheme))
     return std::nullopt;

@@ -64,11 +64,10 @@ struct SecureMemoryConfig {
   bool time_ops = false;
   /// Verified-frontier tree cache capacity in KB (tree/tree_cache.h) —
   /// the functional counterpart of the paper's 8 KB metadata cache. 0
-  /// disables it (every operation walks the tree to the root). The
-  /// SECMEM_TREE_CACHE environment variable overrides this at engine
-  /// construction: "0" is the kill switch, any other integer is a KB
-  /// capacity. Sharded engines pass the config through per shard, so
-  /// each shard gets its own cache inside its shard lock.
+  /// disables it (every operation walks the tree to the root — the eager
+  /// reference the cached path is diffed against). Sharded engines pass
+  /// the config through per shard, so each shard gets its own cache
+  /// inside its shard lock.
   unsigned tree_cache_kb = 8;
   /// Master secret; all working keys are derived from it.
   std::uint64_t master_key = 0x5ec3e7'c0ffee;
@@ -102,10 +101,7 @@ class SecureMemory : public SecureMemoryLike {
   /// When a write overflows its delta group, the whole group re-encrypts
   /// through one batched pass: one crypt_batch decrypt of the stale
   /// ciphertexts, one crypt_batch + compute_batch + pack_lane_batch
-  /// re-store, and one counter-line/tree sync for the group. The
-  /// SECMEM_BATCH_REENC environment variable ("0" at construction) forces
-  /// the scalar block-at-a-time loop — bit-identical state, used by the
-  /// differential tests.
+  /// re-store, and one counter-line/tree sync for the group.
   [[nodiscard]] Status write_block(std::uint64_t block,
                                    const DataBlock& plaintext) override;
 
@@ -229,9 +225,7 @@ class SecureMemory : public SecureMemoryLike {
   /// so they move through single large writes/reads; stored MACs convert
   /// endianness through a reusable engine-owned chunk buffer; and restore
   /// rebuilds the tree level-by-level through the batched MAC kernel
-  /// (BonsaiTree::rebuild_from_lines). SECMEM_BATCH_SNAPSHOT=0 at
-  /// construction pins the scalar per-element reference — bit-identical
-  /// images either way.
+  /// (BonsaiTree::rebuild_from_lines).
   [[nodiscard]] Status save(std::ostream& out) override;
   [[nodiscard]] bool restore(std::istream& in) override;
 
@@ -582,17 +576,14 @@ class SecureMemory : public SecureMemoryLike {
     std::vector<std::uint8_t> io_bytes;
   };
   BatchScratch scratch_;
-  /// Staging-storage recycler for the batched restore path:
-  /// commit_restore parks the replaced state vectors here (a rejected
-  /// or discarded staging parks its own) and the next stage_restore
-  /// adopts them, so steady-state crash/restore loops
-  /// allocate (and page-fault) nothing — the dominant cost of a large
-  /// restore once the stream calls are chunked. Mutable because
-  /// stage_restore is const by contract (it never changes engine
-  /// *state*) yet runs only under the engine's exclusive
-  /// synchronization, like every snapshot entry point. Stays empty in
-  /// scalar mode (SECMEM_BATCH_SNAPSHOT=0 preserves the
-  /// allocate-per-restore reference behavior).
+  /// Staging-storage recycler for the restore path: commit_restore
+  /// parks the replaced state vectors here (a rejected or discarded
+  /// staging parks its own) and the next stage_restore adopts them, so
+  /// steady-state crash/restore loops allocate (and page-fault) nothing
+  /// — the dominant cost of a large restore once the stream calls are
+  /// chunked. Mutable because stage_restore is const by contract (it
+  /// never changes engine *state*) yet runs only under the engine's
+  /// exclusive synchronization, like every snapshot entry point.
   struct SnapshotArena {
     std::vector<DataBlock> ciphertext;
     std::vector<EccLane> lanes;
@@ -600,20 +591,6 @@ class SecureMemory : public SecureMemoryLike {
     std::vector<std::uint8_t> counter_store;
   };
   mutable SnapshotArena snap_arena_;
-  /// SECMEM_BATCH_REENC kill switch, sampled at construction: false
-  /// forces the scalar block-at-a-time re-encryption loop (differential
-  /// reference for the batched path).
-  bool batch_reencrypt_ = true;
-  /// SECMEM_BATCH_SNAPSHOT kill switch, sampled at construction: false
-  /// pins save/stage_restore/commit_restore to the scalar per-element
-  /// reference paths (differential reference for the snapshot pipeline).
-  bool batch_snapshot_ = true;
-  /// SECMEM_DELTA_SNAPSHOT kill switch, sampled at construction: false
-  /// makes save_delta emit full images and restore_delta reject
-  /// delta-format ones (dirty tracking still runs — it is one relaxed
-  /// fetch_or per store and keeping it unconditional means the kill
-  /// switch changes emitted bytes, never engine state).
-  bool delta_snapshot_ = true;
 
   /// Dirty plane: bit per granule, relaxed atomics so the const shared
   /// read path's facades never contend with it (only store paths touch

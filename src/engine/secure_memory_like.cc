@@ -1,6 +1,5 @@
 #include "engine/secure_memory_like.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -141,21 +140,6 @@ bool parse_engine_kind(const std::string& text, EngineKind& out) noexcept {
     return false;
   }
   return true;
-}
-
-bool seqlock_reads_enabled() noexcept {
-  const char* env = std::getenv("SECMEM_SEQLOCK");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool batch_snapshot_enabled() noexcept {
-  const char* env = std::getenv("SECMEM_BATCH_SNAPSHOT");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool delta_snapshot_enabled() noexcept {
-  const char* env = std::getenv("SECMEM_DELTA_SNAPSHOT");
-  return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
 std::unique_ptr<SecureMemoryLike> make_engine(const SecureMemoryConfig& config,

@@ -176,9 +176,10 @@ class SecureMemoryLike {
   /// snapshot alignment point (the most recent save/restore/
   /// save_delta/restore_delta) from the dirty-granule bitmap: only the
   /// block groups touched since that point ship as payload. When no base
-  /// is known (fresh engine, after a key rotation, or with
-  /// SECMEM_DELTA_SNAPSHOT=0) it falls back to a full save() image —
-  /// callers always get something restore_delta accepts.
+  /// is known (fresh engine, or after a key rotation) it falls back to a
+  /// full save() image — callers always get something restore_delta
+  /// accepts. A caller that only wants full images calls save() and
+  /// restore().
   ///
   /// `restore_delta` accepts both image kinds, dispatching on the magic:
   /// a full image takes the ordinary restore path (including its
@@ -228,29 +229,6 @@ enum class EngineKind : std::uint8_t {
 const char* engine_kind_name(EngineKind kind) noexcept;
 /// Parse "plain" | "concurrent" | "sharded"; false on anything else.
 bool parse_engine_kind(const std::string& text, EngineKind& out) noexcept;
-
-/// Kill switch for the concurrency facades' shared-lock read fast path:
-/// SECMEM_SEQLOCK=0 in the environment disables it (every read takes the
-/// exclusive lock, the pre-seqlock behavior); anything else — including
-/// unset — enables it. Sampled once at engine construction, like
-/// SECMEM_TREE_CACHE.
-bool seqlock_reads_enabled() noexcept;
-
-/// Kill switch for the batched snapshot pipeline: SECMEM_BATCH_SNAPSHOT=0
-/// in the environment pins save/restore to the scalar per-element
-/// reference (one stream call per block/lane/MAC, leaf-by-leaf tree
-/// rebuild, no staging-storage reuse); anything else — including unset —
-/// takes the chunked/batched path. The two paths produce bit-identical
-/// images and accept exactly the same ones. Sampled once at engine
-/// construction, like SECMEM_SEQLOCK.
-bool batch_snapshot_enabled() noexcept;
-
-/// Kill switch for delta-encoded snapshots: SECMEM_DELTA_SNAPSHOT=0 in
-/// the environment makes save_delta emit full images and restore_delta
-/// reject delta-format images (full images are still accepted); anything
-/// else — including unset — enables the incremental pipeline. Sampled
-/// once at engine construction, like SECMEM_BATCH_SNAPSHOT.
-bool delta_snapshot_enabled() noexcept;
 
 /// Instantiate an engine. `shards` only matters for kSharded (0 picks 8).
 std::unique_ptr<SecureMemoryLike> make_engine(

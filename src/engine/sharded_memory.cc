@@ -141,8 +141,7 @@ ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
     : config_(config),
       num_shards_(num_shards),
       granule_blocks_(routing_granule_blocks(config)),
-      num_blocks_(config.size_bytes / 64),
-      seqlock_reads_(seqlock_reads_enabled()) {
+      num_blocks_(config.size_bytes / 64) {
   if (num_shards == 0)
     throw std::invalid_argument("ShardedSecureMemory: need >= 1 shard");
   const std::uint64_t granule_bytes = granule_blocks_ * 64ULL;
@@ -213,7 +212,7 @@ SecureMemory::ReadResult ShardedSecureMemory::read_block(
   if (poisoned()) return poisoned_read();
   const Route r = route(block);
   Shard& s = shards_[r.shard];
-  if (seqlock_reads_) {
+  {
     // Shared fast path: any number of readers verify in parallel under
     // the shard's reader lock; nullopt is the promotion pulse declining
     // (cold counter line) — fall through to the exclusive path, whose
@@ -275,23 +274,18 @@ std::vector<SecureMemory::ReadResult> ShardedSecureMemory::read_blocks(
       local_blocks.push_back(route(blocks[order[i]]).local_block);
     }
     Shard& s = shards_[shard];
-    if (seqlock_reads_) {
-      // Shared batch fast path; only the declined indices (cold counter
-      // lines bounced by the promotion pulse) pay the exclusive lock.
-      shard_results.assign(local_blocks.size(), {});
-      declined.clear();
-      {
-        const SeqReadLock lock(s.mu);
-        s.engine->read_blocks_shared(local_blocks, shard_results, declined);
-      }
-      if (!declined.empty()) {
-        const SeqWriteLock lock(s.mu);
-        for (const std::uint32_t d : declined)
-          shard_results[d] = s.engine->read_block(local_blocks[d]);
-      }
-    } else {
+    // Shared batch fast path; only the declined indices (cold counter
+    // lines bounced by the promotion pulse) pay the exclusive lock.
+    shard_results.assign(local_blocks.size(), {});
+    declined.clear();
+    {
+      const SeqReadLock lock(s.mu);
+      s.engine->read_blocks_shared(local_blocks, shard_results, declined);
+    }
+    if (!declined.empty()) {
       const SeqWriteLock lock(s.mu);
-      shard_results = s.engine->read_blocks(local_blocks);
+      for (const std::uint32_t d : declined)
+        shard_results[d] = s.engine->read_block(local_blocks[d]);
     }
     for (std::size_t k = 0; k < shard_results.size(); ++k)
       results[order[run_start + k]] = std::move(shard_results[k]);
@@ -528,14 +522,12 @@ Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
   const std::uint64_t last_block = (addr + out.size() - 1) / 64;
   const auto involved = shards_in_range(first_block, last_block);
 
-  if (seqlock_reads_) {
-    // Two optimistic attempts, then the exclusive fallback — bounded
-    // retries so a write-heavy phase degrades to the old protocol
-    // instead of livelocking readers.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (const auto verdict = try_read_bytes_optimistic(addr, out, involved))
-        return *verdict;
-    }
+  // Two optimistic attempts, then the exclusive fallback — bounded
+  // retries so a write-heavy phase degrades to the old protocol instead
+  // of livelocking readers.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (const auto verdict = try_read_bytes_optimistic(addr, out, involved))
+      return *verdict;
   }
 
   const auto locks = lock_in_order(mutexes_of(involved));

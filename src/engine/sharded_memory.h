@@ -28,8 +28,6 @@
 // (equal and even), retrying through the exclusive path otherwise. The
 // runtime-lock-set and optimistic functions are beyond static analysis
 // and carry SECMEM_NO_THREAD_SAFETY_ANALYSIS plus TSan coverage.
-// SECMEM_SEQLOCK=0 in the environment (sampled at construction) disables
-// every shared/optimistic path — the pre-seqlock all-exclusive behavior.
 //
 // Routing granularity is the *block-group* (4 KB for the paper's delta
 // schemes): groups are striped round-robin across shards. A group is the
@@ -316,10 +314,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   unsigned num_shards_;
   unsigned granule_blocks_;
   std::uint64_t num_blocks_;
-  /// Shared-read fast path enabled (SECMEM_SEQLOCK, construction-time).
-  /// SECMEM_BATCH_SNAPSHOT is sampled by the shard engines alone: the
-  /// container has one snapshot path.
-  bool seqlock_reads_;
   /// Fixed-size at construction; Shard is neither movable nor copyable.
   std::unique_ptr<Shard[]> shards_;
   /// Set on key-rotation rollback failure; cleared by successful

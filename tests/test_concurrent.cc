@@ -156,11 +156,9 @@ TEST(ConcurrentSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(memory.stats().integrity_violations, 0u);
-  if (seqlock_reads_enabled()) {
-    StatRegistry registry;
-    memory.publish_metrics(registry);
-    EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
-  }
+  StatRegistry registry;
+  memory.publish_metrics(registry);
+  EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
 }
 
 TEST(ConcurrentSecureMemory, WithExclusiveExposesFullApi) {

@@ -2,8 +2,17 @@
 // (Figure 5 a/b/c and Figure 6).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "counters/delta_counter.h"
 #include "counters/dual_length_delta.h"
+#include "counters/generic_delta.h"
 #include "counters/monolithic.h"
 #include "counters/split_counter.h"
 
@@ -235,6 +244,81 @@ TEST(StorageOverhead, SplitMatchesPaper8xVersus64Bit) {
   MonolithicCounters mono64(64, 64);
   SplitCounters split(64);
   EXPECT_NEAR(mono64.bits_per_block() / split.bits_per_block(), 8.0, 0.1);
+}
+
+// ------------------------------------------------------- bulk decode
+
+constexpr BlockIndex kBlocks = 64 * 40;
+
+/// The restore commit path decodes the whole counter store with one
+/// deserialize_all and refills every shadow counter with one
+/// read_counters. Both must equal the per-line deserialize_line and
+/// per-block read_counter reference — and the source scheme's own
+/// counters — for every scheme, after a stream that overflows often.
+TEST(BulkDecode, DeserializeAllAndReadCountersMatchPerLineDecode) {
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<CounterScheme>()> make;
+  };
+  std::vector<Case> cases = {
+      {"split", [] { return std::make_unique<SplitCounters>(kBlocks); }},
+      {"delta", [] { return std::make_unique<DeltaCounters>(kBlocks); }},
+      {"dual-length",
+       [] { return std::make_unique<DualLengthDeltaCounters>(kBlocks); }},
+  };
+  for (unsigned bits = 2; bits <= 7; ++bits) {
+    cases.push_back({"generic" + std::to_string(bits), [bits] {
+                       return std::make_unique<GenericDeltaCounters>(kBlocks,
+                                                                     bits);
+                     }});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto source = c.make();
+    // Two in three writes hammer a few hot blocks spread over groups, so
+    // their deltas overflow again and again; the rest scatter.
+    Xoshiro256 rng(0xdec0de);
+    std::uint64_t overflows = 0;
+    for (int i = 0; i < 30000; ++i) {
+      const BlockIndex block = i % 3 == 0
+                                   ? rng.next_below(kBlocks)
+                                   : (rng.next_below(8) * 311) % kBlocks;
+      overflows += source->on_write(block).event == CounterEvent::kReencrypt;
+    }
+    EXPECT_GT(overflows, 10u);
+
+    const std::uint64_t lines = source->num_storage_lines();
+    std::vector<std::uint8_t> store(lines * 64);
+    for (std::uint64_t line = 0; line < lines; ++line)
+      source->serialize_line(
+          line, std::span<std::uint8_t, 64>(store.data() + line * 64, 64));
+
+    auto bulk = c.make();
+    bulk->deserialize_all(store);
+    std::vector<std::uint64_t> bulk_counters(kBlocks);
+    bulk->read_counters(bulk_counters);
+
+    auto per_line = c.make();
+    for (std::uint64_t line = 0; line < lines; ++line)
+      per_line->deserialize_line(line, std::span<const std::uint8_t, 64>(
+                                           store.data() + line * 64, 64));
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      ASSERT_EQ(bulk_counters[b], per_line->read_counter(b)) << b;
+      ASSERT_EQ(bulk_counters[b], source->read_counter(b)) << b;
+    }
+    // Decoded state re-serializes to the same store either way.
+    for (std::uint64_t line = 0; line < lines; ++line) {
+      std::array<std::uint8_t, 64> a{}, b{};
+      bulk->serialize_line(line, a);
+      per_line->serialize_line(line, b);
+      ASSERT_EQ(a, b) << "line " << line;
+      ASSERT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()),
+                std::vector<std::uint8_t>(store.begin() + line * 64,
+                                          store.begin() + line * 64 + 64))
+          << "line " << line;
+    }
+  }
 }
 
 }  // namespace

@@ -2,16 +2,14 @@
 // engines — chain round-trips with bit-identical differential images,
 // crash/restore loops where every failed (tampered) apply leaves the
 // region intact for the clean retry, stale-delta replay rejection, key
-// rotation breaking the chain and falling back to full images, the
-// SECMEM_DELTA_SNAPSHOT kill switch, the exhaustive
+// rotation breaking the chain and falling back to full images, callers
+// that ship only full images through restore_delta, the exhaustive
 // every-byte-flip-rejects contract on sealed delta images, and the
 // cross-instance encode_delta image diff. The codec underneath is unit
 // tested in test_delta_image.cc.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -27,29 +25,6 @@
 
 namespace secmem {
 namespace {
-
-/// Scoped environment override (restores the previous value on exit).
-/// The delta kill switch is sampled at engine construction, so the
-/// full-only engines are built inside one of these.
-class EnvOverride {
- public:
-  EnvOverride(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) prev_ = prev;
-    setenv(name, value, 1);
-  }
-  ~EnvOverride() {
-    if (prev_)
-      setenv(name_.c_str(), prev_->c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  EnvOverride(const EnvOverride&) = delete;
-  EnvOverride& operator=(const EnvOverride&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> prev_;
-};
 
 DataBlock pattern(std::uint8_t seed) {
   DataBlock b{};
@@ -107,19 +82,17 @@ std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
   return nullptr;
 }
 
-/// Parameterized over engine kind x delta kill switch: every contract
-/// below must hold with SECMEM_DELTA_SNAPSHOT=0 too, where save_delta
-/// degrades to full images that restore_delta still accepts. Both
-/// directions pin the switch explicitly, so the suite behaves the same
-/// under a CI leg that exports the kill switch globally.
+/// Parameterized over engine kind x what the source ships: save_delta
+/// images (Delta), or plain save() images (FullOnly) — a caller that
+/// never emits deltas. restore_delta accepts both, so every contract
+/// below must hold either way.
 class DeltaSnapshot
     : public ::testing::TestWithParam<std::tuple<EngineKind, bool>> {
  protected:
   EngineKind kind() const { return std::get<0>(GetParam()); }
-  bool delta_enabled() const { return std::get<1>(GetParam()); }
-  std::optional<EnvOverride> pin_;
-  void SetUp() override {
-    pin_.emplace("SECMEM_DELTA_SNAPSHOT", delta_enabled() ? "1" : "0");
+  bool ships_deltas() const { return std::get<1>(GetParam()); }
+  std::string ship(SecureMemoryLike& source) const {
+    return ships_deltas() ? delta_of(source) : image_of(source);
   }
 };
 
@@ -128,9 +101,10 @@ TEST_P(DeltaSnapshot, ChainRoundTripsBitIdentically) {
   auto replica = make_engine(kind());
   populate(*source, 7);
 
-  // Round 0: a fresh engine has no delta base, so the first save_delta
-  // ships a full image that seeds the replica and aligns both chains.
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  // Round 0: a fresh engine has no delta base, so even the first
+  // save_delta ships a full image that seeds the replica and aligns both
+  // chains.
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   // Incremental rounds: small mutations, delta over, applied in order.
   Xoshiro256 rng(0xBEEF);
@@ -141,7 +115,7 @@ TEST_P(DeltaSnapshot, ChainRoundTripsBitIdentically) {
                               pattern(static_cast<std::uint8_t>(round * 16 + w))),
           Status::kOk);
     }
-    const std::string delta = delta_of(*source);
+    const std::string delta = ship(*source);
     ASSERT_TRUE(apply_delta(*replica, delta)) << "round " << round;
   }
 
@@ -159,20 +133,20 @@ TEST_P(DeltaSnapshot, StaleDeltaReplayRejected) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 11);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   ASSERT_EQ(source->write_block(5, pattern(0x55)), Status::kOk);
-  const std::string delta = delta_of(*source);
+  const std::string delta = ship(*source);
   ASSERT_TRUE(apply_delta(*replica, delta));
 
-  if (delta_enabled()) {
+  if (ships_deltas()) {
     // The replica's chain moved past the delta's base: replaying it must
     // be refused (base-seal mismatch), leaving the replica untouched.
     const std::string before = image_of(*replica);
     EXPECT_FALSE(apply_delta(*replica, delta));
     EXPECT_EQ(image_of(*replica), before);
   } else {
-    // Kill switch: "deltas" are full images, and full-image restore is
+    // Full images carry no chain base, and full-image restore is
     // idempotent by design — replay is allowed and harmless.
     EXPECT_TRUE(apply_delta(*replica, delta));
   }
@@ -183,7 +157,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 13);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   Xoshiro256 rng(0xC4A5);
   for (int round = 0; round < 4; ++round) {
@@ -194,7 +168,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
               pattern(static_cast<std::uint8_t>(round * 8 + w))),
           Status::kOk);
     }
-    const std::string delta = delta_of(*source);
+    const std::string delta = ship(*source);
     // A "crash" mid-transfer: a damaged copy arrives first. The failed
     // apply must leave the replica exactly where it was so the clean
     // retry of the SAME delta still lands on its base.
@@ -204,7 +178,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
         static_cast<std::uint8_t>(damaged[offset]) ^
         static_cast<std::uint8_t>(1 + rng.next_below(255)));
     const bool damaged_ok = apply_delta(*replica, damaged);
-    if (delta_enabled()) {
+    if (ships_deltas()) {
       // Sealed delta images reject EVERY flip before any byte applies.
       EXPECT_FALSE(damaged_ok) << "round " << round << " offset " << offset;
     }
@@ -213,7 +187,7 @@ TEST_P(DeltaSnapshot, CrashRestoreLoopSurvivesTamperedAttempts) {
     // ACCEPTED at stage (it surfaces on read — the full-image posture,
     // see test_snapshot.cc), so re-apply unconditionally there: full
     // restores are idempotent.
-    if (!damaged_ok || !delta_enabled()) {
+    if (!damaged_ok || !ships_deltas()) {
       ASSERT_TRUE(apply_delta(*replica, delta)) << "round " << round;
     }
   }
@@ -224,7 +198,7 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
   auto source = make_engine(kind());
   auto replica = make_engine(kind());
   populate(*source, 17);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
 
   // Rotation re-keys the region and invalidates the seal chain; both
   // sides rotate (a replica under the old master could not decode the
@@ -233,16 +207,20 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
   ASSERT_TRUE(replica->rotate_master_key(0xD0D0'CAFE));
 
   ASSERT_EQ(source->write_block(9, pattern(0x99)), Status::kOk);
-  const std::string fallback = delta_of(*source);
-  // The chain is broken, so this "delta" is a full image re-basing the
-  // replica...
+  const std::string fallback = ship(*source);
+  // The chain is broken, so even save_delta ships a full image (the
+  // sharded container carries full per-shard slices), which re-bases
+  // the replica...
+  if (kind() != EngineKind::kSharded) {
+    EXPECT_EQ(fallback.compare(0, 8, "SECMEM01"), 0);
+  }
   ASSERT_TRUE(apply_delta(*replica, fallback));
   EXPECT_EQ(replica->read_block(9).data, pattern(0x99));
 
   // ...and the chain is live again: the next delta is incremental and
   // applies cleanly.
   ASSERT_EQ(source->write_block(10, pattern(0xAA)), Status::kOk);
-  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_TRUE(apply_delta(*replica, ship(*source)));
   EXPECT_EQ(replica->read_block(10).data, pattern(0xAA));
   EXPECT_EQ(image_of(*source), image_of(*replica));
 }
@@ -271,11 +249,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// reject before a single byte is applied. (Full fallback images don't
 /// have this property — a ciphertext flip there surfaces on read, see
 /// test_snapshot.cc — which is why this drills the delta format only.)
-class DeltaTamper : public ::testing::TestWithParam<EngineKind> {
- protected:
-  // The sealed format under test only exists with the switch on.
-  EnvOverride pin_{"SECMEM_DELTA_SNAPSHOT", "1"};
-};
+class DeltaTamper : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(DeltaTamper, EveryByteFlipRejectsBeforeApply) {
   auto source = make_engine(GetParam());
@@ -332,39 +306,9 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaTamper,
                                       : "Sharded";
                          });
 
-// ------------------------------------------------------- kill switch
-
-TEST(DeltaKillSwitch, DisabledEngineEmitsFullImagesAndRejectsDeltas) {
-  // An enabled source produces a true incremental delta...
-  EnvOverride pin_on("SECMEM_DELTA_SNAPSHOT", "1");
-  SecureMemory source(small_config());
-  populate(source, 23);
-  const std::string seed_image = image_of(source);
-  ASSERT_EQ(source.write_block(4, pattern(0x44)), Status::kOk);
-  const std::string delta = delta_of(source);
-  ASSERT_EQ(delta.compare(0, 8, "SECMDLT1"), 0);
-
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "0");
-  SecureMemory disabled(small_config());
-  {
-    std::istringstream in(seed_image);
-    ASSERT_TRUE(disabled.restore(in));
-  }
-  // ...which a kill-switched engine refuses even though its state
-  // matches the delta's base...
-  EXPECT_FALSE(apply_delta(disabled, delta));
-  EXPECT_EQ(disabled.read_block(1).data, pattern(1));
-
-  // ...and its own save_delta degrades to a plain full image.
-  const std::string full_only = delta_of(disabled);
-  ASSERT_EQ(full_only.compare(0, 8, "SECMEM01"), 0);
-  EXPECT_EQ(full_only, image_of(disabled));
-}
-
 // ------------------------------------------------- delta observability
 
 TEST(DeltaDirtyPlane, TracksWritesAndShrinksImages) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemoryConfig config;
   config.size_bytes = 256 * 1024;
   SecureMemory engine(config);
@@ -394,7 +338,6 @@ TEST(DeltaDirtyPlane, TracksWritesAndShrinksImages) {
 }
 
 TEST(DeltaSharded, AggregatesDirtyGranulesAndTimesRestores) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
   populate(source, 31);
@@ -443,7 +386,6 @@ class TruncatingSink : public std::streambuf {
 };
 
 TEST(DeltaSaveIoFailure, FailedDeltaSaveDoesNotAdvanceChain) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemory source(small_config());
   SecureMemory replica(small_config());
   populate(source, 41);
@@ -470,7 +412,6 @@ TEST(DeltaSaveIoFailure, FailedDeltaSaveDoesNotAdvanceChain) {
 }
 
 TEST(DeltaSaveIoFailure, FailedFullSaveKeepsPreviousAlignmentPoint) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemory source(small_config());
   SecureMemory replica(small_config());
   populate(source, 43);
@@ -489,7 +430,6 @@ TEST(DeltaSaveIoFailure, FailedFullSaveKeepsPreviousAlignmentPoint) {
 }
 
 TEST(DeltaSaveIoFailure, ShardedContainerFailureBreaksChainsAndRecovers) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
   populate(source, 47);
@@ -511,7 +451,6 @@ TEST(DeltaSaveIoFailure, ShardedContainerFailureBreaksChainsAndRecovers) {
 }
 
 TEST(DeltaSaveIoFailure, ShardedFullSaveFailingMidStreamBreaksChains) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
   populate(source, 53);
@@ -543,7 +482,6 @@ TEST(DeltaSaveIoFailure, ShardedFullSaveFailingMidStreamBreaksChains) {
 // --------------------------------------------- cross-instance diffing
 
 TEST(DeltaEncode, DiffsTwoImagesIntoAnApplicableDelta) {
-  EnvOverride pin("SECMEM_DELTA_SNAPSHOT", "1");
   SecureMemory engine(small_config());
   populate(engine, 37);
   const std::string img1 = image_of(engine);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -347,41 +346,116 @@ TEST(ShardedSecureMemory, RestoreFailureLeavesEveryShardIntact) {
               pattern(static_cast<std::uint8_t>(g)));
 }
 
-TEST(ShardedSecureMemory, SeqlockKillSwitchDisablesSharedReads) {
-  const char* prev = std::getenv("SECMEM_SEQLOCK");
-  const std::string saved = prev ? prev : "";
+std::uint64_t shared_read_declines(const SecureMemoryLike& memory) {
+  StatRegistry registry;
+  memory.publish_metrics(registry);
+  return registry.counter_value("engine.shared_read_declines");
+}
 
-  // SECMEM_SEQLOCK=0 at construction: every read takes the exclusive
-  // lock and the shared-read counters stay at zero.
-  setenv("SECMEM_SEQLOCK", "0", 1);
-  {
-    ShardedSecureMemory memory(region_config(256 * 1024), 4);
-    EXPECT_EQ(memory.write_block(7, pattern(3)), Status::kOk);
-    for (int i = 0; i < 8; ++i)
-      EXPECT_EQ(memory.read_block(7).data, pattern(3));
-    StatRegistry registry;
-    memory.publish_metrics(registry);
-    EXPECT_EQ(registry.counter_value("engine.shared_reads"), 0u);
-    EXPECT_EQ(memory.stats().reads, 8u);
+/// Drive cold counter lines through every verified-read surface of a
+/// seqlock facade. A cold line's shared read declines every eighth time
+/// (the promotion pulse); the declined read must fall back to the
+/// exclusive path with the same result — the right plaintext on a clean
+/// line, kCounterTampered on a tampered one. `flip_counter` tampers the
+/// counter line that holds global block `block`.
+template <typename FlipCounter>
+void expect_declines_fall_back(SecureMemoryLike& memory,
+                               FlipCounter flip_counter) {
+  // One block per 64-block group = one block per counter line; every
+  // line is cold because the region was just restored.
+  constexpr std::uint64_t kGroup = 64;
+  constexpr std::uint64_t kLinesPerPhase = 128;
+  const auto block_of = [](std::uint64_t line) { return line * kGroup + 5; };
+  const auto data_of = [](std::uint64_t line) {
+    return pattern(static_cast<std::uint8_t>(line));
+  };
+  ASSERT_GE(memory.num_blocks(), 4 * kLinesPerPhase * kGroup);
+
+  // read_block.
+  std::uint64_t before = shared_read_declines(memory);
+  for (std::uint64_t line = 0; line < kLinesPerPhase; ++line) {
+    const auto r = memory.read_block(block_of(line));
+    ASSERT_EQ(r.status, ReadStatus::kOk) << line;
+    EXPECT_EQ(r.data, data_of(line)) << line;
   }
+  EXPECT_GT(shared_read_declines(memory), before) << "read_block";
 
-  // Default (enabled): verified reads run the shared fast path.
-  setenv("SECMEM_SEQLOCK", "1", 1);
-  {
-    ShardedSecureMemory memory(region_config(256 * 1024), 4);
-    EXPECT_EQ(memory.write_block(7, pattern(4)), Status::kOk);
-    for (int i = 0; i < 8; ++i)
-      EXPECT_EQ(memory.read_block(7).data, pattern(4));
-    StatRegistry registry;
-    memory.publish_metrics(registry);
-    EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
-    EXPECT_EQ(memory.stats().reads, 8u);
+  // read_blocks.
+  before = shared_read_declines(memory);
+  std::vector<std::uint64_t> batch;
+  for (std::uint64_t line = kLinesPerPhase; line < 2 * kLinesPerPhase; ++line)
+    batch.push_back(block_of(line));
+  const auto results = memory.read_blocks(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(results[i].status, ReadStatus::kOk) << i;
+    EXPECT_EQ(results[i].data, data_of(kLinesPerPhase + i)) << i;
   }
+  EXPECT_GT(shared_read_declines(memory), before) << "read_blocks";
 
-  if (prev)
-    setenv("SECMEM_SEQLOCK", saved.c_str(), 1);
-  else
-    unsetenv("SECMEM_SEQLOCK");
+  // read_bytes: 8 bytes straddling each block's start, one cold line each.
+  before = shared_read_declines(memory);
+  for (std::uint64_t line = 2 * kLinesPerPhase; line < 3 * kLinesPerPhase;
+       ++line) {
+    std::uint8_t out[8] = {};
+    ASSERT_EQ(memory.read_bytes(block_of(line) * 64, out), Status::kOk);
+    EXPECT_EQ(std::memcmp(out, data_of(line).data(), 8), 0) << line;
+  }
+  EXPECT_GT(shared_read_declines(memory), before) << "read_bytes";
+
+  // Tampered cold lines: declined or not, the verdict is the tamper.
+  for (std::uint64_t line = 3 * kLinesPerPhase; line < 4 * kLinesPerPhase;
+       ++line)
+    flip_counter(block_of(line));
+  before = shared_read_declines(memory);
+  for (std::uint64_t line = 3 * kLinesPerPhase; line < 4 * kLinesPerPhase;
+       ++line)
+    EXPECT_EQ(memory.read_block(block_of(line)).status,
+              ReadStatus::kCounterTampered)
+        << line;
+  EXPECT_GT(shared_read_declines(memory), before) << "tampered";
+}
+
+/// One distinct block per counter line written to `donor`, saved, and
+/// restored into `memory` so every line starts cold in the verified
+/// frontier.
+void restore_cold(SecureMemoryLike& donor, SecureMemoryLike& memory) {
+  for (std::uint64_t line = 0; line * 64 < donor.num_blocks(); ++line)
+    ASSERT_EQ(donor.write_block(line * 64 + 5,
+                                pattern(static_cast<std::uint8_t>(line))),
+              Status::kOk);
+  std::stringstream image;
+  ASSERT_EQ(donor.save(image), Status::kOk);
+  ASSERT_TRUE(memory.restore(image));
+}
+
+TEST(ShardedSecureMemory, DeclinedSharedReadsFallBackExclusively) {
+  ShardedSecureMemory donor(region_config(4 * 1024 * 1024), 4);
+  ShardedSecureMemory memory(region_config(4 * 1024 * 1024), 4);
+  restore_cold(donor, memory);
+  const std::uint64_t granule = memory.granule_blocks();
+  expect_declines_fall_back(memory, [&](std::uint64_t block) {
+    // Global granule g lives in shard g % 4 as that shard's local
+    // granule g / 4 — one counter line per granule.
+    const std::uint64_t g = block / granule;
+    memory.with_shard_exclusive(
+        static_cast<unsigned>(g % memory.num_shards()),
+        [&](SecureMemory& shard) {
+          const std::uint64_t local = (g / memory.num_shards()) * granule;
+          shard.untrusted().flip_counter_bit(
+              shard.counters().storage_line_of(local), 3);
+        });
+  });
+}
+
+TEST(ConcurrentSecureMemory, DeclinedSharedReadsFallBackExclusively) {
+  ConcurrentSecureMemory donor(region_config(4 * 1024 * 1024));
+  ConcurrentSecureMemory memory(region_config(4 * 1024 * 1024));
+  restore_cold(donor, memory);
+  expect_declines_fall_back(memory, [&](std::uint64_t block) {
+    memory.with_exclusive([&](SecureMemory& m) {
+      m.untrusted().flip_counter_bit(m.counters().storage_line_of(block), 3);
+    });
+  });
 }
 
 // ----------------------------------------------------------- stress
@@ -544,11 +618,9 @@ TEST(ShardedSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(memory.stats().integrity_violations, 0u);
-  if (seqlock_reads_enabled()) {
-    StatRegistry registry;
-    memory.publish_metrics(registry);
-    EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
-  }
+  StatRegistry registry;
+  memory.publish_metrics(registry);
+  EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
 }
 
 }  // namespace

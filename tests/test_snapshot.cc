@@ -1,13 +1,12 @@
 // Streaming snapshot pipeline tests: round-trips and tamper fuzz across
-// all three engines in both pipeline modes (batched default vs the
-// SECMEM_BATCH_SNAPSHOT=0 scalar reference), bit-identical image format
-// across modes, rejection contracts (truncation, byte flips) leaving a
-// usable region, the sharded container layout, staging storage kept
-// across rejected restores, and restore under a stale hot tree cache.
+// all three engines, image equivalence with the per-element
+// ReferenceMemory (tests/reference_memory.h) in both directions,
+// rejection contracts (truncation, byte flips) leaving a usable region,
+// the sharded container layout, staging storage kept across rejected
+// restores, and restore under a stale hot tree cache.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,32 +15,10 @@
 #include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
+#include "reference_memory.h"
 
 namespace secmem {
 namespace {
-
-/// Scoped environment override (restores the previous value on exit).
-/// The snapshot kill switch is sampled at engine construction, so the
-/// scalar-reference engines are built inside one of these.
-class EnvOverride {
- public:
-  EnvOverride(const char* name, const char* value) : name_(name) {
-    if (const char* prev = std::getenv(name)) prev_ = prev;
-    setenv(name, value, 1);
-  }
-  ~EnvOverride() {
-    if (prev_)
-      setenv(name_.c_str(), prev_->c_str(), 1);
-    else
-      unsetenv(name_.c_str());
-  }
-  EnvOverride(const EnvOverride&) = delete;
-  EnvOverride& operator=(const EnvOverride&) = delete;
-
- private:
-  std::string name_;
-  std::optional<std::string> prev_;
-};
 
 DataBlock pattern(std::uint8_t seed) {
   DataBlock b{};
@@ -58,16 +35,21 @@ SecureMemoryConfig small_config() {
 
 /// Uneven writes so counter lines, delta groups, and the tree are all in
 /// a non-trivial state before the image is taken.
-void populate(SecureMemoryLike& engine, std::uint64_t rng_seed) {
+std::vector<BlockWrite> populate_writes(std::uint64_t num_blocks,
+                                        std::uint64_t rng_seed) {
   Xoshiro256 rng(rng_seed);
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_EQ(engine.write_block(rng.next_below(engine.num_blocks()),
-                                 pattern(static_cast<std::uint8_t>(i))),
-              Status::kOk);
-  }
+  std::vector<BlockWrite> writes;
+  for (int i = 0; i < 300; ++i)
+    writes.push_back({rng.next_below(num_blocks),
+                      pattern(static_cast<std::uint8_t>(i))});
   for (std::uint64_t b = 0; b < 64; ++b)
-    ASSERT_EQ(engine.write_block(b, pattern(static_cast<std::uint8_t>(b))),
-              Status::kOk);
+    writes.push_back({b, pattern(static_cast<std::uint8_t>(b))});
+  return writes;
+}
+
+void populate(SecureMemoryLike& engine, std::uint64_t rng_seed) {
+  for (const BlockWrite& w : populate_writes(engine.num_blocks(), rng_seed))
+    ASSERT_EQ(engine.write_block(w.block, w.data), Status::kOk);
 }
 
 void expect_populated(SecureMemoryLike& engine) {
@@ -81,6 +63,12 @@ void expect_populated(SecureMemoryLike& engine) {
 std::string image_of(SecureMemoryLike& engine) {
   std::stringstream out;
   EXPECT_EQ(engine.save(out), Status::kOk);
+  return out.str();
+}
+
+std::string image_of(const ReferenceMemory& reference) {
+  std::stringstream out;
+  reference.save(out);
   return out.str();
 }
 
@@ -98,16 +86,9 @@ std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
   return nullptr;
 }
 
-class SnapshotPipeline
-    : public ::testing::TestWithParam<std::tuple<EngineKind, bool>> {
+class SnapshotPipeline : public ::testing::TestWithParam<EngineKind> {
  protected:
-  EngineKind kind() const { return std::get<0>(GetParam()); }
-  bool batched() const { return std::get<1>(GetParam()); }
-  /// Pins the mode for every engine constructed while it lives.
-  std::optional<EnvOverride> pin_;
-  void SetUp() override {
-    if (!batched()) pin_.emplace("SECMEM_BATCH_SNAPSHOT", "0");
-  }
+  EngineKind kind() const { return GetParam(); }
 };
 
 TEST_P(SnapshotPipeline, RoundTripRestoresEveryBlock) {
@@ -185,60 +166,106 @@ TEST_P(SnapshotPipeline, FlippedByteFuzzNeverGoesUnnoticed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllEnginesBothModes, SnapshotPipeline,
-    ::testing::Combine(::testing::Values(EngineKind::kPlain,
-                                         EngineKind::kConcurrent,
-                                         EngineKind::kSharded),
-                       ::testing::Bool()),
+    AllEngines, SnapshotPipeline,
+    ::testing::Values(EngineKind::kPlain, EngineKind::kConcurrent,
+                      EngineKind::kSharded),
     [](const auto& info) {
-      const char* engine =
-          std::get<0>(info.param) == EngineKind::kPlain ? "Plain"
-          : std::get<0>(info.param) == EngineKind::kConcurrent
-              ? "Concurrent"
-              : "Sharded";
-      return std::string(engine) +
-             (std::get<1>(info.param) ? "Batched" : "Scalar");
+      return info.param == EngineKind::kPlain        ? "Plain"
+             : info.param == EngineKind::kConcurrent ? "Concurrent"
+                                                     : "Sharded";
     });
 
-// ------------------------------------------------ cross-mode invariants
+// ------------------------------------------- reference-model invariants
 
-/// The batched pipeline is an I/O-shape change only: images must be
-/// byte-identical to the scalar reference, in both directions.
+std::string le64(std::uint64_t v) {
+  std::string bytes(8, '\0');
+  for (int i = 0; i < 8; ++i)
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return bytes;
+}
+
+/// The sharded container's expected image built from one ReferenceMemory
+/// per shard: granules striped round-robin, each shard under its own
+/// derived master.
+std::string sharded_reference_image(const SecureMemoryConfig& config,
+                                    unsigned shards, std::uint64_t granule,
+                                    const std::vector<BlockWrite>& writes) {
+  std::vector<ReferenceMemory> refs;
+  for (unsigned s = 0; s < shards; ++s) {
+    SecureMemoryConfig shard_config = config;
+    shard_config.size_bytes = config.size_bytes / shards;
+    shard_config.master_key = reference_shard_master_key(config.master_key, s);
+    refs.emplace_back(shard_config);
+  }
+  for (const BlockWrite& w : writes) {
+    const std::uint64_t g = w.block / granule;
+    refs[g % shards].write_block((g / shards) * granule + w.block % granule,
+                                 w.data);
+  }
+  std::string image =
+      std::string("SECSHRD1", 8) + le64(shards) + le64(granule);
+  for (const ReferenceMemory& ref : refs) image += image_of(ref);
+  return image;
+}
+
+/// Every engine's full image is byte-identical to the per-element
+/// reference model's image of the same write stream.
 TEST(SnapshotModeEquivalence, ImagesBitIdenticalAcrossModes) {
-  for (const EngineKind kind :
-       {EngineKind::kPlain, EngineKind::kConcurrent, EngineKind::kSharded}) {
-    auto batched = make_engine(kind);
-    populate(*batched, 31);
-    const std::string batched_image = image_of(*batched);
-
-    EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "0");
-    auto scalar = make_engine(kind);
-    populate(*scalar, 31);
-    const std::string scalar_image = image_of(*scalar);
-
-    EXPECT_EQ(batched_image, scalar_image)
+  const SecureMemoryConfig config = small_config();
+  const std::vector<BlockWrite> writes =
+      populate_writes(config.size_bytes / 64, 31);
+  ReferenceMemory reference(config);
+  for (const BlockWrite& w : writes) reference.write_block(w.block, w.data);
+  const std::string reference_image = image_of(reference);
+  for (const EngineKind kind : {EngineKind::kPlain, EngineKind::kConcurrent}) {
+    auto engine = make_engine(kind);
+    populate(*engine, 31);
+    EXPECT_EQ(image_of(*engine), reference_image)
         << "engine kind " << static_cast<int>(kind);
   }
+
+  ShardedSecureMemory sharded(config, 4);
+  populate(sharded, 31);
+  EXPECT_EQ(image_of(sharded),
+            sharded_reference_image(config, 4, sharded.granule_blocks(),
+                                    writes));
 }
 
 TEST(SnapshotModeEquivalence, CrossModeRestoreWorks) {
-  // Save batched, restore scalar — and the reverse.
-  auto batched = make_engine(EngineKind::kPlain);
-  populate(*batched, 37);
-  const std::string batched_image = image_of(*batched);
-  {
-    EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "0");
-    auto scalar = make_engine(EngineKind::kPlain);
-    std::istringstream in(batched_image);
-    ASSERT_TRUE(scalar->restore(in));
-    expect_populated(*scalar);
-
-    populate(*scalar, 41);
-    const std::string scalar_image = image_of(*scalar);
-    std::istringstream back(scalar_image);
-    ASSERT_TRUE(batched->restore(back));
+  // Engine image into the reference — and the reference's image back
+  // into the engine.
+  auto engine = make_engine(EngineKind::kPlain);
+  populate(*engine, 37);
+  ReferenceMemory reference(small_config());
+  std::istringstream in(image_of(*engine));
+  ASSERT_TRUE(reference.restore(in));
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    const auto r = reference.read_block(b);
+    EXPECT_EQ(r.status, ReadStatus::kOk) << b;
+    EXPECT_EQ(r.data, pattern(static_cast<std::uint8_t>(b))) << b;
   }
-  expect_populated(*batched);
+  // The restored reference re-saves the engine's image unchanged.
+  EXPECT_EQ(image_of(reference), image_of(*engine));
+
+  for (const BlockWrite& w : populate_writes(reference.num_blocks(), 41))
+    reference.write_block(w.block, w.data);
+  std::istringstream back(image_of(reference));
+  ASSERT_TRUE(engine->restore(back));
+  expect_populated(*engine);
+  EXPECT_EQ(image_of(*engine), image_of(reference));
+
+  // Both sides keep evolving identically from the restored state, group
+  // re-encryptions included: a drain decrypts under the per-block
+  // counters the restore decoded.
+  const std::uint64_t drains_before = reference.group_reencryptions();
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t block = i % 2 == 0 ? 7 : 9;
+    const DataBlock fill = pattern(static_cast<std::uint8_t>(i));
+    ASSERT_EQ(engine->write_block(block, fill), Status::kOk);
+    reference.write_block(block, fill);
+  }
+  EXPECT_GT(reference.group_reencryptions(), drains_before);
+  EXPECT_EQ(image_of(*engine), image_of(reference));
 }
 
 // ---------------------------------------------------- sharded atomicity
@@ -266,38 +293,23 @@ TEST(ShardedSnapshot, FailedRestoreLeavesOldStateIntact) {
 }
 
 /// The container format, pinned: a 24-byte header (magic, shard count,
-/// granule blocks) and then each shard's own image, in shard order — in
-/// both pipeline modes.
+/// granule blocks) and then each shard's own image, in shard order.
 TEST(ShardedSnapshot, ContainerIsHeaderThenShardImagesInOrder) {
-  const auto le64 = [](std::uint64_t v) {
-    std::string bytes(8, '\0');
-    for (int i = 0; i < 8; ++i)
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    return bytes;
-  };
-  std::string images[2];
-  for (const bool batched : {true, false}) {
-    std::optional<EnvOverride> pin;
-    if (!batched) pin.emplace("SECMEM_BATCH_SNAPSHOT", "0");
-    ShardedSecureMemory engine(small_config(), 4);
-    populate(engine, 61);
-    std::string expected = std::string("SECSHRD1", 8) +
-                           le64(engine.num_shards()) +
-                           le64(engine.granule_blocks());
-    for (unsigned s = 0; s < engine.num_shards(); ++s) {
-      expected += engine.with_shard_exclusive(
-          s, [](SecureMemory& shard) { return image_of(shard); });
-    }
-    images[batched] = image_of(engine);
-    EXPECT_EQ(images[batched], expected) << (batched ? "batched" : "scalar");
+  ShardedSecureMemory engine(small_config(), 4);
+  populate(engine, 61);
+  std::string expected = std::string("SECSHRD1", 8) +
+                         le64(engine.num_shards()) +
+                         le64(engine.granule_blocks());
+  for (unsigned s = 0; s < engine.num_shards(); ++s) {
+    expected += engine.with_shard_exclusive(
+        s, [](SecureMemory& shard) { return image_of(shard); });
   }
-  EXPECT_EQ(images[true], images[false]);
+  EXPECT_EQ(image_of(engine), expected);
 }
 
 // ------------------------------------------------ staging-storage reuse
 
 TEST(SnapshotArena, RejectedRestoreKeepsStagingStorage) {
-  EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "1");
   SecureMemory donor(small_config());
   populate(donor, 67);
   const std::string image = image_of(donor);
@@ -325,7 +337,6 @@ TEST(SnapshotArena, RejectedRestoreKeepsStagingStorage) {
 /// staged; every shard keeps its staging storage — for full containers
 /// and for delta containers whose slices are full fallback images.
 TEST(SnapshotArena, ShardedRejectedRestoreKeepsEveryShardsStorage) {
-  EnvOverride pin("SECMEM_BATCH_SNAPSHOT", "1");
   const auto parked_per_shard = [](ShardedSecureMemory& engine) {
     std::vector<std::uint64_t> bytes;
     for (unsigned s = 0; s < engine.num_shards(); ++s) {

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -205,13 +204,6 @@ TEST_F(TreeCacheTwin, DisabledCacheDelegatesEagerly) {
 /// through every public surface — reads, save images, tamper detection.
 /// ------------------------------------------------------------------
 
-/// CI runs this suite with SECMEM_TREE_CACHE=0 as well; hit-count
-/// expectations only hold when the kill switch isn't engaged.
-bool env_disables_cache() {
-  const char* env = std::getenv("SECMEM_TREE_CACHE");
-  return env && std::strtoul(env, nullptr, 10) == 0;
-}
-
 SecureMemoryConfig engine_config(unsigned tree_cache_kb) {
   SecureMemoryConfig config;
   config.size_bytes = 4 * 1024 * 1024;  // 1024 counter lines, 2-level walk
@@ -245,9 +237,7 @@ TEST(TreeCacheEngine, SaveImagesBitIdenticalUnderFuzz) {
     EXPECT_EQ(cached.save(cached_img), Status::kOk);
     ASSERT_EQ(eager_img.str(), cached_img.str()) << "round " << round;
   }
-  if (!env_disables_cache()) {
-    EXPECT_GT(cached.stats().tree_cache_hits, 0u);
-  }
+  EXPECT_GT(cached.stats().tree_cache_hits, 0u);
   EXPECT_EQ(eager.stats().tree_cache_hits, 0u);
 }
 
@@ -285,6 +275,40 @@ TEST(TreeCacheEngine, ScrubRotateRestoreStayEquivalent) {
     ASSERT_EQ(got.status, want.status);
     ASSERT_EQ(got.data, want.data);
   }
+
+  // Delta round: the same writes since the full save must seal into
+  // byte-identical deltas from both tree modes, and each mode must apply
+  // the other's delta on a replica of the full image.
+  for (int op = 0; op < 200; ++op) {
+    DataBlock block{};
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(rng.next());
+    const std::uint64_t b = rng.next_below(eager.num_blocks());
+    EXPECT_EQ(eager.write_block(b, block), Status::kOk);
+    EXPECT_EQ(cached.write_block(b, block), Status::kOk);
+    ASSERT_EQ(eager.read_block(b).data, cached.read_block(b).data);
+  }
+  std::ostringstream eager_delta, cached_delta;
+  EXPECT_EQ(eager.save_delta(eager_delta), Status::kOk);
+  EXPECT_EQ(cached.save_delta(cached_delta), Status::kOk);
+  ASSERT_EQ(eager_delta.str().compare(0, 8, "SECMDLT1"), 0);
+  ASSERT_EQ(eager_delta.str(), cached_delta.str());
+
+  SecureMemoryConfig eager_revived_config = engine_config(0);
+  eager_revived_config.master_key = 0xd00d;
+  SecureMemory eager_revived(eager_revived_config);
+  std::istringstream eager_full(eager_img.str());
+  ASSERT_TRUE(eager_revived.restore(eager_full));
+  std::istringstream from_cached(cached_delta.str());
+  ASSERT_TRUE(eager_revived.restore_delta(from_cached));
+  std::istringstream from_eager(eager_delta.str());
+  ASSERT_TRUE(revived.restore_delta(from_eager));
+
+  std::ostringstream want_img, eager_revived_img, revived_img;
+  EXPECT_EQ(eager.save(want_img), Status::kOk);
+  EXPECT_EQ(eager_revived.save(eager_revived_img), Status::kOk);
+  EXPECT_EQ(revived.save(revived_img), Status::kOk);
+  EXPECT_EQ(eager_revived_img.str(), want_img.str());
+  EXPECT_EQ(revived_img.str(), want_img.str());
 }
 
 TEST(TreeCacheEngine, TamperDetectionMatchesEagerThroughFlushBarrier) {
@@ -310,29 +334,6 @@ TEST(TreeCacheEngine, TamperDetectionMatchesEagerThroughFlushBarrier) {
   cached.untrusted().tree().corrupt_node(1, 0, 21);
   EXPECT_EQ(eager.read_block(0).status, cached.read_block(0).status);
   EXPECT_EQ(cached.read_block(0).status, ReadStatus::kCounterTampered);
-}
-
-TEST(TreeCacheEngine, EnvKillSwitchAndCapacityOverride) {
-  ASSERT_EQ(setenv("SECMEM_TREE_CACHE", "0", 1), 0);
-  {
-    SecureMemory mem(engine_config(8));  // config says on; env wins
-    DataBlock block{};
-    EXPECT_EQ(mem.write_block(1, block), Status::kOk);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(mem.read_block(1).status,
-                                           ReadStatus::kOk);
-    const EngineStats stats = mem.stats();
-    EXPECT_EQ(stats.tree_cache_hits + stats.tree_cache_misses, 0u);
-  }
-  ASSERT_EQ(setenv("SECMEM_TREE_CACHE", "4", 1), 0);
-  {
-    SecureMemory mem(engine_config(0));  // config says off; env wins
-    DataBlock block{};
-    EXPECT_EQ(mem.write_block(1, block), Status::kOk);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(mem.read_block(1).status,
-                                           ReadStatus::kOk);
-    EXPECT_GT(mem.stats().tree_cache_hits, 0u);
-  }
-  ASSERT_EQ(unsetenv("SECMEM_TREE_CACHE"), 0);
 }
 
 TEST(TreeCacheEngine, ShardedStressWithPerShardCaches) {
@@ -364,9 +365,7 @@ TEST(TreeCacheEngine, ShardedStressWithPerShardCaches) {
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(bad.load(), 0);
-  if (!env_disables_cache()) {
-    EXPECT_GT(mem.stats().tree_cache_hits, 0u);
-  }
+  EXPECT_GT(mem.stats().tree_cache_hits, 0u);
   // Quiescent readback: last writer's value, verified, for every block.
   for (std::uint64_t b = 0; b < kThreads * kPerThread; ++b) {
     const auto result = mem.read_block(b);

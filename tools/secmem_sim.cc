@@ -11,13 +11,16 @@
 // metadata traffic, ...).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -56,14 +59,31 @@ void usage(const char* argv0) {
       "  --threads N         worker threads in engine mode (default 4;\n"
       "                      forced to 1 for --engine plain)\n"
       "  --tree-cache-kb N   verified-frontier tree cache per engine/shard\n"
-      "                      in KB; 0 = eager tree walks  (default 8;\n"
-      "                      SECMEM_TREE_CACHE env var wins)\n"
+      "                      in KB; 0 = eager tree walks  (default 8)\n"
       "  --delta-save FILE   engine mode: after the run, seal a full base\n"
       "                      image, re-dirty the hot set, and write the\n"
       "                      incremental delta image to FILE (implies\n"
-      "                      --engine; SECMEM_DELTA_SNAPSHOT=0 falls back\n"
-      "                      to a full image)\n",
+      "                      --engine)\n"
+      "integer values are plain decimal; anything else exits with status 2\n",
       argv0);
+}
+
+/// Parse the decimal value of integer flag `flag`: digits only, at most
+/// `max`. Anything else ("off", "8x", "-1", "", an overflow) prints an
+/// error and exits with status 2 — a typo must never silently run a
+/// different configuration.
+std::uint64_t parse_uint(const std::string& flag, const char* text,
+                         std::uint64_t max) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value > max) {
+    std::fprintf(stderr,
+                 "error: %s expects an integer in [0, %llu], got '%s'\n",
+                 flag.c_str(), static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return value;
 }
 
 /// Write the registry's JSON export to `path`; false (with a message on
@@ -272,11 +292,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--none") {
       config.protection = Protection::kNone;
     } else if (arg == "--refs") {
-      refs = std::strtoull(value(), nullptr, 10);
+      refs = parse_uint(arg, value(), ~0ULL);
     } else if (arg == "--warmup") {
-      warmup = std::strtoull(value(), nullptr, 10);
+      warmup = parse_uint(arg, value(), ~0ULL);
     } else if (arg == "--protected-mb") {
-      config.protected_bytes = std::strtoull(value(), nullptr, 10) << 20;
+      config.protected_bytes = parse_uint(arg, value(), ~0ULL >> 20) << 20;
       protected_mb_given = true;
     } else if (arg == "--engine") {
       if (!parse_engine_kind(value(), engine_kind)) {
@@ -285,21 +305,22 @@ int main(int argc, char** argv) {
       }
       engine_mode = true;
     } else if (arg == "--shards") {
-      shards = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      shards = static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
       engine_mode = true;
       engine_kind = EngineKind::kSharded;
     } else if (arg == "--metrics-json") {
       metrics_json = value();
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      threads = static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
     } else if (arg == "--tree-cache-kb") {
-      tree_cache_kb = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      tree_cache_kb =
+          static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
       engine_mode = true;
     } else if (arg == "--delta-save") {
       delta_save_path = value();
       engine_mode = true;
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(value(), nullptr, 10);
+      config.seed = parse_uint(arg, value(), ~0ULL);
     } else if (arg == "--stats") {
       dump_stats = true;
     } else if (arg == "--list-workloads") {
