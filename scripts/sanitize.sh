@@ -4,9 +4,11 @@
 #   scripts/sanitize.sh asan [ctest args...]   # AddressSanitizer + UBSan
 #   scripts/sanitize.sh tsan [ctest args...]   # ThreadSanitizer
 #
-# With no extra ctest args, tsan runs the concurrency suites (the sharded
-# engine stress tests and the ConcurrentSecureMemory tests) and asan runs
-# everything. Extra args are passed to ctest verbatim, e.g.:
+# With no extra ctest args, tsan runs the concurrency suites — every test
+# whose name matches `Sharded|Concurrent`: the sharded engine's stress,
+# parallel-writer and contended-writer tests at one and many shards, and
+# the *Concurrent* metrics/trace tests — and asan runs everything. Extra
+# args are passed to ctest verbatim, e.g.:
 #   scripts/sanitize.sh tsan -R ShardedSecureMemoryStress
 set -euo pipefail
 cd "$(dirname "$0")/.."

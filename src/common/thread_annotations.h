@@ -1,8 +1,8 @@
 // Clang Thread Safety Analysis vocabulary for the secmem engines.
 //
-// The concurrency facades (engine/concurrent.h, engine/sharded_memory.h)
-// and the observability plane coordinate through mutexes whose discipline
-// was previously enforced only by review and TSan. This header makes the
+// The thread-safe engine (engine/sharded_memory.h) and the observability
+// plane coordinate through mutexes whose discipline was previously
+// enforced only by review and TSan. This header makes the
 // discipline *compiler-checked*: under clang with -Wthread-safety every
 // access to a SECMEM_GUARDED_BY member outside its lock is a build error
 // (scripts/ci.sh builds src/ with -Wthread-safety -Werror when clang is

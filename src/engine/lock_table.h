@@ -1,5 +1,5 @@
-// Shard locking vocabulary — the ordered multi-lock machinery shared by
-// the concurrency facades over SecureMemory.
+// Shard locking vocabulary — the ordered multi-lock machinery of the
+// sharded engine over SecureMemory.
 //
 // Locking discipline (machine-checked where clang's Thread Safety
 // Analysis can reach, TSan-covered everywhere):

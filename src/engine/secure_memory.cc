@@ -298,26 +298,24 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
                             std::to_string(block) + " out of range");
   const OpTimer timer(config_.time_ops, metrics_,
                       EngineHistId::kReadLatencyNs);
-  ReadResult result{ReadStatus::kOk, {}, 0};
-  // Account the outcome on every exit path.
-  struct Accounting {
-    SecureMemory& m;
-    const ReadResult& r;
-    std::uint64_t block;
-    ~Accounting() { m.account_read(r, block); }
-  } accounting{*this, result, block};
-
   // 1. Authenticate the stored counter line against the Bonsai tree
   // (through the verified frontier: walks truncate at cached ancestors).
-  if (!verify_counter_line(scheme_->storage_line_of(block))) {
-    result.status = ReadStatus::kCounterTampered;
-    return result;
-  }
   // Verified: the stored representation is authentic, so the scheme's
   // decoded value is the true counter.
-  const std::uint64_t counter = scheme_->read_counter(block);
-  const std::uint64_t addr = layout_.block_addr(block);
+  ReadResult result{ReadStatus::kCounterTampered, {}, 0};
+  if (verify_counter_line(scheme_->storage_line_of(block))) {
+    const std::uint64_t counter = scheme_->read_counter(block);
+    result = decrypt_verified(
+        block, counter, mac_.pad_for(layout_.block_addr(block), counter));
+  }
+  account_read(result, block);
+  return result;
+}
 
+ReadResult SecureMemory::decrypt_verified(std::uint64_t block,
+                                          std::uint64_t counter,
+                                          std::uint64_t pad) const {
+  ReadResult result{ReadStatus::kOk, {}, 0};
   DataBlock ct = ciphertext_[block];
 
   if (config_.mac_placement == MacPlacement::kEccLane) {
@@ -328,20 +326,15 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
       result.status = ReadStatus::kIntegrityViolation;
       return result;
     }
-    const std::uint64_t tag = unpacked.mac;
-    bool corrected_mac =
-        unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle;
-
-    // Hoist the AES pad: flip-and-check may evaluate >100k candidates
-    // under this one (addr, counter).
-    const std::uint64_t pad = mac_.pad_for(addr, counter);
-    if (!mac_.verify_with_pad(pad, ct, tag)) {
+    // The pad is hoisted by the caller: flip-and-check may evaluate
+    // >100k candidates under this one (addr, counter).
+    if (!mac_.verify_with_pad(pad, ct, unpacked.mac)) {
       // 3a. Flip-and-check (paper §3.4), incremental: one full hash of
       // the block, then each candidate trial is a precomputed GF(2^64)
       // delta XORed in — same search order and trial counts as the
       // generic brute force, a fraction of the work per trial.
       const CorrectionResult fix =
-          corrector_.correct_incremental(ct, mac_, pad, tag);
+          corrector_.correct_incremental(ct, mac_, pad, unpacked.mac);
       result.mac_evaluations = fix.mac_evaluations;
       if (fix.status == CorrectionStatus::kUncorrectable) {
         result.status = ReadStatus::kIntegrityViolation;
@@ -349,7 +342,7 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
       }
       ct = fix.data;
       result.status = ReadStatus::kCorrectedData;
-    } else if (corrected_mac) {
+    } else if (unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle) {
       result.status = ReadStatus::kCorrectedMacField;
     }
   } else {
@@ -360,7 +353,7 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
       return result;
     }
     ct = decoded.data;
-    if (!mac_.verify(addr, counter, ct, macs_[block])) {
+    if (!mac_.verify_with_pad(pad, ct, macs_[block])) {
       result.status = ReadStatus::kIntegrityViolation;
       return result;
     }
@@ -368,7 +361,7 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
   }
 
   // 4. Decrypt.
-  keystream_.crypt(addr, counter, ct);
+  keystream_.crypt(layout_.block_addr(block), counter, ct);
   result.data = ct;
   return result;
 }
@@ -414,6 +407,16 @@ namespace {
 constexpr std::uint64_t kSharedProbePulse = 8;
 }  // namespace
 
+bool SecureMemory::pulse_declines(bool resident) const noexcept {
+  if (resident ||
+      shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
+              kSharedProbePulse !=
+          kSharedProbePulse - 1)
+    return false;
+  metrics_.add(MetricId::kSharedReadDeclines);
+  return true;
+}
+
 std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
                                                           bool account) const {
   if (block >= layout_.num_blocks())
@@ -421,7 +424,6 @@ std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
                             std::to_string(block) + " out of range");
   const OpTimer timer(config_.time_ops, metrics_,
                       EngineHistId::kReadLatencyNs);
-  ReadResult result{ReadStatus::kOk, {}, 0};
 
   // 1. Authenticate the stored counter line through the read-side probe
   // (no fills, no LRU reordering — see VerifiedTreeCache::probe).
@@ -431,68 +433,17 @@ std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
       line,
       BonsaiTree::LineView(counter_store_.data() + line * 64, 64),
       resident);
-  if (!resident &&
-      shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
-              kSharedProbePulse ==
-          kSharedProbePulse - 1) {
-    // Promotion pulse: bounce to the exclusive path, whose verify() may
-    // install the line. Nothing is accounted — the caller's retry does
-    // the read (and the books) for real.
-    metrics_.add(MetricId::kSharedReadDeclines);
-    return std::nullopt;
-  }
-  if (!line_ok) {
-    result.status = ReadStatus::kCounterTampered;
-    metrics_.add(MetricId::kSharedReads);
-    if (account) account_read(result, block);
-    return result;
-  }
+  // Promotion pulse: bounce to the exclusive path, whose verify() may
+  // install the line. Nothing is accounted — the caller's retry does the
+  // read (and the books) for real.
+  if (pulse_declines(resident)) return std::nullopt;
 
-  // 2..4: identical to read_block() — every step below is const.
-  const std::uint64_t counter = scheme_->read_counter(block);
-  const std::uint64_t addr = layout_.block_addr(block);
-  DataBlock ct = ciphertext_[block];
-
-  if (config_.mac_placement == MacPlacement::kEccLane) {
-    const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-    if (unpacked.status == MacEccCodec::MacStatus::kUncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-    } else {
-      const std::uint64_t tag = unpacked.mac;
-      const bool corrected_mac =
-          unpacked.status == MacEccCodec::MacStatus::kCorrectedSingle;
-      const std::uint64_t pad = mac_.pad_for(addr, counter);
-      if (!mac_.verify_with_pad(pad, ct, tag)) {
-        const CorrectionResult fix =
-            corrector_.correct_incremental(ct, mac_, pad, tag);
-        result.mac_evaluations = fix.mac_evaluations;
-        if (fix.status == CorrectionStatus::kUncorrectable) {
-          result.status = ReadStatus::kIntegrityViolation;
-        } else {
-          ct = fix.data;
-          result.status = ReadStatus::kCorrectedData;
-        }
-      } else if (corrected_mac) {
-        result.status = ReadStatus::kCorrectedMacField;
-      }
-    }
-  } else {
-    const auto decoded = secded_.decode(ct, lanes_[block]);
-    if (decoded.any_uncorrectable) {
-      result.status = ReadStatus::kIntegrityViolation;
-    } else {
-      ct = decoded.data;
-      if (!mac_.verify(addr, counter, ct, macs_[block])) {
-        result.status = ReadStatus::kIntegrityViolation;
-      } else if (decoded.any_corrected) {
-        result.status = ReadStatus::kCorrectedWord;
-      }
-    }
-  }
-
-  if (status_ok(result.status)) {
-    keystream_.crypt(addr, counter, ct);
-    result.data = ct;
+  // 2..4: the same const tail as read_block().
+  ReadResult result{ReadStatus::kCounterTampered, {}, 0};
+  if (line_ok) {
+    const std::uint64_t counter = scheme_->read_counter(block);
+    result = decrypt_verified(
+        block, counter, mac_.pad_for(layout_.block_addr(block), counter));
   }
   metrics_.add(MetricId::kSharedReads);
   if (account) account_read(result, block);
@@ -516,8 +467,7 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
     return;
   }
 
-  // Batched mirror of read_blocks() on the const shared path. Each
-  // distinct counter line is probed once — under the shared lock the
+  // Each distinct counter line is probed once — under the shared lock the
   // line bytes cannot change within the batch, so one read-side verify
   // per line is observationally equivalent to one per block. The line
   // table is a flat array with linear scan for the common case (shard
@@ -567,53 +517,17 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
   // Per block, preserving read_block_shared's ordering exactly —
   // promotion pulse first (each cold-line read ticks the pulse counter,
   // every kSharedProbePulse-th declines), then the tamper verdict, then
-  // the clean verify; anything that is not a clean verify falls back to
-  // the scalar routine for identical corrections/statuses/accounting.
+  // the verify-and-decrypt tail with the batch's pad.
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t block = blocks[i];
     const auto [line_ok, resident] =
         line_state(scheme_->storage_line_of(block));
-    if (!resident &&
-        shared_cold_reads_.fetch_add(1, std::memory_order_relaxed) %
-                kSharedProbePulse ==
-            kSharedProbePulse - 1) {
-      metrics_.add(MetricId::kSharedReadDeclines);
+    if (pulse_declines(resident)) {
       declined.push_back(static_cast<std::uint32_t>(i));
       continue;
     }
-    if (!line_ok) {
-      results[i] = ReadResult{ReadStatus::kCounterTampered, {}, 0};
-      metrics_.add(MetricId::kSharedReads);
-      account_read(results[i], block);
-      continue;
-    }
-    DataBlock ct = ciphertext_[block];
-    if (config_.mac_placement == MacPlacement::kEccLane) {
-      const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-      if (unpacked.status != MacEccCodec::MacStatus::kOk ||
-          !mac_.verify_with_pad(pads[i], ct, unpacked.mac)) {
-        if (const auto r = read_block_shared(block)) {
-          results[i] = *r;
-        } else {
-          declined.push_back(static_cast<std::uint32_t>(i));
-        }
-        continue;
-      }
-    } else {
-      const auto decoded = secded_.decode(ct, lanes_[block]);
-      if (decoded.any_corrected || decoded.any_uncorrectable ||
-          !mac_.verify_with_pad(pads[i], decoded.data,
-                                macs_[block] & kMacMask)) {
-        if (const auto r = read_block_shared(block)) {
-          results[i] = *r;
-        } else {
-          declined.push_back(static_cast<std::uint32_t>(i));
-        }
-        continue;
-      }
-    }
-    keystream_.crypt(addrs[i], counters[i], ct);
-    results[i] = ReadResult{ReadStatus::kOk, ct, 0};
+    results[i] = line_ok ? decrypt_verified(block, counters[i], pads[i])
+                         : ReadResult{ReadStatus::kCounterTampered, {}, 0};
     metrics_.add(MetricId::kSharedReads);
     account_read(results[i], block);
   }
@@ -673,90 +587,12 @@ std::vector<ReadResult> SecureMemory::read_blocks(
     if (block >= layout_.num_blocks())
       throw std::out_of_range("SecureMemory::read_blocks: block " +
                               std::to_string(block) + " out of range");
+  // The shared batch, then the exclusive read for every index the
+  // promotion pulse declined — what the sharded engine does per shard.
   std::vector<ReadResult> results(blocks.size());
-  if (config_.time_ops) {
-    // Per-op latency sampling needs per-op boundaries — take the scalar
-    // path wholesale.
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-      results[i] = read_block(blocks[i]);
-    return results;
-  }
-
-  // Phase 1: authenticate each distinct counter line once. Sequentially
-  // every read re-verifies its line; within one batch the line bytes
-  // cannot change, so one tree walk per line is observationally
-  // equivalent. Flat table + linear scan for typical batch sizes (one
-  // node-based map allocation per distinct line costs more than every
-  // lookup it saves), map above that.
-  struct LineOk {
-    std::uint64_t line;
-    bool ok;
-  };
-  const bool flat = blocks.size() <= 256;
-  std::vector<LineOk> line_vec;
-  std::unordered_map<std::uint64_t, bool> line_map;
-  if (flat) line_vec.reserve(blocks.size());
-  auto line_ok = [&](std::uint64_t line) -> bool {
-    if (flat) {
-      for (const LineOk& ls : line_vec)
-        if (ls.line == line) return ls.ok;
-    } else if (const auto it = line_map.find(line); it != line_map.end()) {
-      return it->second;
-    }
-    const bool ok = verify_counter_line(line);
-    if (flat)
-      line_vec.push_back({line, ok});
-    else
-      line_map.emplace(line, ok);
-    return ok;
-  };
-
-  // Phase 2: MAC pads for the whole batch through the 4-wide AES kernel;
-  // one allocation carries all three lanes.
-  const std::size_t n = blocks.size();
-  std::vector<std::uint64_t> lanes_buf(3 * n);
-  const std::span<std::uint64_t> addrs(lanes_buf.data(), n);
-  const std::span<std::uint64_t> counters(lanes_buf.data() + n, n);
-  const std::span<std::uint64_t> pads(lanes_buf.data() + 2 * n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addrs[i] = layout_.block_addr(blocks[i]);
-    counters[i] = scheme_->read_counter(blocks[i]);
-  }
-  mac_.pad_batch(addrs, counters, pads);
-
-  // Phase 3: clean-path verification per block; anything that is not a
-  // clean verify (tampered line, lane damage, MAC mismatch, SEC-DED
-  // corrections) falls back to the scalar routine, which redoes the work
-  // with identical corrections, statuses, metrics, and trace events.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t block = blocks[i];
-    if (!line_ok(scheme_->storage_line_of(block))) {
-      results[i] = read_block(block);
-      continue;
-    }
-    ReadResult& r = results[i];
-    DataBlock ct = ciphertext_[block];
-    if (config_.mac_placement == MacPlacement::kEccLane) {
-      const auto unpacked = mac_ecc_.unpack_lane(lanes_[block]);
-      if (unpacked.status != MacEccCodec::MacStatus::kOk ||
-          !mac_.verify_with_pad(pads[i], ct, unpacked.mac)) {
-        results[i] = read_block(block);
-        continue;
-      }
-    } else {
-      const auto decoded = secded_.decode(ct, lanes_[block]);
-      if (decoded.any_corrected || decoded.any_uncorrectable ||
-          !mac_.verify_with_pad(pads[i], decoded.data,
-                                macs_[block] & kMacMask)) {
-        results[i] = read_block(block);
-        continue;
-      }
-    }
-    keystream_.crypt(addrs[i], counters[i], ct);
-    r.status = ReadStatus::kOk;
-    r.data = ct;
-    account_read(r, block);
-  }
+  std::vector<std::uint32_t> declined;
+  read_blocks_shared(blocks, results, declined);
+  for (const std::uint32_t d : declined) results[d] = read_block(blocks[d]);
   return results;
 }
 

@@ -96,7 +96,7 @@ class SecureMemory : public SecureMemoryLike {
 
   /// Write one 64-byte block of plaintext. Always kOk here — the plain
   /// engine has no fail-closed state — but callers consume the Status so
-  /// they behave identically against the poisoning-capable facades.
+  /// they behave identically against the poisoning-capable sharded engine.
   ///
   /// When a write overflows its delta group, the whole group re-encrypts
   /// through one batched pass: one crypt_batch decrypt of the stale
@@ -109,12 +109,12 @@ class SecureMemory : public SecureMemoryLike {
   ReadResult read_block(std::uint64_t block) override;
 
   /// Batch I/O (see SecureMemoryLike). The overrides keep single-block
-  /// semantics — identical statuses, corrections, metrics, and trace
-  /// events — while running the crypto over the whole batch: counter
-  /// lines authenticate once per line, AES pads stream through the
-  /// 4-wide kernel, and counter-line/tree syncs coalesce per dirty line.
-  /// Any block that needs more than the clean verify path (corrections,
-  /// tampering) falls back to the scalar routine for that block.
+  /// semantics — identical statuses, corrections, and trace events —
+  /// while running the crypto over the whole batch: counter lines
+  /// authenticate once per line, AES pads stream through the wide
+  /// kernel, and counter-line/tree syncs coalesce per dirty line.
+  /// read_blocks is read_blocks_shared plus an exclusive read_block for
+  /// each index the promotion pulse declined.
   [[nodiscard]] std::vector<ReadResult> read_blocks(
       std::span<const std::uint64_t> blocks) override;
   [[nodiscard]] Status write_blocks(std::span<const BlockWrite> writes)
@@ -127,7 +127,7 @@ class SecureMemory : public SecureMemoryLike {
   /// but const: counter authentication goes through the tree cache's
   /// read-side probe() (no fills, no LRU reordering beyond the relaxed
   /// touch), and the only engine state touched is the relaxed-atomic
-  /// metrics cell. Concurrency facades call this under a SHARED shard
+  /// metrics cell. The sharded engine calls this under a SHARED shard
   /// lock, so any number of readers proceed in parallel.
   ///
   /// Returns nullopt when the read *declines*: the counter line was not
@@ -144,9 +144,10 @@ class SecureMemory : public SecureMemoryLike {
   [[nodiscard]] std::optional<ReadResult> read_block_shared(
       std::uint64_t block, bool account = true) const;
 
-  /// Batch read_block_shared over `blocks` into `results` (same size).
-  /// Indices that declined are appended to `declined` and their result
-  /// slot is untouched — callers re-read those under the exclusive lock.
+  /// Batch read_block_shared over `blocks` into `results` (same size) —
+  /// the one batched read body. Indices that declined are appended to
+  /// `declined` and their result slot is untouched — callers re-read
+  /// those under the exclusive lock. Callers validate the indices.
   void read_blocks_shared(std::span<const std::uint64_t> blocks,
                           std::span<ReadResult> results,
                           std::vector<std::uint32_t>& declined) const;
@@ -160,7 +161,7 @@ class SecureMemory : public SecureMemoryLike {
       std::uint64_t addr, std::span<std::uint8_t> out) const;
 
   /// Metrics/trace bookkeeping for one read outcome. Public and const so
-  /// facades running deferred-accounting shared reads (account=false)
+  /// callers running deferred-accounting shared reads (account=false)
   /// can commit the books once the whole operation is known to stick.
   void account_read(const ReadResult& result, std::uint64_t block)
       const noexcept;
@@ -275,7 +276,7 @@ class SecureMemory : public SecureMemoryLike {
   bool has_snapshot_base() const noexcept { return has_base_; }
 
   /// Invalidate the delta base so the next save_delta emits a full
-  /// image. For facades whose container-level stream write can fail
+  /// image. For containers whose stream write can fail
   /// AFTER the shard engines already aligned their chains into private
   /// buffers (ShardedSecureMemory::save/save_delta): the aligned bases
   /// describe an image that never persisted, so deltas against them
@@ -287,7 +288,7 @@ class SecureMemory : public SecureMemoryLike {
   }
 
   /// Exact byte size of the image save() emits for this engine —
-  /// facades slicing a concatenated multi-engine image (the sharded
+  /// callers slicing a concatenated multi-engine image (the sharded
   /// container's parallel restore) size their cuts with this.
   std::uint64_t image_bytes() const noexcept;
 
@@ -300,7 +301,7 @@ class SecureMemory : public SecureMemoryLike {
   using SecureMemoryLike::save_delta;
   using SecureMemoryLike::write_bytes;
 
-  /// Two-phase restore, for facades that need all-or-nothing semantics
+  /// Two-phase restore, for containers that need all-or-nothing semantics
   /// across several engines (ShardedSecureMemory stages every shard's
   /// image before committing any). stage_restore() parses and fully
   /// validates an image — including the sealed-root check — without
@@ -488,6 +489,16 @@ class SecureMemory : public SecureMemoryLike {
   /// frontier — the single tree-read entry point for read_block and the
   /// batch paths.
   [[nodiscard]] bool verify_counter_line(std::uint64_t line);
+  /// Steps 2-4 of every verified read, once the counter line is
+  /// authentic: unpack the MAC lane (SEC-DED decode on the separate-MAC
+  /// path), verify the MAC under `pad` = pad_for(addr, `counter`), run
+  /// flip-and-check on a mismatch, then decrypt. Const and
+  /// accounting-free — each read path commits the result itself.
+  ReadResult decrypt_verified(std::uint64_t block, std::uint64_t counter,
+                              std::uint64_t pad) const;
+  /// Promotion pulse: true when this shared read of a non-`resident`
+  /// counter line must decline to the exclusive path.
+  bool pulse_declines(bool resident) const noexcept;
   std::uint64_t data_mac(std::uint64_t block, std::uint64_t counter,
                          const DataBlock& ciphertext) const;
   void trace(TraceEvent::Kind kind, Status outcome,
@@ -593,7 +604,7 @@ class SecureMemory : public SecureMemoryLike {
   mutable SnapshotArena snap_arena_;
 
   /// Dirty plane: bit per granule, relaxed atomics so the const shared
-  /// read path's facades never contend with it (only store paths touch
+  /// read path's callers never contend with it (only store paths touch
   /// it, and those run under exclusive synchronization anyway).
   std::uint64_t granule_blocks_ = 1;
   std::uint64_t num_granules_ = 0;

@@ -2,9 +2,7 @@
 
 #include <cstring>
 #include <sstream>
-#include <stdexcept>
 
-#include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 
@@ -12,29 +10,6 @@ namespace secmem {
 
 const char* read_status_name(ReadStatus status) noexcept {
   return to_string(status);
-}
-
-std::vector<ReadResult> SecureMemoryLike::read_blocks(
-    std::span<const std::uint64_t> blocks) {
-  for (const std::uint64_t block : blocks)
-    if (block >= num_blocks())
-      throw std::out_of_range("read_blocks: block " + std::to_string(block) +
-                              " out of range");
-  std::vector<ReadResult> results(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    results[i] = read_block(blocks[i]);
-  return results;
-}
-
-Status SecureMemoryLike::write_blocks(std::span<const BlockWrite> writes) {
-  for (const BlockWrite& w : writes)
-    if (w.block >= num_blocks())
-      throw std::out_of_range("write_blocks: block " +
-                              std::to_string(w.block) + " out of range");
-  Status folded = Status::kOk;
-  for (const BlockWrite& w : writes)
-    folded = worse(folded, write_block(w.block, w.data));
-  return folded;
 }
 
 Status SecureMemoryLike::save(std::vector<std::byte>& image) {
@@ -123,7 +98,6 @@ EngineStats engine_stats_from(
 const char* engine_kind_name(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kPlain: return "plain";
-    case EngineKind::kConcurrent: return "concurrent";
     case EngineKind::kSharded: return "sharded";
   }
   return "?";
@@ -132,8 +106,6 @@ const char* engine_kind_name(EngineKind kind) noexcept {
 bool parse_engine_kind(const std::string& text, EngineKind& out) noexcept {
   if (text == "plain" || text == "single") {
     out = EngineKind::kPlain;
-  } else if (text == "concurrent" || text == "single-mutex") {
-    out = EngineKind::kConcurrent;
   } else if (text == "sharded") {
     out = EngineKind::kSharded;
   } else {
@@ -148,8 +120,6 @@ std::unique_ptr<SecureMemoryLike> make_engine(const SecureMemoryConfig& config,
   switch (kind) {
     case EngineKind::kPlain:
       return std::make_unique<SecureMemory>(config);
-    case EngineKind::kConcurrent:
-      return std::make_unique<ConcurrentSecureMemory>(config);
     case EngineKind::kSharded:
       return std::make_unique<ShardedSecureMemory>(config,
                                                    shards ? shards : 8);

@@ -1,9 +1,10 @@
 // SecureMemoryLike — the interface every secure-memory engine implements.
 //
-// SecureMemory (single-threaded), ConcurrentSecureMemory (single mutex)
-// and ShardedSecureMemory (partitioned, shard-parallel) expose the same
-// operations; this abstract base lets tools and benches pick an engine at
-// runtime (see make_engine) instead of duplicating per-engine branches.
+// SecureMemory (single-threaded) and ShardedSecureMemory (partitioned,
+// shard-parallel; one shard is the single-lock configuration) expose the
+// same operations; this abstract base lets tools and benches pick an
+// engine at runtime (see make_engine) instead of duplicating per-engine
+// branches.
 //
 // The operation result types live at namespace scope here so the
 // interface can name them; the concrete engines re-export them as nested
@@ -135,19 +136,18 @@ class SecureMemoryLike {
   /// Batch block I/O.
   /// ------------------------------------------------------------------
   /// Semantically equivalent to looping the single-block calls in request
-  /// order (the base-class default does exactly that), but engines
-  /// override these to amortize work across the batch: crypto kernels run
-  /// over the whole request set (4-wide AES pads, deduplicated tree-leaf
-  /// verifications, one counter-line sync per dirty line) and sharded
-  /// engines take each shard lock once per batch. Unlike the single-block
+  /// order, but each engine amortizes work across the batch: crypto
+  /// kernels run over the whole request set (4-wide AES pads,
+  /// deduplicated tree-leaf verifications, one counter-line sync per dirty
+  /// line) and sharded engines take each shard lock once per batch. Unlike the single-block
   /// calls, ALL block indices are validated up front — std::out_of_range
   /// is thrown before anything is mutated.
   [[nodiscard]] virtual std::vector<ReadResult> read_blocks(
-      std::span<const std::uint64_t> blocks);
+      std::span<const std::uint64_t> blocks) = 0;
   /// Returns the most severe per-write outcome (kOk, or kRegionPoisoned
   /// from a fail-closed engine, in which case nothing was written).
   [[nodiscard]] virtual Status write_blocks(
-      std::span<const BlockWrite> writes);
+      std::span<const BlockWrite> writes) = 0;
 
   /// Scrubbing sweep (paper §3.3): quick parity scan unless `deep`.
   virtual ScrubStatus scrub_block(std::uint64_t block,
@@ -221,13 +221,12 @@ class SecureMemoryLike {
 
 /// Which concrete engine make_engine() instantiates.
 enum class EngineKind : std::uint8_t {
-  kPlain,       ///< SecureMemory — single-threaded callers only
-  kConcurrent,  ///< ConcurrentSecureMemory — one mutex, any thread count
-  kSharded,     ///< ShardedSecureMemory — shard-parallel
+  kPlain,    ///< SecureMemory — single-threaded callers only
+  kSharded,  ///< ShardedSecureMemory — any thread count, shard-parallel
 };
 
 const char* engine_kind_name(EngineKind kind) noexcept;
-/// Parse "plain" | "concurrent" | "sharded"; false on anything else.
+/// Parse "plain" (alias "single") | "sharded"; false on anything else.
 bool parse_engine_kind(const std::string& text, EngineKind& out) noexcept;
 
 /// Instantiate an engine. `shards` only matters for kSharded (0 picks 8).

@@ -1,13 +1,14 @@
 // ShardedSecureMemory — a concurrent, horizontally-partitioned secure
 // region.
 //
-// The single-mutex ConcurrentSecureMemory facade serializes every
-// operation, so adding threads adds zero throughput. This engine instead
-// partitions the region across N independent SecureMemory shards — each
-// with its own working keys, counter scheme, Bonsai tree, and backing
-// store. Operations on different shards proceed fully in parallel; the
-// cryptographic work (AES-CTR, Carter-Wegman, tree walks) dominates the
-// lock cost, so read throughput scales with min(threads, shards).
+// This is the one thread-safe engine. It partitions the region across
+// N independent SecureMemory shards — each with its own working keys,
+// counter scheme, Bonsai tree, and backing store. Operations on different
+// shards proceed fully in parallel; the cryptographic work (AES-CTR,
+// Carter-Wegman, tree walks) dominates the lock cost, so read throughput
+// scales with min(threads, shards). One shard is the single-lock
+// configuration: every writer serializes on one SeqLock while verified
+// reads still share it.
 //
 // Locking discipline — machine-checked under clang -Wthread-safety:
 // every shard is a Shard struct carrying its own cache-line-aligned

@@ -36,15 +36,14 @@
 // Thread safety: the mutating operations (verify/update/flush/...) need
 // exclusive ownership, statically enforced one level up: each engine's
 // cache lives inside a SecureMemory that is itself SECMEM_GUARDED_BY the
-// owning facade/shard lock (engine/concurrent.h, engine/sharded_memory.h),
-// so under clang -Wthread-safety an unlocked path to them does not
-// compile. `probe()` is the one concurrent entry point: a const read-side
-// verify that any number of shared-lock holders may run at once — it
-// never fills, never reorders, and its only cache mutation is the
-// relaxed-atomic LRU touch (so residency decisions still see read-path
-// recency once a writer takes over). Metrics go to an optional
-// MetricsCell (relaxed atomics), so the observability plane reads them
-// without touching any lock.
+// owning shard lock (engine/sharded_memory.h), so under clang
+// -Wthread-safety an unlocked path to them does not compile. `probe()`
+// is the one concurrent entry point: a const read-side verify that any
+// number of shared-lock holders may run at once — it never fills, never
+// reorders, and its only cache mutation is the relaxed-atomic LRU touch
+// (so residency decisions still see read-path recency once a writer
+// takes over). Metrics go to an optional MetricsCell (relaxed atomics),
+// so the observability plane reads them without touching any lock.
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
-#include "engine/concurrent.h"
-
+// Thread-safety tests of the single-lock configuration: a one-shard
+// ShardedSecureMemory, where every writer serializes on one SeqLock and
+// verified reads share it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "engine/sharded_memory.h"
 
 namespace secmem {
 namespace {
@@ -21,10 +23,10 @@ DataBlock stamp(unsigned thread, unsigned round) {
   return b;
 }
 
-TEST(ConcurrentSecureMemory, ParallelDisjointWritersRoundTrip) {
+TEST(ShardedOneShard, ParallelDisjointWritersRoundTrip) {
   SecureMemoryConfig config;
   config.size_bytes = 64 * 1024;
-  ConcurrentSecureMemory memory(config);
+  ShardedSecureMemory memory(config, 1);
 
   constexpr unsigned kThreads = 8;
   constexpr unsigned kRounds = 150;
@@ -55,13 +57,13 @@ TEST(ConcurrentSecureMemory, ParallelDisjointWritersRoundTrip) {
   EXPECT_EQ(stats.integrity_violations, 0u);
 }
 
-TEST(ConcurrentSecureMemory, ContendedSameGroupWritesStayConsistent) {
+TEST(ShardedOneShard, ContendedSameGroupWritesStayConsistent) {
   // All threads hammer blocks of ONE 4KB group: counter maintenance
   // (resets/re-encodes/re-encryptions) interleaves with reads.
   SecureMemoryConfig config;
   config.size_bytes = 16 * 1024;
   config.scheme = CounterSchemeKind::kSplit;  // re-encrypts every 128
-  ConcurrentSecureMemory memory(config);
+  ShardedSecureMemory memory(config, 1);
 
   std::vector<std::thread> threads;
   std::atomic<int> bad_reads{0};
@@ -81,17 +83,17 @@ TEST(ConcurrentSecureMemory, ContendedSameGroupWritesStayConsistent) {
   EXPECT_GE(memory.stats().group_reencryptions, 1u);
 }
 
-TEST(ConcurrentSecureMemory, FacadeWrapsScrubStatsAndPersistence) {
-  // Regression: scrub_block / reset_stats / save / restore used to be
-  // missing from the facade, pushing callers toward with_exclusive (and
-  // holding the lock across arbitrary I/O by accident).
+TEST(ShardedOneShard, WrapsScrubStatsAndPersistence) {
+  // scrub_block / reset_stats / save / restore run through the engine's
+  // own locked wrappers; callers never need with_shard_exclusive (and
+  // never hold the lock across arbitrary I/O by accident).
   SecureMemoryConfig config;
   config.size_bytes = 16 * 1024;
-  ConcurrentSecureMemory memory(config);
+  ShardedSecureMemory memory(config, 1);
   EXPECT_EQ(memory.write_block(2, stamp(3, 4)), Status::kOk);
 
   // scrub_block heals a planted single-bit fault.
-  memory.with_exclusive([](SecureMemory& inner) {
+  memory.with_shard_exclusive(0, [](SecureMemory& inner) {
     inner.untrusted().flip_ciphertext_bit(2, 9);
   });
   EXPECT_EQ(memory.scrub_block(2),
@@ -112,14 +114,14 @@ TEST(ConcurrentSecureMemory, FacadeWrapsScrubStatsAndPersistence) {
   EXPECT_EQ(result.data, stamp(3, 4));
 }
 
-TEST(ConcurrentSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
-  // The single-lock facade's seqlock gate: readers verify in parallel
+TEST(ShardedOneShardStress, ReadMostlySharedReadersStayConsistent) {
+  // The single lock's seqlock gate: readers verify in parallel
   // under the shared side while one writer cycles blocks it owns alone.
   // Fixed per-block content makes every read's one acceptable value
   // computable; the TSan preset runs this too.
   SecureMemoryConfig config;
   config.size_bytes = 64 * 1024;
-  ConcurrentSecureMemory memory(config);
+  ShardedSecureMemory memory(config, 1);
   const std::uint64_t blocks = memory.num_blocks();
   const auto fixed = [](std::uint64_t block) {
     return stamp(static_cast<unsigned>(block % 199), 0);
@@ -161,17 +163,19 @@ TEST(ConcurrentSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
   EXPECT_GT(registry.counter_value("engine.shared_reads"), 0u);
 }
 
-TEST(ConcurrentSecureMemory, WithExclusiveExposesFullApi) {
+TEST(ShardedOneShard, WithShardExclusiveExposesFullApi) {
   SecureMemoryConfig config;
   config.size_bytes = 16 * 1024;
-  ConcurrentSecureMemory memory(config);
+  ShardedSecureMemory memory(config, 1);
   EXPECT_EQ(memory.write_block(3, stamp(1, 1)), Status::kOk);
-  const bool tampered = memory.with_exclusive([](SecureMemory& inner) {
-    inner.untrusted().flip_ciphertext_bit(3, 1);
-    inner.untrusted().flip_ciphertext_bit(3, 2);
-    inner.untrusted().flip_ciphertext_bit(3, 3);
-    return inner.read_block(3).status == ReadStatus::kIntegrityViolation;
-  });
+  const bool tampered =
+      memory.with_shard_exclusive(0, [](SecureMemory& inner) {
+        inner.untrusted().flip_ciphertext_bit(3, 1);
+        inner.untrusted().flip_ciphertext_bit(3, 2);
+        inner.untrusted().flip_ciphertext_bit(3, 3);
+        return inner.read_block(3).status ==
+               ReadStatus::kIntegrityViolation;
+      });
   EXPECT_TRUE(tampered);
 }
 

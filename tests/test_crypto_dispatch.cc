@@ -454,5 +454,76 @@ TEST(CryptoDispatch, EngineBatchIoMatchesScalarAcrossBackends) {
   }
 }
 
+TEST(CryptoDispatch, EngineBatchReadsOfDamagedBlocksMatchScalar) {
+  // read_blocks against read_block on damaged blocks: every fault the
+  // verified read handles (ciphertext flips within and beyond the
+  // flip-and-check budget, a MAC-lane flip, a tampered counter line) must
+  // give the same status, plaintext, flip-and-check work and counters
+  // whether the block is read alone or inside a batch.
+  for (const CryptoBackendChoice choice :
+       {CryptoBackendChoice::kPortable, CryptoBackendChoice::kAccelerated}) {
+    for (const MacPlacement placement :
+         {MacPlacement::kEccLane, MacPlacement::kSeparate}) {
+      SCOPED_TRACE(placement == MacPlacement::kEccLane ? "ecc-lane"
+                                                       : "separate");
+      BackendGuard guard(choice);
+      SecureMemoryConfig config;
+      config.size_bytes = 64 * 1024;
+      config.mac_placement = placement;
+      SecureMemory batch_engine(config);
+      SecureMemory scalar_engine(config);
+      Xoshiro256 rng(31);
+      for (std::uint64_t b = 0; b < batch_engine.num_blocks(); b += 3) {
+        const DataBlock data = random_block64(rng);
+        ASSERT_EQ(batch_engine.write_block(b, data), Status::kOk);
+        ASSERT_EQ(scalar_engine.write_block(b, data), Status::kOk);
+      }
+
+      // Damaged blocks; the counter line is the one holding block 600.
+      const std::uint64_t one_bit = 10, two_bit = 20, three_bit = 30,
+                          lane_bit = 40, tampered = 600;
+      for (SecureMemory* m : {&batch_engine, &scalar_engine}) {
+        auto view = m->untrusted();
+        view.flip_ciphertext_bit(one_bit, 250);
+        view.flip_ciphertext_bit(two_bit, 8);
+        view.flip_ciphertext_bit(two_bit, 55);
+        view.flip_ciphertext_bit(three_bit, 1);
+        view.flip_ciphertext_bit(three_bit, 2);
+        view.flip_ciphertext_bit(three_bit, 3);
+        view.flip_lane_bit(lane_bit, 20);
+        view.flip_counter_bit(m->counters().storage_line_of(tampered), 13);
+        m->reset_stats();
+      }
+
+      std::vector<std::uint64_t> blocks = {one_bit, 0,   two_bit, three_bit,
+                                           lane_bit, 3,  tampered,
+                                           tampered + 1, one_bit, 5};
+      for (int i = 0; i < 40; ++i)
+        blocks.push_back(rng.next_below(batch_engine.num_blocks()));
+      const auto batch_results = batch_engine.read_blocks(blocks);
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const ReadResult scalar = scalar_engine.read_block(blocks[i]);
+        ASSERT_EQ(batch_results[i].status, scalar.status) << "block "
+                                                          << blocks[i];
+        ASSERT_EQ(batch_results[i].data, scalar.data) << "block " << blocks[i];
+        ASSERT_EQ(batch_results[i].mac_evaluations, scalar.mac_evaluations)
+            << "block " << blocks[i];
+      }
+      EXPECT_NE(batch_results[0].status, Status::kOk);
+      EXPECT_EQ(batch_results[6].status, Status::kCounterTampered);
+
+      const EngineStats batch = batch_engine.stats();
+      const EngineStats scalar = scalar_engine.stats();
+      EXPECT_EQ(batch.reads, scalar.reads);
+      EXPECT_EQ(batch.corrected_data, scalar.corrected_data);
+      EXPECT_EQ(batch.corrected_mac_field, scalar.corrected_mac_field);
+      EXPECT_EQ(batch.corrected_word, scalar.corrected_word);
+      EXPECT_EQ(batch.integrity_violations, scalar.integrity_violations);
+      EXPECT_EQ(batch.counter_tampers, scalar.counter_tampers);
+      EXPECT_EQ(batch.mac_evaluations, scalar.mac_evaluations);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace secmem

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 
@@ -68,14 +67,17 @@ bool apply_delta(SecureMemoryLike& engine, const std::string& image) {
   return engine.restore_delta(in);
 }
 
-enum class EngineKind { kPlain, kConcurrent, kSharded };
+/// Instances are labelled Plain (single-threaded SecureMemory),
+/// Concurrent (kOneShard: the single-lock thread-safe configuration, a
+/// one-shard ShardedSecureMemory) and Sharded (four shards).
+enum class EngineKind { kPlain, kOneShard, kSharded };
 
 std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
   const SecureMemoryConfig config = small_config();
   switch (kind) {
     case EngineKind::kPlain: return std::make_unique<SecureMemory>(config);
-    case EngineKind::kConcurrent:
-      return std::make_unique<ConcurrentSecureMemory>(config);
+    case EngineKind::kOneShard:
+      return std::make_unique<ShardedSecureMemory>(config, 1);
     case EngineKind::kSharded:
       return std::make_unique<ShardedSecureMemory>(config, 4);
   }
@@ -209,9 +211,9 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
   ASSERT_EQ(source->write_block(9, pattern(0x99)), Status::kOk);
   const std::string fallback = ship(*source);
   // The chain is broken, so even save_delta ships a full image (the
-  // sharded container carries full per-shard slices), which re-bases
-  // the replica...
-  if (kind() != EngineKind::kSharded) {
+  // sharded container, at any shard count, carries full per-shard
+  // slices), which re-bases the replica...
+  if (kind() == EngineKind::kPlain) {
     EXPECT_EQ(fallback.compare(0, 8, "SECMEM01"), 0);
   }
   ASSERT_TRUE(apply_delta(*replica, fallback));
@@ -228,13 +230,13 @@ TEST_P(DeltaSnapshot, RotationBreaksChainAndRebasesOnFullFallback) {
 INSTANTIATE_TEST_SUITE_P(
     AllEnginesBothModes, DeltaSnapshot,
     ::testing::Combine(::testing::Values(EngineKind::kPlain,
-                                         EngineKind::kConcurrent,
+                                         EngineKind::kOneShard,
                                          EngineKind::kSharded),
                        ::testing::Bool()),
     [](const auto& info) {
       const char* engine =
           std::get<0>(info.param) == EngineKind::kPlain ? "Plain"
-          : std::get<0>(info.param) == EngineKind::kConcurrent
+          : std::get<0>(info.param) == EngineKind::kOneShard
               ? "Concurrent"
               : "Sharded";
       return std::string(engine) +
@@ -297,11 +299,11 @@ TEST_P(DeltaTamper, EveryByteFlipRejectsBeforeApply) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaTamper,
                          ::testing::Values(EngineKind::kPlain,
-                                           EngineKind::kConcurrent,
+                                           EngineKind::kOneShard,
                                            EngineKind::kSharded),
                          [](const auto& info) {
                            return info.param == EngineKind::kPlain ? "Plain"
-                                  : info.param == EngineKind::kConcurrent
+                                  : info.param == EngineKind::kOneShard
                                       ? "Concurrent"
                                       : "Sharded";
                          });

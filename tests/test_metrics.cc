@@ -260,7 +260,7 @@ TEST(MetricsSinkTest, PublishExportsHistogramsAsLog2) {
 
 // The TSan preset (scripts/ci.sh) picks this suite up via its name: many
 // writer threads hammer a shared sink while a reader polls totals.
-TEST(MetricsSinkConcurrentTest, ParallelRecordingIsRaceFree) {
+TEST(ConcurrentMetricsSinkTest, ParallelRecordingIsRaceFree) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kEvents = 20000;
   MetricsSink sink(kThreads);

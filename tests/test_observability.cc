@@ -6,11 +6,11 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/secure_memory_like.h"
 #include "engine/sharded_memory.h"
@@ -56,31 +56,47 @@ TEST(EngineFactoryTest, ParsesEveryKindAndAliases) {
   EngineKind kind;
   ASSERT_TRUE(parse_engine_kind("plain", kind));
   EXPECT_EQ(EngineKind::kPlain, kind);
-  ASSERT_TRUE(parse_engine_kind("concurrent", kind));
-  EXPECT_EQ(EngineKind::kConcurrent, kind);
+  EXPECT_STREQ("plain", engine_kind_name(kind));
+  kind = EngineKind::kSharded;
+  ASSERT_TRUE(parse_engine_kind("single", kind));
+  EXPECT_EQ(EngineKind::kPlain, kind);
   ASSERT_TRUE(parse_engine_kind("sharded", kind));
   EXPECT_EQ(EngineKind::kSharded, kind);
+  EXPECT_STREQ("sharded", engine_kind_name(kind));
+  // The single-lock configuration is `sharded` with one shard.
+  EXPECT_FALSE(parse_engine_kind("concurrent", kind));
+  EXPECT_FALSE(parse_engine_kind("single-mutex", kind));
   EXPECT_FALSE(parse_engine_kind("bogus", kind));
 }
 
+/// Every engine make_engine builds: plain, and sharded with one shard
+/// (the single-lock configuration) and with four.
+struct EngineChoice {
+  EngineKind kind;
+  unsigned shards;
+};
+constexpr EngineChoice kEveryEngine[] = {
+    {EngineKind::kPlain, 0}, {EngineKind::kSharded, 1},
+    {EngineKind::kSharded, 4}};
+
 TEST(EngineFactoryTest, MakesWorkingEnginesOfEachKind) {
-  for (const EngineKind kind :
-       {EngineKind::kPlain, EngineKind::kConcurrent, EngineKind::kSharded}) {
-    const auto memory = make_engine(small_config(), kind, 4);
-    ASSERT_NE(nullptr, memory) << engine_kind_name(kind);
+  for (const auto [kind, shards] : kEveryEngine) {
+    SCOPED_TRACE(std::string(engine_kind_name(kind)) + " x" +
+                 std::to_string(shards));
+    const auto memory = make_engine(small_config(), kind, shards);
+    ASSERT_NE(nullptr, memory);
     EXPECT_EQ(memory->write_block(7, pattern_block(0xAB)), Status::kOk);
     const ReadResult result = memory->read_block(7);
-    EXPECT_EQ(Status::kOk, result.status) << engine_kind_name(kind);
-    EXPECT_EQ(pattern_block(0xAB), result.data) << engine_kind_name(kind);
+    EXPECT_EQ(Status::kOk, result.status);
+    EXPECT_EQ(pattern_block(0xAB), result.data);
   }
 }
 
 // ------------------------------------------- stats vs published metrics
 
 TEST(ObservabilityTest, PublishedCountersMatchStatsForEveryEngine) {
-  for (const EngineKind kind :
-       {EngineKind::kPlain, EngineKind::kConcurrent, EngineKind::kSharded}) {
-    const auto memory = make_engine(small_config(), kind, 4);
+  for (const auto [kind, shards] : kEveryEngine) {
+    const auto memory = make_engine(small_config(), kind, shards);
     run_workload(*memory, 300);
 
     const EngineStats stats = memory->stats();

@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "engine/concurrent.h"
 
 namespace secmem {
 namespace {
@@ -353,7 +352,7 @@ std::uint64_t shared_read_declines(const SecureMemoryLike& memory) {
 }
 
 /// Drive cold counter lines through every verified-read surface of a
-/// seqlock facade. A cold line's shared read declines every eighth time
+/// seqlock engine. A cold line's shared read declines every eighth time
 /// (the promotion pulse); the declined read must fall back to the
 /// exclusive path with the same result — the right plaintext on a clean
 /// line, kCounterTampered on a tampered one. `flip_counter` tampers the
@@ -447,12 +446,13 @@ TEST(ShardedSecureMemory, DeclinedSharedReadsFallBackExclusively) {
   });
 }
 
-TEST(ConcurrentSecureMemory, DeclinedSharedReadsFallBackExclusively) {
-  ConcurrentSecureMemory donor(region_config(4 * 1024 * 1024));
-  ConcurrentSecureMemory memory(region_config(4 * 1024 * 1024));
+TEST(ShardedOneShard, DeclinedSharedReadsFallBackExclusively) {
+  // One shard: local and global block numbers coincide.
+  ShardedSecureMemory donor(region_config(4 * 1024 * 1024), 1);
+  ShardedSecureMemory memory(region_config(4 * 1024 * 1024), 1);
   restore_cold(donor, memory);
   expect_declines_fall_back(memory, [&](std::uint64_t block) {
-    memory.with_exclusive([&](SecureMemory& m) {
+    memory.with_shard_exclusive(0, [&](SecureMemory& m) {
       m.untrusted().flip_counter_bit(m.counters().storage_line_of(block), 3);
     });
   });

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/concurrent.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 #include "reference_memory.h"
@@ -72,14 +71,17 @@ std::string image_of(const ReferenceMemory& reference) {
   return out.str();
 }
 
-enum class EngineKind { kPlain, kConcurrent, kSharded };
+/// Instances are labelled Plain (single-threaded SecureMemory),
+/// Concurrent (kOneShard: the single-lock thread-safe configuration, a
+/// one-shard ShardedSecureMemory) and Sharded (four shards).
+enum class EngineKind { kPlain, kOneShard, kSharded };
 
 std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
   const SecureMemoryConfig config = small_config();
   switch (kind) {
     case EngineKind::kPlain: return std::make_unique<SecureMemory>(config);
-    case EngineKind::kConcurrent:
-      return std::make_unique<ConcurrentSecureMemory>(config);
+    case EngineKind::kOneShard:
+      return std::make_unique<ShardedSecureMemory>(config, 1);
     case EngineKind::kSharded:
       return std::make_unique<ShardedSecureMemory>(config, 4);
   }
@@ -167,12 +169,12 @@ TEST_P(SnapshotPipeline, FlippedByteFuzzNeverGoesUnnoticed) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, SnapshotPipeline,
-    ::testing::Values(EngineKind::kPlain, EngineKind::kConcurrent,
+    ::testing::Values(EngineKind::kPlain, EngineKind::kOneShard,
                       EngineKind::kSharded),
     [](const auto& info) {
-      return info.param == EngineKind::kPlain        ? "Plain"
-             : info.param == EngineKind::kConcurrent ? "Concurrent"
-                                                     : "Sharded";
+      return info.param == EngineKind::kPlain      ? "Plain"
+             : info.param == EngineKind::kOneShard ? "Concurrent"
+                                                   : "Sharded";
     });
 
 // ------------------------------------------- reference-model invariants
@@ -217,18 +219,18 @@ TEST(SnapshotModeEquivalence, ImagesBitIdenticalAcrossModes) {
   ReferenceMemory reference(config);
   for (const BlockWrite& w : writes) reference.write_block(w.block, w.data);
   const std::string reference_image = image_of(reference);
-  for (const EngineKind kind : {EngineKind::kPlain, EngineKind::kConcurrent}) {
-    auto engine = make_engine(kind);
-    populate(*engine, 31);
-    EXPECT_EQ(image_of(*engine), reference_image)
-        << "engine kind " << static_cast<int>(kind);
-  }
+  SecureMemory plain(config);
+  populate(plain, 31);
+  EXPECT_EQ(image_of(plain), reference_image);
 
-  ShardedSecureMemory sharded(config, 4);
-  populate(sharded, 31);
-  EXPECT_EQ(image_of(sharded),
-            sharded_reference_image(config, 4, sharded.granule_blocks(),
-                                    writes));
+  for (const unsigned shards : {1u, 4u}) {
+    ShardedSecureMemory sharded(config, shards);
+    populate(sharded, 31);
+    EXPECT_EQ(image_of(sharded),
+              sharded_reference_image(config, shards,
+                                      sharded.granule_blocks(), writes))
+        << shards << " shard(s)";
+  }
 }
 
 TEST(SnapshotModeEquivalence, CrossModeRestoreWorks) {

@@ -52,11 +52,12 @@ void usage(const char* argv0) {
       "                      registry in timing mode)\n"
       "  --list-workloads    print available profiles and exit\n"
       "  --engine KIND       run a functional engine instead of the timing\n"
-      "                      simulator: plain | concurrent | sharded;\n"
+      "                      simulator: plain | sharded (default sharded);\n"
       "                      multithreaded workload-shaped read/write mix\n"
       "                      (default region 16MB unless --protected-mb)\n"
-      "  --shards N          shard count for --engine sharded (implies it)\n"
-      "  --threads N         worker threads in engine mode (default 4;\n"
+      "  --shards N          shard count >= 1 for --engine sharded (implies\n"
+      "                      it; default 8; 1 = one lock for the region)\n"
+      "  --threads N         worker threads >= 1 in engine mode (default 4;\n"
       "                      forced to 1 for --engine plain)\n"
       "  --tree-cache-kb N   verified-frontier tree cache per engine/shard\n"
       "                      in KB; 0 = eager tree walks  (default 8)\n"
@@ -68,19 +69,20 @@ void usage(const char* argv0) {
       argv0);
 }
 
-/// Parse the decimal value of integer flag `flag`: digits only, at most
-/// `max`. Anything else ("off", "8x", "-1", "", an overflow) prints an
-/// error and exits with status 2 — a typo must never silently run a
-/// different configuration.
+/// Parse the decimal value of integer flag `flag`: digits only, in
+/// [`min`, `max`]. Anything else ("off", "8x", "-1", "", an overflow, a
+/// 0 where the flag needs at least 1) prints an error and exits with
+/// status 2 — a typo must never silently run a different configuration.
 std::uint64_t parse_uint(const std::string& flag, const char* text,
-                         std::uint64_t max) {
+                         std::uint64_t min, std::uint64_t max) {
   const char* end = text + std::strlen(text);
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value > max) {
+  if (ec != std::errc{} || ptr != end || value < min || value > max) {
     std::fprintf(stderr,
-                 "error: %s expects an integer in [0, %llu], got '%s'\n",
-                 flag.c_str(), static_cast<unsigned long long>(max), text);
+                 "error: %s expects an integer in [%llu, %llu], got '%s'\n",
+                 flag.c_str(), static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max), text);
     std::exit(2);
   }
   return value;
@@ -255,7 +257,7 @@ int main(int argc, char** argv) {
   std::string metrics_json;
   bool engine_mode = false;
   EngineKind engine_kind = EngineKind::kSharded;
-  unsigned shards = 0;  // 0 = engine default (8)
+  unsigned shards = 8;
   unsigned threads = 4;
   unsigned tree_cache_kb = SecureMemoryConfig{}.tree_cache_kb;
   bool protected_mb_given = false;
@@ -292,35 +294,39 @@ int main(int argc, char** argv) {
     } else if (arg == "--none") {
       config.protection = Protection::kNone;
     } else if (arg == "--refs") {
-      refs = parse_uint(arg, value(), ~0ULL);
+      refs = parse_uint(arg, value(), 0, ~0ULL);
     } else if (arg == "--warmup") {
-      warmup = parse_uint(arg, value(), ~0ULL);
+      warmup = parse_uint(arg, value(), 0, ~0ULL);
     } else if (arg == "--protected-mb") {
-      config.protected_bytes = parse_uint(arg, value(), ~0ULL >> 20) << 20;
+      config.protected_bytes = parse_uint(arg, value(), 0, ~0ULL >> 20) << 20;
       protected_mb_given = true;
     } else if (arg == "--engine") {
-      if (!parse_engine_kind(value(), engine_kind)) {
-        std::fprintf(stderr, "unknown engine kind\n");
+      const char* kind = value();
+      if (!parse_engine_kind(kind, engine_kind)) {
+        std::fprintf(stderr,
+                     "error: unknown engine kind '%s' (expected plain | "
+                     "sharded)\n",
+                     kind);
         return 2;
       }
       engine_mode = true;
     } else if (arg == "--shards") {
-      shards = static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
+      shards = static_cast<unsigned>(parse_uint(arg, value(), 1, UINT_MAX));
       engine_mode = true;
       engine_kind = EngineKind::kSharded;
     } else if (arg == "--metrics-json") {
       metrics_json = value();
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
+      threads = static_cast<unsigned>(parse_uint(arg, value(), 1, UINT_MAX));
     } else if (arg == "--tree-cache-kb") {
       tree_cache_kb =
-          static_cast<unsigned>(parse_uint(arg, value(), UINT_MAX));
+          static_cast<unsigned>(parse_uint(arg, value(), 0, UINT_MAX));
       engine_mode = true;
     } else if (arg == "--delta-save") {
       delta_save_path = value();
       engine_mode = true;
     } else if (arg == "--seed") {
-      config.seed = parse_uint(arg, value(), ~0ULL);
+      config.seed = parse_uint(arg, value(), 0, ~0ULL);
     } else if (arg == "--stats") {
       dump_stats = true;
     } else if (arg == "--list-workloads") {
@@ -349,7 +355,6 @@ int main(int argc, char** argv) {
       // expensive to initialize than the timing model's, so the default
       // size drops to 16MB unless the caller sized it.
       if (!protected_mb_given) config.protected_bytes = 16ULL << 20;
-      if (threads == 0) threads = 1;
       // SecureMemory has no internal locking; never drive it from more
       // than one thread.
       if (engine_kind == EngineKind::kPlain) threads = 1;
