@@ -117,20 +117,61 @@ std::uint64_t CwMac::compute(
   return compute_with_pad(pad_for(addr, counter), message);
 }
 
-std::uint64_t CwMac::compute_prf(
-    std::uint64_t domain,
-    std::span<const std::uint8_t> message) const noexcept {
+std::uint64_t CwMac::prf_of_hash(std::uint64_t domain,
+                                 std::uint64_t hash) const noexcept {
   // PRF tweak: [ hash(8B) | domain(7B) | 0x5A ]. The final byte
   // domain-separates PRF inputs from pad tweaks (0xA5) and keystream
   // chunk bytes (0..3); the hash rides INSIDE the AES input, so the
   // tag is a PRP image of the message digest, not an XOR mask of it.
   assert(domain < (std::uint64_t{1} << 56));
   Aes128::Block in{};
-  store_le64(in.data(), polyhash(message));
+  store_le64(in.data(), hash);
   for (int i = 0; i < 7; ++i)
     in[8 + i] = static_cast<std::uint8_t>(domain >> (8 * i));
   in[15] = 0x5A;
   return load_le64(pad_.encrypt(in).data());
+}
+
+std::uint64_t CwMac::compute_prf(
+    std::uint64_t domain,
+    std::span<const std::uint8_t> message) const noexcept {
+  return prf_of_hash(domain, polyhash(message));
+}
+
+std::uint64_t CwMac::compute_prf(
+    std::uint64_t domain,
+    std::span<const std::span<const std::uint8_t>> parts) const noexcept {
+  // polyhash over the concatenation, streamed: the Horner chain only
+  // sees 64-bit words of the whole message, so a word straddling two
+  // parts is assembled in `carry` and everything between runs through
+  // the same fold8 / mul_h steps polyhash takes. fold8 is eight Horner
+  // steps bit for bit, so chunking at part boundaries instead of at
+  // message offsets leaves the hash unchanged.
+  std::uint64_t u = 0;
+  std::uint64_t carry = 0;
+  std::size_t carry_len = 0;  // bytes of the current word held in carry
+  std::size_t total = 0;
+  for (const std::span<const std::uint8_t> part : parts) {
+    const std::uint8_t* data = part.data();
+    std::size_t size = part.size();
+    total += size;
+    while (carry_len != 0 && size != 0) {
+      carry |= std::uint64_t{*data++} << (8 * carry_len);
+      --size;
+      if (++carry_len == 8) {
+        u = mul_h(u ^ carry);
+        carry = 0;
+        carry_len = 0;
+      }
+    }
+    std::size_t i = 0;
+    for (; i + kBlockBytes <= size; i += kBlockBytes) u = fold8(u, data + i);
+    for (; i + 8 <= size; i += 8) u = mul_h(u ^ load_le64(data + i));
+    for (; i < size; ++i)
+      carry |= std::uint64_t{data[i]} << (8 * carry_len++);
+  }
+  if (carry_len != 0) u = mul_h(u ^ carry);
+  return prf_of_hash(domain, u ^ (static_cast<std::uint64_t>(total) * 8));
 }
 
 void CwMac::compute_batch(std::span<const std::uint64_t> addrs,

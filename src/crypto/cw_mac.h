@@ -90,6 +90,14 @@ class CwMac {
                             std::span<const std::uint8_t> message)
       const noexcept;
 
+  /// compute_prf over the concatenation of `parts`, hashed in place:
+  /// bit-identical to compute_prf(domain, part0 ‖ part1 ‖ ...) without
+  /// building that message. Parts may be empty and need not be
+  /// word-aligned.
+  std::uint64_t compute_prf(
+      std::uint64_t domain,
+      std::span<const std::span<const std::uint8_t>> parts) const noexcept;
+
   /// Convenience for 64-byte data blocks.
   std::uint64_t compute_block(std::uint64_t addr, std::uint64_t counter,
                               const DataBlock& block) const noexcept {
@@ -169,6 +177,9 @@ class CwMac {
 
  private:
   std::uint64_t polyhash(std::span<const std::uint8_t> message) const noexcept;
+  /// AES_k2( hash ‖ domain ‖ PRF_DOMAIN ): the PRF step of compute_prf.
+  std::uint64_t prf_of_hash(std::uint64_t domain,
+                            std::uint64_t hash) const noexcept;
 
   /// x * h on whichever path this key bound to.
   std::uint64_t mul_h(std::uint64_t x) const noexcept;

@@ -127,6 +127,9 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
   dirty_word_count_ = (num_granules_ + 63) / 64;
   dirty_words_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(dirty_word_count_);
+  const delta::Geometry geo = delta_geometry();
+  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
+    delta_cmd_bound_ += 25 + geo.payload_bytes(g);
 
   // Initialize every block as encrypted zeros under counter 0, so reads
   // before the first write still verify.
@@ -731,6 +734,10 @@ ScrubReport SecureMemory::scrub_all(bool deep) {
 namespace {
 constexpr char kImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
 constexpr char kDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
+/// Delta image header: the magic, then nine u64 fields — size, scheme,
+/// MAC placement, generic delta bits, base epoch, new epoch, base seal,
+/// command length, command MAC.
+constexpr std::size_t kDeltaHeaderBytes = sizeof(kDeltaMagic) + 9 * 8;
 
 /// Domain constants for the snapshot-chain MACs (CwMac::compute_prf,
 /// ≤56 bits). These MACs are nonce-FREE by construction: chain roots
@@ -921,11 +928,18 @@ void SecureMemory::discard_restore(StagedRestore&& staged) const {
   snap_arena_.counter_store = std::move(staged.counter_store);
 }
 
+void SecureMemory::discard_restore(StagedDelta&& staged) const {
+  snap_arena_.delta_cmds = std::move(staged.cmds);
+}
+
 std::uint64_t SecureMemory::snapshot_arena_bytes() const noexcept {
   return snap_arena_.ciphertext.capacity() * sizeof(DataBlock) +
          snap_arena_.lanes.capacity() * sizeof(EccLane) +
          snap_arena_.macs.capacity() * sizeof(std::uint64_t) +
-         snap_arena_.counter_store.capacity();
+         snap_arena_.counter_store.capacity() +
+         snap_arena_.delta_cmd.capacity() +
+         snap_arena_.delta_stream.capacity() +
+         snap_arena_.delta_cmds.capacity() * sizeof(delta::Command);
 }
 
 void SecureMemory::commit_restore(StagedRestore&& staged) {
@@ -1055,9 +1069,15 @@ std::uint64_t SecureMemory::seal_root_bytes(
 
 std::uint64_t SecureMemory::root_seal() {
   tree_cache_.flush();
-  std::vector<std::uint8_t> root;
+  std::vector<std::uint8_t>& root = scratch_.root_bytes;
+  root.clear();
   append_root_level(layout_, tree_, root);
   return seal_root_bytes(root);
+}
+
+std::uint64_t SecureMemory::root_level_bytes() const noexcept {
+  const unsigned top = layout_.tree().total_levels() - 1;
+  return layout_.tree().nodes_at[top] * 64;
 }
 
 void SecureMemory::align_chain() {
@@ -1076,25 +1096,23 @@ std::uint64_t SecureMemory::delta_cmd_mac(
   // stay outside. The epochs are authenticated METADATA only, never a
   // MAC nonce — the epoch space is reused under one seal key (restore
   // resets it, encode_delta pins 0→1), so only the nonce-free PRF form
-  // below is sound here.
-  std::vector<std::uint8_t> message;
-  message.reserve(8 * 8 + cmd.size() + trailer.size());
-  const auto put = [&message](std::uint64_t v) {
-    std::uint8_t le[8];
-    store_le64(le, v);
-    message.insert(message.end(), le, le + 8);
-  };
-  put(config_.size_bytes);
-  put(static_cast<std::uint64_t>(config_.scheme));
-  put(static_cast<std::uint64_t>(config_.mac_placement));
-  put(config_.generic_delta_bits);
-  put(base_epoch);
-  put(new_epoch);
-  put(base_seal);
-  put(cmd.size());
-  message.insert(message.end(), cmd.begin(), cmd.end());
-  message.insert(message.end(), trailer.begin(), trailer.end());
-  return seal_mac_.compute_prf(kCmdMacDomain, message);
+  // below is sound here. The message is header ‖ cmd ‖ trailer, hashed
+  // part by part where it lies rather than copied into one buffer.
+  const std::uint64_t fields[8] = {
+      config_.size_bytes,
+      static_cast<std::uint64_t>(config_.scheme),
+      static_cast<std::uint64_t>(config_.mac_placement),
+      config_.generic_delta_bits,
+      base_epoch,
+      new_epoch,
+      base_seal,
+      cmd.size()};
+  std::array<std::uint8_t, sizeof(fields)> header;
+  for (std::size_t i = 0; i < 8; ++i)
+    store_le64(header.data() + 8 * i, fields[i]);
+  const std::array<std::span<const std::uint8_t>, 3> parts = {header, cmd,
+                                                              trailer};
+  return seal_mac_.compute_prf(kCmdMacDomain, parts);
 }
 
 Status SecureMemory::save_delta(std::ostream& out) {
@@ -1108,20 +1126,26 @@ Status SecureMemory::save_delta(std::ostream& out) {
 
   // Drain the dirty bitmap (relaxed loads: snapshot entry points run
   // under the engine's exclusive synchronization contract).
-  std::vector<std::uint64_t> dirty(dirty_word_count_);
+  std::vector<std::uint64_t>& dirty = scratch_.dirty_words;
+  dirty.resize(dirty_word_count_);
   for (std::uint64_t w = 0; w < dirty_word_count_; ++w)
     dirty[w] = dirty_words_[w].load(std::memory_order_relaxed);
 
-  const delta::Geometry geo = delta_geometry();
-  std::vector<std::uint8_t> cmd;
+  // Command output and trailer land in recycled storage; the trailer's
+  // buffer is reused by align_chain below, after the write.
+  std::vector<std::uint8_t>& cmd = snap_arena_.delta_cmd;
+  cmd.clear();
   const std::uint64_t dirty_count =
-      delta::encode_from_dirty(geo, delta_sections(), dirty, cmd);
+      delta::encode_from_dirty(delta_geometry(), delta_sections(), dirty, cmd);
 
-  std::vector<std::uint8_t> trailer;
+  std::vector<std::uint8_t>& trailer = scratch_.root_bytes;
+  trailer.clear();
   append_root_level(layout_, tree_, trailer);
   const std::uint64_t new_epoch = snap_epoch_ + 1;
   const std::uint64_t mac =
       delta_cmd_mac(snap_epoch_, new_epoch, base_seal_, cmd, trailer);
+  const std::uint64_t image_size =
+      kDeltaHeaderBytes + cmd.size() + trailer.size();
 
   out.write(kDeltaMagic, sizeof(kDeltaMagic));
   write_u64(out, config_.size_bytes);
@@ -1149,8 +1173,7 @@ Status SecureMemory::save_delta(std::ostream& out) {
   snap_epoch_ = new_epoch;
   align_chain();
   metrics_.add(MetricId::kDeltaSaves);
-  metrics_.sample(EngineHistId::kDeltaImageBytes,
-                  sizeof(kDeltaMagic) + 9 * 8 + cmd.size() + trailer.size());
+  metrics_.sample(EngineHistId::kDeltaImageBytes, image_size);
   metrics_.sample(EngineHistId::kDeltaDirtyGranules, dirty_count);
   return Status::kOk;
 }
@@ -1161,56 +1184,81 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kDeltaMagic, sizeof(magic)) != 0)
     return std::nullopt;
-  return stage_delta_tail(in);
+  const std::span<const std::uint8_t> image = read_delta_image(in);
+  if (image.empty()) return std::nullopt;
+  return stage_delta(image);
 }
 
-std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta_tail(
+std::span<const std::uint8_t> SecureMemory::read_delta_image(
     std::istream& in) {
-  if (read_u64(in) != config_.size_bytes) return std::nullopt;
-  if (read_u64(in) != static_cast<std::uint64_t>(config_.scheme))
-    return std::nullopt;
-  if (read_u64(in) != static_cast<std::uint64_t>(config_.mac_placement))
-    return std::nullopt;
-  if (read_u64(in) != config_.generic_delta_bits) return std::nullopt;
-  const std::uint64_t base_epoch = read_u64(in);
-  const std::uint64_t new_epoch = read_u64(in);
-  const std::uint64_t base_seal = read_u64(in);
-  const std::uint64_t cmd_len = read_u64(in);
-  const std::uint64_t mac = read_u64(in);
-  if (!in) return std::nullopt;
+  // Grow-only: shrinking and regrowing would re-zero reused bytes that
+  // the reads below overwrite anyway.
+  std::vector<std::uint8_t>& buf = snap_arena_.delta_stream;
+  if (buf.size() < kDeltaHeaderBytes) buf.resize(kDeltaHeaderBytes);
+  std::memcpy(buf.data(), kDeltaMagic, sizeof(kDeltaMagic));
+  in.read(reinterpret_cast<char*>(buf.data() + sizeof(kDeltaMagic)),
+          kDeltaHeaderBytes - sizeof(kDeltaMagic));
+  if (!in) return {};
+  // Bound the buffer before trusting the command length.
+  const std::uint64_t cmd_len =
+      load_le64(buf.data() + sizeof(kDeltaMagic) + 7 * 8);
+  if (cmd_len > delta_cmd_bound_) return {};
+  const std::size_t size =
+      kDeltaHeaderBytes + static_cast<std::size_t>(cmd_len) +
+      static_cast<std::size_t>(root_level_bytes());
+  if (buf.size() < size) buf.resize(size);
+  in.read(reinterpret_cast<char*>(buf.data() + kDeltaHeaderBytes),
+          static_cast<std::streamsize>(size - kDeltaHeaderBytes));
+  if (!in) return {};
+  return {buf.data(), size};
+}
 
-  // Bound the allocation before trusting cmd_len: no valid stream
-  // exceeds one command header plus full payload per granule.
-  const delta::Geometry geo = delta_geometry();
-  std::uint64_t cmd_bound = 0;
-  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
-    cmd_bound += 25 + geo.payload_bytes(g);
-  if (cmd_len > cmd_bound) return std::nullopt;
-
-  StagedDelta staged;
-  staged.new_epoch = new_epoch;
-  staged.cmd.resize(cmd_len);
-  in.read(reinterpret_cast<char*>(staged.cmd.data()),
-          static_cast<std::streamsize>(staged.cmd.size()));
-  const unsigned top = layout_.tree().total_levels() - 1;
-  staged.trailer.resize(layout_.tree().nodes_at[top] * 64);
-  in.read(reinterpret_cast<char*>(staged.trailer.data()),
-          static_cast<std::streamsize>(staged.trailer.size()));
-  if (!in) return std::nullopt;
+std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
+    std::span<const std::uint8_t> image) {
+  if (image.size() < kDeltaHeaderBytes ||
+      std::memcmp(image.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0)
+    return std::nullopt;
+  const auto field = [&image](unsigned i) {
+    return load_le64(image.data() + sizeof(kDeltaMagic) + 8 * i);
+  };
+  if (field(0) != config_.size_bytes ||
+      field(1) != static_cast<std::uint64_t>(config_.scheme) ||
+      field(2) != static_cast<std::uint64_t>(config_.mac_placement) ||
+      field(3) != config_.generic_delta_bits)
+    return std::nullopt;
+  const std::uint64_t base_epoch = field(4);
+  const std::uint64_t new_epoch = field(5);
+  const std::uint64_t base_seal = field(6);
+  const std::uint64_t cmd_len = field(7);
+  const std::uint64_t mac = field(8);
+  // The image is exactly header, commands and trailer: bound cmd_len
+  // before it sizes the cut (no valid stream exceeds one command header
+  // plus full payload per granule).
+  if (cmd_len > delta_cmd_bound_ ||
+      image.size() - kDeltaHeaderBytes != cmd_len + root_level_bytes())
+    return std::nullopt;
+  const std::span<const std::uint8_t> cmd =
+      image.subspan(kDeltaHeaderBytes, static_cast<std::size_t>(cmd_len));
+  const std::span<const std::uint8_t> trailer =
+      image.subspan(kDeltaHeaderBytes + static_cast<std::size_t>(cmd_len));
 
   // Verify-before-apply, in authentication order: (1) the command
   // section MAC — nothing below is interpreted until the whole stream
   // is known authentic; (2) the base seal against the engine's CURRENT
   // root — a delta only applies on the exact state it was diffed
   // against (a stale or cross-chain delta dies here, region intact);
-  // (3) structural validation of the command stream.
+  // (3) structural validation of the command stream, parsed into the
+  // arena's recycled command vector.
   if (!ct_equal_u64(
-          delta_cmd_mac(base_epoch, new_epoch, base_seal, staged.cmd,
-                        staged.trailer),
-          mac))
+          delta_cmd_mac(base_epoch, new_epoch, base_seal, cmd, trailer), mac))
     return std::nullopt;
   if (!ct_equal_u64(root_seal(), base_seal)) return std::nullopt;
-  if (!delta::parse(geo, staged.cmd, staged.cmds)) return std::nullopt;
+  StagedDelta staged{new_epoch, cmd, trailer,
+                     std::move(snap_arena_.delta_cmds)};
+  if (!delta::parse(delta_geometry(), cmd, staged.cmds)) {
+    discard_restore(std::move(staged));
+    return std::nullopt;
+  }
   return staged;
 }
 
@@ -1249,18 +1297,22 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
   // A mismatch can only mean the base seal collided (negligible), but
   // serving data off a mismatched tree is never acceptable — wipe.
   tree_cache_.flush();
-  std::vector<std::uint8_t> root;
-  root.reserve(staged.trailer.size());
+  std::vector<std::uint8_t>& root = scratch_.root_bytes;
+  root.clear();
   append_root_level(layout_, tree_, root);
-  if (root.size() != staged.trailer.size() ||
-      !ct_equal(root.data(), staged.trailer.data(), root.size())) {
+  const bool root_ok =
+      root.size() == staged.trailer.size() &&
+      ct_equal(root.data(), staged.trailer.data(), root.size());
+  const std::uint64_t new_epoch = staged.new_epoch;
+  discard_restore(std::move(staged));  // park the command storage
+  if (!root_ok) {
     wipe_to_zeros();
     metrics_.add(MetricId::kDeltaRejects);
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
     return false;
   }
 
-  snap_epoch_ = staged.new_epoch;
+  snap_epoch_ = new_epoch;
   align_chain();
   metrics_.add(MetricId::kDeltaRestores);
   trace(TraceEvent::Kind::kRestore, Status::kOk, 0);
@@ -1287,9 +1339,12 @@ bool SecureMemory::restore_delta(std::istream& in) {
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
     return false;
   }
-  // Delta image: verified in full before any byte lands, so a rejection
-  // leaves the region EXACTLY as it was (crash/restore-loop contract).
-  std::optional<StagedDelta> staged = stage_delta_tail(in);
+  // Delta image: read into the arena's stream buffer, then verified in
+  // full before any byte lands, so a rejection leaves the region
+  // EXACTLY as it was (crash/restore-loop contract).
+  const std::span<const std::uint8_t> image = read_delta_image(in);
+  std::optional<StagedDelta> staged;
+  if (!image.empty()) staged = stage_delta(image);
   if (!staged) {
     metrics_.add(MetricId::kDeltaRejects);
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);

@@ -334,30 +334,42 @@ class SecureMemory : public SecureMemoryLike {
   /// the next stage_restore as commit_restore would. Engine state is
   /// untouched.
   void discard_restore(StagedRestore&& staged) const;
-  /// Bytes of staging storage parked for the next stage_restore (tests
-  /// check that a rejected restore does not drop it).
+  /// Bytes of snapshot storage parked for reuse: the full-restore
+  /// staging vectors plus the delta buffers (save_delta's command
+  /// output, stage_delta's stream buffer and parsed commands). Tests
+  /// check that rejected restores keep it and steady delta cycles
+  /// leave it constant.
   std::uint64_t snapshot_arena_bytes() const noexcept;
 
   /// Two-phase delta restore, mirroring stage_restore/commit_restore for
-  /// the sharded all-or-nothing path. stage_delta consumes a delta image
-  /// (magic onward) and performs EVERY check — geometry, command-section
-  /// MAC (ct_equal), base seal against the engine's current root,
-  /// command-stream validation — without touching engine state; nullopt
-  /// means rejected and the region is exactly as it was. commit_delta
-  /// applies the commands in place, refreshes scheme/tree/shadow state
-  /// for the written granules, and advances the chain. Its bool is a
-  /// defense-in-depth verdict: the post-apply root is re-checked against
-  /// the image's MAC-covered trailer, and a mismatch (a base-seal
-  /// collision — cryptographically negligible) wipes the region to
-  /// zeros and returns false.
+  /// the sharded all-or-nothing path. stage_delta takes a whole delta
+  /// image (magic onward) and performs EVERY check — geometry,
+  /// command-section MAC (ct_equal), base seal against the engine's
+  /// current root, command-stream validation — in place, without
+  /// touching engine state; nullopt means rejected and the region is
+  /// exactly as it was. The staged delta borrows the image's command
+  /// and trailer bytes, so the image must outlive commit_delta.
+  /// commit_delta applies the commands in place, refreshes
+  /// scheme/tree/shadow state for the written granules, and advances
+  /// the chain. Its bool is a defense-in-depth verdict: the post-apply
+  /// root is re-checked against the image's MAC-covered trailer, and a
+  /// mismatch (a base-seal collision — cryptographically negligible)
+  /// wipes the region to zeros and returns false.
   struct StagedDelta {
     std::uint64_t new_epoch = 0;
-    std::vector<std::uint8_t> cmd;      ///< raw command-stream bytes
-    std::vector<delta::Command> cmds;   ///< parsed + validated commands
-    std::vector<std::uint8_t> trailer;  ///< expected post-apply root level
+    std::span<const std::uint8_t> cmd;  ///< command-stream bytes (borrowed)
+    std::span<const std::uint8_t> trailer;  ///< expected post-apply root
+    std::vector<delta::Command> cmds;  ///< parsed + validated (arena storage)
   };
+  [[nodiscard]] std::optional<StagedDelta> stage_delta(
+      std::span<const std::uint8_t> image);
+  /// Reads one delta image off `in` into the arena's stream buffer and
+  /// stages it there; commit before the next stream stage reuses it.
   [[nodiscard]] std::optional<StagedDelta> stage_delta(std::istream& in);
   [[nodiscard]] bool commit_delta(StagedDelta&& staged);
+  /// Drop a staged delta that will not be committed, parking its
+  /// command storage for the next stage_delta.
+  void discard_restore(StagedDelta&& staged) const;
 
   /// ------------------------------------------------------------------
   /// Observability.
@@ -483,8 +495,12 @@ class SecureMemory : public SecureMemoryLike {
   /// the magic itself and hands the stream tail here.
   [[nodiscard]] std::optional<StagedRestore> stage_restore_tail(
       std::istream& in, std::uint64_t master_key) const;
-  /// stage_delta minus the magic bytes.
-  [[nodiscard]] std::optional<StagedDelta> stage_delta_tail(std::istream& in);
+  /// Read the rest of a delta image whose magic `in` already gave up
+  /// into the arena's stream buffer (magic included); an empty span
+  /// means the stream was short or the command length out of bounds.
+  std::span<const std::uint8_t> read_delta_image(std::istream& in);
+  /// Bytes of the root-level trailer a delta image closes with.
+  std::uint64_t root_level_bytes() const noexcept;
   /// Authenticate stored counter line `line` through the verified
   /// frontier — the single tree-read entry point for read_block and the
   /// batch paths.
@@ -585,6 +601,10 @@ class SecureMemory : public SecureMemoryLike {
     /// stream; capacity sticks after the first save, so steady-state
     /// snapshots allocate nothing.
     std::vector<std::uint8_t> io_bytes;
+    /// save_delta's drained dirty bitmap and the root-level bytes that
+    /// seals and delta trailers are built from.
+    std::vector<std::uint64_t> dirty_words;
+    std::vector<std::uint8_t> root_bytes;
   };
   BatchScratch scratch_;
   /// Staging-storage recycler for the restore path: commit_restore
@@ -592,14 +612,20 @@ class SecureMemory : public SecureMemoryLike {
   /// staging parks its own) and the next stage_restore adopts them, so
   /// steady-state crash/restore loops allocate (and page-fault) nothing
   /// — the dominant cost of a large restore once the stream calls are
-  /// chunked. Mutable because stage_restore is const by contract (it
-  /// never changes engine *state*) yet runs only under the engine's
-  /// exclusive synchronization, like every snapshot entry point.
+  /// chunked. The delta buffers recycle the same way: a steady delta
+  /// chain reuses one command-output buffer, one stream buffer and one
+  /// parsed-command vector, each sized by the largest delta seen.
+  /// Mutable because stage_restore is const by contract (it never
+  /// changes engine *state*) yet runs only under the engine's exclusive
+  /// synchronization, like every snapshot entry point.
   struct SnapshotArena {
     std::vector<DataBlock> ciphertext;
     std::vector<EccLane> lanes;
     std::vector<std::uint64_t> macs;
     std::vector<std::uint8_t> counter_store;
+    std::vector<std::uint8_t> delta_cmd;     ///< save_delta's command output
+    std::vector<std::uint8_t> delta_stream;  ///< stage_delta(istream&) input
+    std::vector<delta::Command> delta_cmds;  ///< adopted by StagedDelta
   };
   mutable SnapshotArena snap_arena_;
 
@@ -610,6 +636,9 @@ class SecureMemory : public SecureMemoryLike {
   std::uint64_t num_granules_ = 0;
   std::uint64_t dirty_word_count_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> dirty_words_;
+  /// Longest valid command stream: one header plus full payload per
+  /// granule. Bounds a delta's claimed command length before any read.
+  std::uint64_t delta_cmd_bound_ = 0;
   /// Chain state: epoch counts alignment points; base_seal_ is the root
   /// seal at the last one; has_base_ false = no delta base (fresh
   /// engine, broken chain after rotation or failed restore).

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <streambuf>
 #include <string>
-#include <thread>
 
 #include "common/bitops.h"
 #include "common/rng.h"
@@ -58,8 +57,8 @@ double seconds_between(std::chrono::steady_clock::time_point a,
 }
 
 /// ostream sink appending straight into a caller-owned byte vector, so
-/// the parallel delta-save workers each serialize into private storage
-/// instead of contending on one shared stream.
+/// the parallel delta-save workers each serialize into their shard's
+/// recycled slice buffer instead of contending on one shared stream.
 class VectorSink final : public std::streambuf {
  public:
   explicit VectorSink(std::vector<char>& out) : out_(out) {}
@@ -79,9 +78,9 @@ class VectorSink final : public std::streambuf {
   std::vector<char>& out_;
 };
 
-/// istream source over a borrowed byte slice — each parallel delta
-/// restore worker parses its cut of the bulk-read container without
-/// copying it.
+/// istream source over a borrowed byte slice — a full fallback image
+/// inside a delta container stages off its cut of the bulk-read payload
+/// without copying it.
 /// The const_cast is the std::streambuf get-area API's; the get area is
 /// never written through.
 class SpanSource final : public std::streambuf {
@@ -104,36 +103,6 @@ std::uint64_t read_u64(std::istream& in) {
   return load_le64(buf);
 }
 
-/// Run fn(shard_index) for every shard on a bounded worker pool:
-/// min(shards, hardware_concurrency) threads draining an atomic cursor.
-/// The old one-thread-per-shard policy oversubscribed badly (a 64-shard
-/// region on a 4-core box spawned 64 threads that mostly context-switch);
-/// the cap keeps maintenance sweeps at hardware parallelism while the
-/// cursor still load-balances uneven shards. With one worker (one core,
-/// or an unknown topology) the shards run in order on the caller.
-template <typename Fn>
-void parallel_over_shards(unsigned num_shards, Fn&& fn) {
-  const unsigned workers =
-      std::min(num_shards, std::max(1u, std::thread::hardware_concurrency()));
-  if (workers <= 1) {
-    for (unsigned s = 0; s < num_shards; ++s) fn(s);
-    return;
-  }
-  std::atomic<unsigned> cursor{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&cursor, &fn, num_shards] {
-      for (unsigned s = cursor.fetch_add(1, std::memory_order_relaxed);
-           s < num_shards;
-           s = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        fn(s);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-}
-
 }  // namespace
 
 ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
@@ -141,7 +110,8 @@ ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
     : config_(config),
       num_shards_(num_shards),
       granule_blocks_(routing_granule_blocks(config)),
-      num_blocks_(config.size_bytes / 64) {
+      num_blocks_(config.size_bytes / 64),
+      pool_(ShardPool::helpers_for(num_shards)) {
   if (num_shards == 0)
     throw std::invalid_argument("ShardedSecureMemory: need >= 1 shard");
   const std::uint64_t granule_bytes = granule_blocks_ * 64ULL;
@@ -160,6 +130,12 @@ ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
     shard_config.master_key = shard_master_key(config.master_key, s);
     shards_[s].engine = std::make_unique<SecureMemory>(shard_config);
   }
+  // Longest slice a delta container may claim for one shard: a full
+  // image plus the delta framing (header + worst-case all-ADD command
+  // stream). Fixed by geometry, so restore_delta reads it lock-free.
+  slice_cap_ = shards_[0].engine->image_bytes() +
+               25 * (num_blocks_ / num_shards) + 4096;
+  delta_slices_.resize(num_shards);
 }
 
 void ShardedSecureMemory::check_block(std::uint64_t block) const {
@@ -566,7 +542,7 @@ SecureMemory::ScrubReport ShardedSecureMemory::scrub_all(bool deep) {
     return refused;
   }
   std::vector<SecureMemory::ScrubReport> reports(num_shards_);
-  parallel_over_shards(num_shards_, [this, deep, &reports](unsigned s) {
+  pool_.run(num_shards_, [this, deep, &reports](unsigned s) {
     Shard& shard = shards_[s];
     const SeqWriteLock lock(shard.mu);
     reports[s] = shard.engine->scrub_all(deep);
@@ -586,10 +562,13 @@ SecureMemory::ScrubReport ShardedSecureMemory::scrub_all(bool deep) {
 
 bool ShardedSecureMemory::rotate_master_key(std::uint64_t new_master) {
   if (poisoned()) return false;  // split-keyed state: nothing to rotate from
+  // The region key is snapshot_mu_'s: a restore staging under it must
+  // not interleave with a rotation that is halfway through the shards.
+  const MutexLock region(snapshot_mu_);
   const std::uint64_t old_master = config_.master_key;
 
   std::vector<char> rotated(num_shards_, 0);
-  parallel_over_shards(num_shards_, [this, new_master, &rotated](unsigned s) {
+  pool_.run(num_shards_, [this, new_master, &rotated](unsigned s) {
     Shard& shard = shards_[s];
     const SeqWriteLock lock(shard.mu);
     rotated[s] =
@@ -607,16 +586,15 @@ bool ShardedSecureMemory::rotate_master_key(std::uint64_t new_master) {
   // old master so the region stays uniformly keyed.
   if (rotate_rollback_fault_hook_) rotate_rollback_fault_hook_();
   std::vector<char> rolled_back(num_shards_, 1);
-  parallel_over_shards(
-      num_shards_, [this, old_master, &rotated, &rolled_back](unsigned s) {
-        if (!rotated[s]) return;
-        Shard& shard = shards_[s];
-        const SeqWriteLock lock(shard.mu);
-        rolled_back[s] =
-            shard.engine->rotate_master_key(shard_master_key(old_master, s))
-                ? 1
-                : 0;
-      });
+  pool_.run(num_shards_, [this, old_master, &rotated,
+                          &rolled_back](unsigned s) {
+    if (!rotated[s]) return;
+    Shard& shard = shards_[s];
+    const SeqWriteLock lock(shard.mu);
+    rolled_back[s] =
+        shard.engine->rotate_master_key(shard_master_key(old_master, s)) ? 1
+                                                                         : 0;
+  });
 
   // Rolling back re-reads data this very call just re-encrypted, so it
   // normally succeeds — but "normally" is not a guarantee: a fault or
@@ -759,6 +737,8 @@ bool ShardedSecureMemory::restore_full_tail(std::istream& in,
   if (read_u64(in) != num_shards_) return false;
   if (read_u64(in) != granule_blocks_) return false;
 
+  // The region key first (see rotate_master_key), then every shard.
+  const MutexLock region(snapshot_mu_);
   std::vector<std::size_t> all(num_shards_);
   std::iota(all.begin(), all.end(), std::size_t{0});
   const auto locks = lock_in_order(mutexes_of(all));
@@ -806,9 +786,11 @@ bool ShardedSecureMemory::restore_full_tail(std::istream& in,
     staged.push_back(std::move(*image));
   }
   // Commit touches only per-shard state (counter decode, shadow
-  // counters, arena parking), so it runs shard-parallel.
+  // counters, arena parking), so it runs shard-parallel — on this thread
+  // alone if another job holds the pool, since that job may be waiting
+  // for one of the locks held here.
   const auto t1 = std::chrono::steady_clock::now();
-  parallel_over_shards(num_shards_, [&engines, &staged](unsigned s) {
+  pool_.run(num_shards_, [&engines, &staged](unsigned s) {
     engines[s]->commit_restore(std::move(staged[s]));
   });
   if (timing) {
@@ -826,14 +808,18 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
 
   // Per-shard deltas are variable-sized (and a broken-chain shard falls
   // back to its full image), so the container needs a length table
-  // ahead of the payloads — every shard therefore serializes into a
-  // private buffer, filled shard-parallel. Unlike save(), this costs
-  // little: a delta buffer is a few percent of the image.
-  std::vector<std::vector<char>> images(num_shards_);
+  // ahead of the payloads — every shard therefore serializes into its
+  // own slice buffer, filled shard-parallel. The buffers are the
+  // container's and recycled across calls (snapshot_mu_, taken before
+  // any shard lock, guards them), so a steady delta chain writes into
+  // storage it already has.
+  const MutexLock buffers(snapshot_mu_);
+  std::vector<std::vector<char>>& images = delta_slices_;
   std::vector<Status> statuses(num_shards_, Status::kOk);
-  parallel_over_shards(num_shards_, [this, &images, &statuses](unsigned s) {
+  pool_.run(num_shards_, [this, &images, &statuses](unsigned s) {
     Shard& shard = shards_[s];
     const SeqWriteLock lock(shard.mu);
+    images[s].clear();
     VectorSink sink(images[s]);
     std::ostream shard_out(&sink);
     statuses[s] = shard.engine->save_delta(shard_out);
@@ -849,6 +835,13 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
     out.write(images[s].data(),
               static_cast<std::streamsize>(images[s].size()));
   }
+  // A full fallback slice holds a whole shard image; recycling its
+  // buffer would park that much memory for the small deltas that follow.
+  for (std::vector<char>& image : images) {
+    if (image.size() >= 8 &&
+        std::memcmp(image.data(), kEngineImageMagic, 8) == 0)
+      std::vector<char>().swap(image);
+  }
   // The shard engines aligned their chains into the private buffers; if
   // the container-level write then failed, those bases describe an image
   // that never persisted. Break the chains so the next save_delta falls
@@ -859,6 +852,17 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
     folded = worse(folded, Status::kSnapshotIoError);
   }
   return folded;
+}
+
+const char* ShardedSecureMemory::read_delta_payload(std::istream& in,
+                                                   std::uint64_t total)
+    SECMEM_REQUIRES(snapshot_mu_) {
+  // Grow-only, so reuse never re-zeroes bytes the read overwrites.
+  std::vector<char>& payload = delta_payload_;
+  if (payload.size() < total) payload.resize(static_cast<std::size_t>(total));
+  in.read(payload.data(), static_cast<std::streamsize>(total));
+  if (!in || static_cast<std::uint64_t>(in.gcount()) != total) return nullptr;
+  return payload.data();
 }
 
 // All shard locks held from before the bulk payload read to the last
@@ -872,21 +876,19 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   if (read_u64(in) != granule_blocks_) return false;
 
   // Length table. Each slice must at least hold a magic and can never
-  // exceed a full image plus the delta framing (header + worst-case
-  // all-ADD command stream) — a hostile table must not size the bulk
-  // read.
-  const std::uint64_t blocks_per_shard = num_blocks_ / num_shards_;
-  const std::uint64_t slice_cap = shards_[0].engine->image_bytes() +
-                                  25 * blocks_per_shard + 4096;
+  // exceed slice_cap_ — a hostile table must not size the bulk read.
   std::vector<std::uint64_t> lengths(num_shards_);
   std::uint64_t total = 0;
   for (unsigned s = 0; s < num_shards_; ++s) {
     lengths[s] = read_u64(in);
-    if (lengths[s] < 8 || lengths[s] > slice_cap) return false;
+    if (lengths[s] < 8 || lengths[s] > slice_cap_) return false;
     total += lengths[s];
   }
   if (!in) return false;
 
+  // The region key and the payload buffer (snapshot_mu_), then every
+  // shard.
+  const MutexLock region(snapshot_mu_);
   std::vector<std::size_t> all(num_shards_);
   std::iota(all.begin(), all.end(), std::size_t{0});
   const auto locks = lock_in_order(mutexes_of(all));
@@ -898,11 +900,24 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   // One bulk read, sliced by the length table. Unlike the full path,
   // which stages straight off the stream, the slices are variable-sized
   // and staged shard-parallel: a stager that read short would desync
-  // every following shard's cut, so each one gets a bounded slice. The
-  // copy is small — a delta is a few percent of the image.
-  std::vector<char> payload(static_cast<std::size_t>(total));
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in || static_cast<std::uint64_t>(in.gcount()) != payload.size()) {
+  // every following shard's cut, so each one gets a bounded slice.
+  // Delta slices are verified and parsed in place in the payload
+  // buffer — the only copy of a delta on this side.
+  //
+  // The buffer is recycled only when every slice is a delta: a full
+  // fallback slice (or a short read after a hostile length table) sized
+  // it like whole shard images, which the small deltas that follow
+  // would leave parked.
+  bool recycle = false;
+  struct Release {
+    std::vector<char>& buffer;
+    const bool& keep;
+    ~Release() {
+      if (!keep) std::vector<char>().swap(buffer);
+    }
+  } release{delta_payload_, recycle};
+  const char* const payload = read_delta_payload(in, total);
+  if (payload == nullptr) {
     if (trace_)
       trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
                      0, 0);
@@ -911,6 +926,11 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   std::vector<std::size_t> offsets(num_shards_, 0);
   for (unsigned s = 1; s < num_shards_; ++s)
     offsets[s] = offsets[s - 1] + static_cast<std::size_t>(lengths[s - 1]);
+  recycle = true;
+  for (unsigned s = 0; s < num_shards_; ++s) {
+    if (std::memcmp(payload + offsets[s], kEngineDeltaMagic, 8) != 0)
+      recycle = false;
+  }
 
   // Stage every slice — sniffing each on ITS magic: kEngineDeltaMagic
   // is a delta against that shard's current chain, kEngineImageMagic a
@@ -924,16 +944,17 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
     bool ok = false;
   };
   std::vector<StagedShard> staged(num_shards_);
-  parallel_over_shards(num_shards_, [this, &payload, &offsets, &lengths,
-                                     &engines, &staged](unsigned s) {
-    const char* slice = payload.data() + offsets[s];
+  pool_.run(num_shards_, [this, payload, &offsets, &lengths, &engines,
+                          &staged](unsigned s) {
+    const char* slice = payload + offsets[s];
     const auto len = static_cast<std::size_t>(lengths[s]);
-    SpanSource source(slice, len);
-    std::istream shard_in(&source);
     if (std::memcmp(slice, kEngineDeltaMagic, 8) == 0) {
-      staged[s].delta = engines[s]->stage_delta(shard_in);
+      staged[s].delta = engines[s]->stage_delta(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(slice), len));
       staged[s].ok = staged[s].delta.has_value();
     } else if (std::memcmp(slice, kEngineImageMagic, 8) == 0) {
+      SpanSource source(slice, len);
+      std::istream shard_in(&source);
       staged[s].full = engines[s]->stage_restore(
           shard_in, shard_master_key(config_.master_key, s));
       staged[s].ok = staged[s].full.has_value();
@@ -941,10 +962,12 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   });
   for (unsigned s = 0; s < num_shards_; ++s) {
     if (staged[s].ok) continue;
-    // Full fallback slices that did stage hand their storage back.
+    // Slices that did stage hand their storage back.
     for (unsigned k = 0; k < num_shards_; ++k) {
       if (staged[k].full)
         engines[k]->discard_restore(std::move(*staged[k].full));
+      if (staged[k].delta)
+        engines[k]->discard_restore(std::move(*staged[k].delta));
     }
     if (trace_)
       trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
@@ -954,8 +977,7 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
 
   const auto t1 = std::chrono::steady_clock::now();
   std::vector<char> commit_failed(num_shards_, 0);
-  parallel_over_shards(num_shards_, [&engines, &staged,
-                                     &commit_failed](unsigned s) {
+  pool_.run(num_shards_, [&engines, &staged, &commit_failed](unsigned s) {
     if (staged[s].full) {
       engines[s]->commit_restore(std::move(*staged[s].full));
     } else if (!engines[s]->commit_delta(std::move(*staged[s].delta))) {
@@ -983,6 +1005,14 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   // keyed again.
   poisoned_.store(false, std::memory_order_release);
   return true;
+}
+
+std::uint64_t ShardedSecureMemory::delta_buffer_bytes() const {
+  const MutexLock buffers(snapshot_mu_);
+  std::uint64_t bytes = delta_payload_.capacity();
+  for (const std::vector<char>& image : delta_slices_)
+    bytes += image.capacity();
+  return bytes;
 }
 
 std::uint64_t ShardedSecureMemory::dirty_granules() const noexcept

@@ -65,6 +65,7 @@
 #include "engine/lock_table.h"
 #include "engine/secure_memory.h"
 #include "engine/secure_memory_like.h"
+#include "engine/shard_pool.h"
 
 namespace secmem {
 
@@ -136,17 +137,21 @@ class ShardedSecureMemory : public SecureMemoryLike {
                     std::span<std::uint8_t> out) override;
 
   /// ------------------------------------------------------------------
-  /// Region-wide maintenance, shard-parallel on a bounded worker pool
-  /// (min(shards, hardware_concurrency) threads sharing an atomic shard
-  /// cursor — a 64-shard region on a 4-core box used to spawn 64
-  /// threads). Unswept shards keep serving their callers.
+  /// Region-wide maintenance, shard-parallel on the region's persistent
+  /// ShardPool (engine/shard_pool.h): min(shards, hardware threads) - 1
+  /// workers started with the engine, plus the calling thread, drain one
+  /// shard cursor. If another operation's job holds the pool, the call
+  /// sweeps every shard on its own thread. Unswept shards keep serving
+  /// their callers.
   /// ------------------------------------------------------------------
   ScrubReport scrub_all(bool deep = false) override;
 
   /// Re-key every shard (in parallel) under secrets derived from
-  /// `new_master`. All-or-nothing across shards: if any shard fails
-  /// verification, already-rotated shards are rotated back to the old
-  /// master and false is returned with the region's contents intact.
+  /// `new_master`. Serialized against restore() and restore_delta(),
+  /// which stage under the region key. All-or-nothing across shards: if
+  /// any shard fails verification, already-rotated shards are rotated
+  /// back to the old master and false is returned with the region's
+  /// contents intact.
   ///
   /// The rollback itself re-reads freshly re-encrypted data, so it
   /// *normally* cannot fail — but a fault or active tamper landing in
@@ -209,8 +214,10 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// under that shard's lock, so shards not yet reached keep serving;
   /// restore() stages each shard off the stream into that engine's
   /// recycled staging storage, then commits the shards in parallel on
-  /// the maintenance worker pool (see scrub_all). A save that fails
-  /// mid-stream breaks every shard's delta chain.
+  /// the shard pool (see scrub_all) — or on its own thread when another
+  /// job holds the pool, since that job may be waiting for a shard lock
+  /// the restore holds. A save that fails mid-stream breaks every
+  /// shard's delta chain.
   [[nodiscard]] Status save(std::ostream& out) override;
   [[nodiscard]] bool restore(std::istream& in) override;
 
@@ -220,21 +227,30 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// hot working set emits a small COPY/ADD delta while a shard with a
   /// broken chain (fresh, just rotated) falls back to its full image —
   /// so a length table sits between the header and the payloads, and
-  /// every shard serializes into a private buffer, filled in parallel
-  /// on the maintenance worker pool.
+  /// every shard serializes into its own slice buffer, filled in
+  /// parallel on the shard pool.
   ///
   /// restore_delta() accepts BOTH container kinds, dispatching on the
   /// magic: a full container (save()'s output) takes the full-restore
   /// path; a delta container bulk-reads the payload once, slices it by
   /// the length table, and stages every shard's slice — itself sniffed
-  /// as a full image or a delta on ITS magic — with all shard locks
-  /// held, then commits. Same all-or-nothing contract as restore(): any
-  /// staging failure (container damage, one tampered shard, one stale
-  /// base seal) returns false with the region EXACTLY as it was. The
-  /// one exception mirrors SecureMemory::commit_delta's
-  /// defense-in-depth verdict: a post-apply root mismatch on a shard
-  /// (cryptographically negligible) wipes that shard and POISONS the
-  /// region rather than serve a half-applied state.
+  /// as a full image or a delta on ITS magic; a delta slice is verified
+  /// and parsed in place (SecureMemory::stage_delta over the span) —
+  /// with all shard locks held, then commits.
+  ///
+  /// The slice buffers and the payload buffer belong to the container
+  /// and are recycled across calls, so a steady delta chain allocates no
+  /// payload-sized storage on either side. A buffer that held a full
+  /// fallback image is released instead of recycled: it is a whole
+  /// shard image, and the deltas after it are a few percent of that.
+  ///
+  /// Same all-or-nothing contract as restore(): any staging failure
+  /// (container damage, one tampered shard, one stale base seal) returns
+  /// false with the region EXACTLY as it was. The one exception mirrors
+  /// SecureMemory::commit_delta's defense-in-depth verdict: a post-apply
+  /// root mismatch on a shard (cryptographically negligible) wipes that
+  /// shard and POISONS the region rather than serve a half-applied
+  /// state.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
   [[nodiscard]] bool restore_delta(std::istream& in) override;
 
@@ -245,6 +261,11 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// Total dirty delta-granules across shards — a relaxed-atomic
   /// snapshot, lock-free like stats().
   std::uint64_t dirty_granules() const noexcept;
+
+  /// Bytes the container keeps parked for delta replication: the
+  /// per-shard slice buffers plus the payload buffer (each shard's own
+  /// arena is SecureMemory::snapshot_arena_bytes).
+  std::uint64_t delta_buffer_bytes() const;
 
   // Re-expose the base class's std::byte-span / buffer overloads.
   using SecureMemoryLike::read_bytes;
@@ -300,6 +321,10 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// bytes and hold no locks yet.
   bool restore_full_tail(std::istream& in, SnapshotTiming* timing);
   bool restore_delta_tail(std::istream& in, SnapshotTiming* timing);
+  /// Bulk-read `total` payload bytes of a delta container into the
+  /// recycled payload buffer; nullptr if the stream ran short.
+  const char* read_delta_payload(std::istream& in, std::uint64_t total)
+      SECMEM_REQUIRES(snapshot_mu_);
   /// Invalidate every shard's delta base (see SecureMemory::break_chain)
   /// after a container-level snapshot stream failure: the shards aligned
   /// on an image that never persisted, so the next save_delta must fall
@@ -311,12 +336,27 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// Status::kRegionPoisoned for the caller to propagate.
   Status poisoned_mutation(std::uint64_t block) const noexcept;
 
-  SecureMemoryConfig config_;  ///< region-level config (total size)
+  /// Region-level config (total size). Its master_key is the region key:
+  /// written by rotate_master_key and read by the restores, all under
+  /// snapshot_mu_.
+  SecureMemoryConfig config_;
   unsigned num_shards_;
   unsigned granule_blocks_;
   std::uint64_t num_blocks_;
+  /// Longest per-shard slice a delta container may claim (fixed by
+  /// geometry at construction).
+  std::uint64_t slice_cap_ = 0;
   /// Fixed-size at construction; Shard is neither movable nor copyable.
   std::unique_ptr<Shard[]> shards_;
+  /// Region snapshot lock: serializes rotation and the restores over the
+  /// region key, and guards the recycled delta-replication buffers.
+  /// Always taken BEFORE any shard lock.
+  mutable Mutex snapshot_mu_;
+  /// save_delta's per-shard slice buffers and restore_delta's bulk
+  /// payload buffer.
+  std::vector<std::vector<char>> delta_slices_ SECMEM_GUARDED_BY(snapshot_mu_);
+  std::vector<char> delta_payload_ SECMEM_GUARDED_BY(snapshot_mu_);
+  ShardPool pool_;
   /// Set on key-rotation rollback failure; cleared by successful
   /// restore(). Acquire/release so the thread observing the flag also
   /// observes the trace/metric records that explain it.

@@ -1,5 +1,5 @@
-// Fixture: stream-sourced bytes reaching member state with no
-// verification anywhere in the function.
+// Fixture: stream- or span-sourced bytes reaching member state, or
+// escaping as a staged result, before any verification.
 // Never compiled — scanned by secmem-lint in tests/test_lint.cc.
 #include <algorithm>
 #include <istream>
@@ -29,7 +29,16 @@ class BadEngine {
     return staged;  // rule: verify-before-apply
   }
 
+  // A span-staged delta whose early path returns ahead of the check.
+  StagedDelta stage_delta(std::span<const unsigned char> payload) {
+    StagedDelta staged{payload.subspan(80)};
+    if (payload[0] == 0) return staged;  // rule: verify-before-apply
+    if (!secmem::ct_equal_u64(mac_of(payload), expected_)) return {};
+    return staged;
+  }
+
  private:
   std::vector<unsigned char> ciphertext_;
   std::vector<unsigned char> macs_;
+  unsigned long expected_ = 0;
 };

@@ -2,6 +2,7 @@
 // near-miss shapes the dataflow rule must NOT fire on.
 // Never compiled — scanned by secmem-lint in tests/test_lint.cc.
 #include <istream>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,15 @@ class GoodEngine {
     return staged;
   }
 
+  // Span-staged delta: every return of the staged value follows the
+  // check, and the early exit returns a fresh value.
+  StagedDelta stage_delta(std::span<const unsigned char> payload) {
+    if (payload.size() < 80) return StagedDelta{};
+    StagedDelta staged{payload.subspan(80)};
+    if (!secmem::ct_equal_u64(mac_of(payload), mac_)) return StagedDelta{};
+    return staged;
+  }
+
   // Delegating wrapper: returns a call result, not a tainted local.
   bool restore(std::istream& in) { return restore_tail(in); }
 
@@ -44,4 +54,5 @@ class GoodEngine {
   unsigned char expected_[8];
   Arena arena_;
   unsigned count_ = 0;
+  unsigned long mac_ = 0;
 };

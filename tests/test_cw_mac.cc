@@ -236,6 +236,40 @@ TEST(CwMac, PrfModeSensitiveToMessageAndLength) {
   EXPECT_NE(mac.compute_prf(7, s1), mac.compute_prf(7, s2));
 }
 
+TEST(CwMac, PrfPartsMatchConcatenationOnEveryBackend) {
+  // Every 2- and 3-way split of every 0..200-byte message, empty parts
+  // included: the parts overload must hash exactly the concatenation,
+  // whatever word or 64-byte chunk boundary a cut lands on.
+  std::vector<std::uint8_t> msg(200);
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 0x9D + 0x3B);
+  std::vector<std::pair<const Aes128Ops*, const Gf64Ops*>> backends = {
+      {&aes128_ops_portable(), &gf64_ops_portable()}};
+  if (aes128_ops_accelerated() != nullptr &&
+      gf64_ops_accelerated() != nullptr)
+    backends.emplace_back(aes128_ops_accelerated(), gf64_ops_accelerated());
+
+  for (const auto& [aes, gf] : backends) {
+    const CwMac mac(test_key(), *aes, *gf);
+    for (std::size_t len = 0; len <= msg.size(); ++len) {
+      const std::span<const std::uint8_t> m(msg.data(), len);
+      const std::uint64_t want = mac.compute_prf(0x5eed, m);
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i <= len; ++i) {
+        const std::array<std::span<const std::uint8_t>, 2> two = {
+            m.first(i), m.subspan(i)};
+        mismatches += mac.compute_prf(0x5eed, two) != want;
+        for (std::size_t j = i; j <= len; ++j) {
+          const std::array<std::span<const std::uint8_t>, 3> three = {
+              m.first(i), m.subspan(i, j - i), m.subspan(j)};
+          mismatches += mac.compute_prf(0x5eed, three) != want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << mac.gf_backend_name() << " len " << len;
+    }
+  }
+}
+
 TEST(CwMac, PrfModeDomainReuseDoesNotLeakHashDifference) {
   // The snapshot layer MACs MANY messages under one fixed domain —
   // exactly the pad-reuse setting NonceReuseLeaksHashDifference above

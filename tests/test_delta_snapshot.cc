@@ -4,9 +4,10 @@
 // region intact for the clean retry, stale-delta replay rejection, key
 // rotation breaking the chain and falling back to full images, callers
 // that ship only full images through restore_delta, the exhaustive
-// every-byte-flip-rejects contract on sealed delta images, and the
-// cross-instance encode_delta image diff. The codec underneath is unit
-// tested in test_delta_image.cc.
+// every-byte-flip-rejects contract on sealed delta images, pinned delta
+// image bytes, the recycled delta buffers, and the cross-instance
+// encode_delta image diff. The codec underneath is unit tested in
+// test_delta_image.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -479,6 +480,189 @@ TEST(DeltaSaveIoFailure, ShardedFullSaveFailingMidStreamBreaksChains) {
   EXPECT_EQ(image_of(source), image_of(replica));
   EXPECT_EQ(replica.read_block(5).data, pattern(0x5A));
   EXPECT_EQ(replica.read_block(in_shard1).data, pattern(0x5B));
+}
+
+// ------------------------------------------------ pinned image bytes
+
+/// FNV-1a over an image: a stable fingerprint to pin whole images with.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A fixed write sequence after the chain is aligned: scattered writes
+/// plus one block rewritten past its delta budget, so the delta carries
+/// a group re-encryption as well as single dirty granules.
+void dirty_fixed_set(SecureMemoryLike& engine, std::uint64_t rng_seed) {
+  Xoshiro256 rng(rng_seed);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(engine.write_block(rng.next_below(engine.num_blocks()),
+                                 pattern(static_cast<std::uint8_t>(i + 100))),
+              Status::kOk);
+  }
+  for (int i = 0; i < 140; ++i)
+    ASSERT_EQ(engine.write_block(70, pattern(static_cast<std::uint8_t>(i))),
+              Status::kOk);
+}
+
+// The fingerprints below were taken before the delta path moved to
+// recycled buffers, span staging and the parts-wise command MAC: a
+// delta image is the same bytes however it is produced.
+TEST(DeltaImageBytes, EngineDeltaChainIsPinned) {
+  SecureMemoryConfig config;
+  config.size_bytes = 256 * 1024;
+  SecureMemory engine(config);
+  populate(engine, 73);
+  (void)image_of(engine);  // align the chain on a full image
+  dirty_fixed_set(engine, 79);
+  const std::string first = delta_of(engine);
+  dirty_fixed_set(engine, 83);
+  const std::string second = delta_of(engine);
+  EXPECT_EQ(first.size(), 136710u);
+  EXPECT_EQ(fnv1a(first), 0x6c00b9b41998fb8eULL);
+  EXPECT_EQ(second.size(), 160028u);
+  EXPECT_EQ(fnv1a(second), 0x5df19ced71983f3dULL);
+}
+
+TEST(DeltaImageBytes, ShardedDeltaContainerIsPinned) {
+  SecureMemoryConfig config;
+  config.size_bytes = 256 * 1024;
+  ShardedSecureMemory engine(config, 4);
+  populate(engine, 89);
+  (void)image_of(engine);
+  dirty_fixed_set(engine, 97);
+  const std::string first = delta_of(engine);
+  dirty_fixed_set(engine, 101);
+  const std::string second = delta_of(engine);
+  EXPECT_EQ(first.size(), 132317u);
+  EXPECT_EQ(fnv1a(first), 0x56cb71b04532d3d6ULL);
+  EXPECT_EQ(second.size(), 155770u);
+  EXPECT_EQ(fnv1a(second), 0xad55209446405c00ULL);
+}
+
+// ---------------------------------------------- recycled delta buffers
+
+TEST(DeltaArena, EngineCountsAndRecyclesDeltaBuffers) {
+  SecureMemory source(small_config());
+  SecureMemory replica(small_config());
+  populate(source, 103);
+  {
+    std::istringstream in(image_of(source));
+    ASSERT_TRUE(replica.restore(in));
+  }
+  // save_delta's command buffer, and stage_delta's stream buffer and
+  // parsed commands, count as parked snapshot storage.
+  const std::uint64_t source_before = source.snapshot_arena_bytes();
+  const std::uint64_t replica_before = replica.snapshot_arena_bytes();
+  ASSERT_EQ(source.write_block(3, pattern(1)), Status::kOk);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  const std::uint64_t source_steady = source.snapshot_arena_bytes();
+  const std::uint64_t replica_steady = replica.snapshot_arena_bytes();
+  EXPECT_GT(source_steady, source_before);
+  EXPECT_GT(replica_steady, replica_before);
+  // The same dirty set every cycle reuses them: nothing grows.
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    ASSERT_EQ(source.write_block(3, pattern(static_cast<std::uint8_t>(cycle))),
+              Status::kOk);
+    ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+    EXPECT_EQ(source.snapshot_arena_bytes(), source_steady);
+    EXPECT_EQ(replica.snapshot_arena_bytes(), replica_steady);
+  }
+  EXPECT_EQ(image_of(source), image_of(replica));
+}
+
+TEST(DeltaArena, StreamStagingCommitsLikeRestoreDelta) {
+  // stage_delta(istream&) reads into the arena's stream buffer and
+  // stages there; the staged delta borrows it until commit_delta.
+  SecureMemory source(small_config());
+  SecureMemory replica(small_config());
+  populate(source, 109);
+  {
+    std::istringstream in(image_of(source));
+    ASSERT_TRUE(replica.restore(in));
+  }
+  ASSERT_EQ(source.write_block(9, pattern(0x99)), Status::kOk);
+  const std::string delta = delta_of(source);
+  std::string tampered = delta;
+  tampered.back() = static_cast<char>(tampered.back() ^ 0x01);  // trailer
+  {
+    std::istringstream in(tampered);
+    EXPECT_FALSE(replica.stage_delta(in).has_value());
+  }
+  std::istringstream in(delta);
+  auto staged = replica.stage_delta(in);
+  ASSERT_TRUE(staged.has_value());
+  ASSERT_TRUE(replica.commit_delta(std::move(*staged)));
+  EXPECT_EQ(image_of(source), image_of(replica));
+}
+
+TEST(DeltaArena, ShardedBuffersStayBoundedAcrossCycles) {
+  SecureMemoryConfig config;
+  config.size_bytes = 256 * 1024;
+  ShardedSecureMemory source(config, 4);
+  ShardedSecureMemory replica(config, 4);
+  populate(source, 107);
+  {
+    std::istringstream in(image_of(source));
+    ASSERT_TRUE(replica.restore(in));
+  }
+  const auto hot_writes = [&source](std::uint8_t round) {
+    for (std::uint64_t b = 0; b < source.num_blocks(); b += 97)
+      ASSERT_EQ(source.write_block(b, pattern(round)), Status::kOk);
+  };
+  // The container's buffers, then each shard's arena.
+  const auto parked = [](ShardedSecureMemory& engine) {
+    std::vector<std::uint64_t> bytes{engine.delta_buffer_bytes()};
+    for (unsigned s = 0; s < engine.num_shards(); ++s) {
+      bytes.push_back(engine.with_shard_exclusive(
+          s, [](SecureMemory& m) { return m.snapshot_arena_bytes(); }));
+    }
+    return bytes;
+  };
+  hot_writes(0);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  const std::vector<std::uint64_t> source_steady = parked(source);
+  const std::vector<std::uint64_t> replica_steady = parked(replica);
+  EXPECT_GT(source_steady[0], 0u);
+  EXPECT_GT(replica_steady[0], 0u);
+  for (int cycle = 1; cycle <= 50; ++cycle) {
+    hot_writes(static_cast<std::uint8_t>(cycle));
+    ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+    ASSERT_EQ(parked(source), source_steady) << "cycle " << cycle;
+    ASSERT_EQ(parked(replica), replica_steady) << "cycle " << cycle;
+  }
+
+  // A delta rejected for a tampered command MAC keeps every buffer, and
+  // the clean copy still lands. The container header is 24 bytes plus a
+  // length per shard; shard 0's MAC closes its 80-byte slice header.
+  hot_writes(51);
+  const std::string delta = delta_of(source);
+  std::string tampered = delta;
+  const std::size_t shard0_mac = 24 + 8 * source.num_shards() + 72;
+  tampered[shard0_mac] = static_cast<char>(tampered[shard0_mac] ^ 0x01);
+  ASSERT_FALSE(apply_delta(replica, tampered));
+  EXPECT_EQ(parked(replica), replica_steady);
+  ASSERT_TRUE(apply_delta(replica, delta));
+  EXPECT_EQ(parked(replica), replica_steady);
+
+  // A rotation breaks every chain, so the next delta ships full shard
+  // images. Neither side may keep a buffer that size parked afterwards.
+  const std::uint64_t shard_image = source.with_shard_exclusive(
+      0, [](SecureMemory& m) { return m.image_bytes(); });
+  ASSERT_TRUE(source.rotate_master_key(0x1234));
+  ASSERT_TRUE(replica.rotate_master_key(0x1234));
+  const std::string fallback = delta_of(source);
+  EXPECT_GT(fallback.size(), source.num_shards() * shard_image);
+  EXPECT_LT(source.delta_buffer_bytes(), shard_image);
+  ASSERT_TRUE(apply_delta(replica, fallback));
+  EXPECT_LT(replica.delta_buffer_bytes(), shard_image);
+  hot_writes(52);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  EXPECT_EQ(image_of(source), image_of(replica));
 }
 
 // --------------------------------------------- cross-instance diffing

@@ -90,12 +90,14 @@ TEST(SecmemLint, BadFixtureTripsEveryTokenRule) {
 TEST(SecmemLint, BadFixtureTripsEveryFlowRule) {
   const LintRun run = run_lint("--root " + kBad);
   EXPECT_EQ(run.exit_code, 1);
-  // verify-before-apply: all four sink shapes.
+  // verify-before-apply: all four sink shapes, plus a span-staged
+  // return ahead of its ct_equal (the span is tainted whatever its name).
   EXPECT_TRUE(run.has("src/engine/bad_verify.cc:13: verify-before-apply"));
   EXPECT_TRUE(run.has("src/engine/bad_verify.cc:14: verify-before-apply"));
   EXPECT_TRUE(run.has("src/engine/bad_verify.cc:22: verify-before-apply"));
   EXPECT_TRUE(run.has("src/engine/bad_verify.cc:29: verify-before-apply"));
-  EXPECT_EQ(run.count_rule("verify-before-apply"), 4u);
+  EXPECT_TRUE(run.has("src/engine/bad_verify.cc:35: verify-before-apply"));
+  EXPECT_EQ(run.count_rule("verify-before-apply"), 5u);
   // status-discard: dead variable, overwrite, trailing dead write.
   EXPECT_TRUE(run.has("src/engine/bad_status.cc:11: status-discard"));
   EXPECT_TRUE(run.has("src/engine/bad_status.cc:16: status-discard"));

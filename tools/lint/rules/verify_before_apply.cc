@@ -3,13 +3,15 @@
 // reach member state until a constant-time verification (ct_equal /
 // ct_equal_u64 / verify*) has run in the same function.
 //
-// Taint sources: istream parameters, Staged-typed parameters, span
-// parameters whose name mentions "image". Taint propagates forward by
-// name: a local whose initializer, assignment RHS, or sibling argument
-// position mentions a tainted name becomes tainted. Member state is any
-// trailing-underscore identifier plus "member-alias" locals — locals
-// whose initializer captures a member by reference/aggregate (a bare
-// `foo_` in the initializer, not moved from).
+// Taint sources: istream parameters, Staged-typed parameters, and every
+// span parameter — a staging function's span is the image (or a slice
+// of one) it stages in place, whatever it is called. Taint propagates
+// forward by name: a local whose initializer, assignment RHS, or
+// sibling argument position mentions a tainted name becomes tainted.
+// Member state is any trailing-underscore identifier plus
+// "member-alias" locals — locals whose initializer captures a member by
+// reference/aggregate (a bare `foo_` in the initializer, not moved
+// from).
 //
 // Sinks (a finding when no verification call dominates them):
 //   member_ = <tainted...>;          assignment into member state
@@ -17,8 +19,11 @@
 //   f(alias, tainted...)             mutating call through a member alias
 //   return tainted; / return std::move(tainted);
 //
-// The return form is what keeps stage_*_tail honest: deleting or
-// reordering the ct_equal there makes `return staged;` fire.
+// The return form is what keeps the stage_* bodies honest: deleting or
+// reordering the ct_equal there, or returning the staged value on an
+// early path ahead of it, makes `return staged;` fire. Returns are
+// judged by position — any that precedes the first verification call
+// fires, even when a later path does verify.
 #include <algorithm>
 #include <cstddef>
 #include <set>
@@ -47,12 +52,9 @@ bool scoped_fn(const FuncInfo& fn) {
 }
 
 bool tainted_param(const Param& p) {
-  if (p.type.find("istream") != std::string::npos) return true;
-  if (p.type.find("Staged") != std::string::npos) return true;
-  if (p.type.find("span") != std::string::npos &&
-      p.name.find("image") != std::string::npos)
-    return true;
-  return false;
+  return p.type.find("istream") != std::string::npos ||
+         p.type.find("Staged") != std::string::npos ||
+         p.type.find("span") != std::string::npos;
 }
 
 bool span_mentions(const LexedFile& f, TokenSpan span,
@@ -156,14 +158,18 @@ void check_verify_before_apply(const SourceFile& sf, Emit emit) {
 
     std::set<std::string, std::less<>> aliases;
     bool verified = false;
+    std::size_t first_verify_tok = SIZE_MAX;
     std::set<std::size_t> reported;
-    auto fire = [&](std::size_t tok, const std::string& what) {
-      if (verified || !reported.insert(tok).second) return;
+    auto report = [&](std::size_t tok, const std::string& what) {
+      if (!reported.insert(tok).second) return;
       emit(f.tokens[tok].pos, "verify-before-apply",
            what + " in " + fn.name +
                "() before any ct_equal/verify call; authenticate "
                "stream/image-sourced bytes before they can reach member "
                "state (SECURITY.md \"verify-before-apply\")");
+    };
+    auto fire = [&](std::size_t tok, const std::string& what) {
+      if (!verified) report(tok, what);
     };
 
     for (const Event& ev : events) {
@@ -184,6 +190,7 @@ void check_verify_before_apply(const SourceFile& sf, Emit emit) {
       } else {
         const CallSite& c = calls[ev.idx];
         if (verification_callee(c.callee_last)) {
+          if (!verified) first_verify_tok = c.callee_tok;
           verified = true;
           continue;
         }
@@ -216,10 +223,12 @@ void check_verify_before_apply(const SourceFile& sf, Emit emit) {
       }
     }
 
-    // `return tainted;` / `return std::move(tainted);` — the staged
-    // result escapes to the commit path unverified.
-    if (!verified) {
-      for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
+    // `return tainted;` / `return std::move(tainted);` ahead of the
+    // first verification — the staged result escapes to the commit path
+    // unverified on that path.
+    {
+      const std::size_t end = std::min(fn.body_end, first_verify_tok);
+      for (std::size_t i = fn.body_begin; i + 1 < end; ++i) {
         if (!tok_is(f, i, "return")) continue;
         std::size_t name_tok = SIZE_MAX;
         if (f.tokens[i + 1].kind == Tok::kIdent && i + 2 < fn.body_end &&
@@ -232,7 +241,7 @@ void check_verify_before_apply(const SourceFile& sf, Emit emit) {
                  punct_is(f, i + 6, ")") && punct_is(f, i + 7, ";"))
           name_tok = i + 5;
         if (name_tok != SIZE_MAX && tainted.count(f.tokens[name_tok].text))
-          fire(i, "return of tainted staged data");
+          report(i, "return of tainted staged data");
       }
     }
   }
