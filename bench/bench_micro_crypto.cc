@@ -112,6 +112,45 @@ void BM_CtrKeystreamBatch64(benchmark::State& state) {
 }
 BENCHMARK(BM_CtrKeystreamBatch64);
 
+// One block op's cipher work on the engine's single-block paths: the
+// 64-byte CTR keystream plus the MAC pad for the same (addr, counter).
+// `serial` is the two calls the engine used to make back to back
+// (CtrKeystream::generate, then CwMac::pad_for); `fused` is the one
+// CwMac::keystream_and_pad call (Aes128Ops::encrypt4_1: five interleaved
+// AES chains under two key schedules).
+void BM_KeystreamAndPad(benchmark::State& state, const Aes128Ops* ops,
+                        bool fused) {
+  if (ops == nullptr) {
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  const CtrKeystream ks(aes_key(), *ops);
+  const CwMac mac(mac_key(), *ops, gf64_ops_portable());
+  DataBlock keystream{};
+  std::uint64_t ctr = 0;
+  for (auto _ : state) {
+    ++ctr;
+    std::uint64_t pad;
+    if (fused) {
+      pad = mac.keystream_and_pad(ks, 0x1000, ctr, keystream);
+    } else {
+      ks.generate(0x1000, ctr, keystream);
+      pad = mac.pad_for(0x1000, ctr);
+    }
+    benchmark::DoNotOptimize(keystream);
+    benchmark::DoNotOptimize(pad);
+  }
+  state.SetLabel(ops->name);
+}
+BENCHMARK_CAPTURE(BM_KeystreamAndPad, serial_portable, &aes128_ops_portable(),
+                  false);
+BENCHMARK_CAPTURE(BM_KeystreamAndPad, fused_portable, &aes128_ops_portable(),
+                  true);
+BENCHMARK_CAPTURE(BM_KeystreamAndPad, serial_accel, aes128_ops_accelerated(),
+                  false);
+BENCHMARK_CAPTURE(BM_KeystreamAndPad, fused_accel, aes128_ops_accelerated(),
+                  true);
+
 void BM_Gf64Mul(benchmark::State& state) {
   std::uint64_t a = 0x0123456789ABCDEFULL, b = 0xFEDCBA9876543210ULL;
   for (auto _ : state) {

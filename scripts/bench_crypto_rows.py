@@ -3,11 +3,12 @@
 
 Takes two Google Benchmark JSON files written by bench_micro_crypto, one
 with the default (accelerated) dispatch and one with
-SECMEM_FORCE_PORTABLE=1, and rewrites the gf64_mul, cw_mac_block_64B,
-cw_mac_compute_batch64 and cw_mac_prf_delta_command rows in place:
+SECMEM_FORCE_PORTABLE=1, and rewrites the rows listed in MEASURED_ROWS
+in place:
 
   B=build/bench/bench_micro_crypto
-  F='--benchmark_filter=Gf64MulBackend|CwMac --benchmark_min_time=0.2'
+  F='--benchmark_filter=AesEncryptBlock|CtrKeystream|KeystreamAndPad|Gf64MulBackend|CwMac'
+  F="$F --benchmark_min_time=0.2"
   $B $F --benchmark_out=accel.json --benchmark_out_format=json
   SECMEM_FORCE_PORTABLE=1 $B $F --benchmark_out=portable.json \\
       --benchmark_out_format=json
@@ -25,6 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGET = ROOT / "BENCH_crypto.json"
 TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 BATCH = 64
+MEASURED_ROWS = ["aes128_encrypt_block", "ctr_keystream_64B",
+                 "ctr_keystream_batch64", "ctr_keystream_with_pad_64B",
+                 "gf64_mul", "cw_mac_block_64B", "cw_mac_compute_batch64",
+                 "cw_mac_prf_delta_command"]
 
 
 def times_ns(path):
@@ -32,6 +37,14 @@ def times_ns(path):
         runs = json.load(f)["benchmarks"]
     return {r["name"]: r["real_time"] * TO_NS[r["time_unit"]] for r in runs
             if r.get("run_type", "iteration") == "iteration"}
+
+
+def throughput(ns_per_block):
+    """64 bytes per `ns_per_block`, as a human-readable rate."""
+    mb_per_s = 64 / ns_per_block * 1e3
+    if mb_per_s >= 1000:
+        return f"{mb_per_s / 1000:.2f} GB/s"
+    return f"{mb_per_s:.0f} MB/s"
 
 
 def main():
@@ -44,6 +57,39 @@ def main():
         return {soft_key: round(soft, 1), hard_key: round(hard, 2),
                 "speedup": round(soft / hard, 1)}
 
+    doc["aes128_encrypt_block"] = pair(portable["BM_AesEncryptBlock"],
+                                       accel["BM_AesEncryptBlock"],
+                                       "portable_ns", "aesni_ns")
+    soft_ks = accel["BM_CtrKeystream64BBackend/portable"]
+    hard_ks = accel["BM_CtrKeystream64BBackend/accel"]
+    doc["ctr_keystream_64B"] = {
+        **pair(soft_ks, hard_ks, "portable_ns", "aesni_ns"),
+        "portable_throughput": throughput(soft_ks),
+        "aesni_throughput": throughput(hard_ks),
+        "acceptance": "required >= 4x",
+    }
+    doc["ctr_keystream_batch64"] = {
+        **pair(portable["BM_CtrKeystreamBatch64"] / BATCH,
+               accel["BM_CtrKeystreamBatch64"] / BATCH,
+               "portable_ns_per_block", "aesni_ns_per_block"),
+        "note": "generate_batch of 64 keystreams, two per encrypt_blocks8 "
+                "call",
+    }
+    doc["ctr_keystream_with_pad_64B"] = {
+        "portable_serial_ns": round(
+            accel["BM_KeystreamAndPad/serial_portable"], 1),
+        "portable_fused_ns": round(
+            accel["BM_KeystreamAndPad/fused_portable"], 1),
+        "aesni_serial_ns": round(accel["BM_KeystreamAndPad/serial_accel"], 2),
+        "aesni_fused_ns": round(accel["BM_KeystreamAndPad/fused_accel"], 2),
+        "aesni_fused_saving": round(
+            1 - accel["BM_KeystreamAndPad/fused_accel"]
+            / accel["BM_KeystreamAndPad/serial_accel"], 3),
+        "note": "one block op's cipher work: the 64-byte keystream plus "
+                "the MAC pad. serial = CtrKeystream::generate then "
+                "CwMac::pad_for; fused = CwMac::keystream_and_pad, one "
+                "encrypt4_1 call with five interleaved AES chains",
+    }
     doc["gf64_mul"] = {
         **pair(accel["BM_Gf64MulBackend/portable"],
                accel["BM_Gf64MulBackend/accel"], "portable_ns", "pclmul_ns"),
@@ -64,9 +110,9 @@ def main():
                "portable_us", "accelerated_us"),
         "note": "compute_prf over a 192 KiB delta command stream",
     }
+    doc.pop("measured_rows", None)  # re-added last, after any new row
     doc["measured_rows"] = {
-        "rows": ["gf64_mul", "cw_mac_block_64B", "cw_mac_compute_batch64",
-                 "cw_mac_prf_delta_command"],
+        "rows": MEASURED_ROWS,
         "command": "scripts/bench_crypto_rows.py over two bench_micro_crypto "
                    "--benchmark_out JSON files (default dispatch and "
                    "SECMEM_FORCE_PORTABLE=1); see that script's docstring",

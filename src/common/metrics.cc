@@ -66,7 +66,7 @@ std::size_t MetricsCell::log2_bucket(std::uint64_t v) noexcept {
   return std::min<std::size_t>(std::bit_width(v), kEngineHistBuckets - 1);
 }
 
-void MetricsCell::reset() noexcept {
+void MetricsCell::reset() const noexcept {
   for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
   for (auto& hist : hists_)
     for (auto& bucket : hist) bucket.store(0, std::memory_order_relaxed);

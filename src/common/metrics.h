@@ -5,9 +5,11 @@
 // provides what the engines record into instead:
 //
 //  - MetricsCell: a cache-line-aligned block of relaxed atomic counters
-//    and log2 histograms, indexed by fixed enums — one fetch_add per
-//    event, no locks, no string hashing. Safe to write from the cell
-//    owner's thread(s) and read from any other.
+//    and log2 histograms, indexed by fixed enums — one increment per
+//    event, no locks, no string hashing. The increment is chosen by the
+//    constness of the cell (see the class comment): a writer that owns
+//    the cell exclusively counts with plain loads and stores, a shared
+//    writer with fetch_add. Readable from any thread either way.
 //  - MetricsSink: N cells (one per shard or per thread) aggregated on
 //    read, so concurrent writers never share a cache line.
 //  - TraceRing: a bounded ring of recent events (kind, block, shard,
@@ -92,17 +94,38 @@ inline constexpr std::size_t kEngineHistBuckets = 40;
 
 const char* engine_hist_name(EngineHistId id) noexcept;
 
-/// One writer's slice of the metrics plane. All mutation is relaxed
-/// atomic; readers may observe the counters mid-operation (monotonic but
+/// One writer's slice of the metrics plane. Every counter and bucket is a
+/// relaxed atomic; readers may observe them mid-operation (monotonic but
 /// not a cross-counter snapshot), which is exactly the contract a stats
 /// poller wants on a hot path.
+///
+/// Increment by constness. add()/sample() on a NON-CONST cell are the
+/// single-writer form: a relaxed load plus a relaxed store, no lock
+/// prefix. Holding the cell non-const asserts that no other thread
+/// increments it meanwhile — its owner runs under an exclusive lock (a
+/// shard's SeqWriteLock) or owns it outright (a per-thread cell). On a
+/// CONST cell they are a relaxed fetch_add, safe against any number of
+/// concurrent incrementers. Owners pass the constness on: a const member
+/// function of the owner sees a const cell, so anything reachable from a
+/// shared (const) path counts atomically without being told to, and the
+/// cheap form cannot be reached from it. A cell written by concurrent
+/// non-const members (ShardedSecureMemory's region cell) is declared
+/// const. Mixing the forms on one cell is safe exactly when the
+/// single-writer increments are excluded from every concurrent one, as a
+/// reader/writer lock does; otherwise a racing store loses counts.
 class MetricsCell {
  public:
   void add(MetricId id, std::uint64_t n = 1) noexcept {
+    bump(counters_[static_cast<std::size_t>(id)], n);
+  }
+  void add(MetricId id, std::uint64_t n = 1) const noexcept {
     counters_[static_cast<std::size_t>(id)].fetch_add(
         n, std::memory_order_relaxed);
   }
   void sample(EngineHistId hist, std::uint64_t v) noexcept {
+    bump(hists_[static_cast<std::size_t>(hist)][log2_bucket(v)], 1);
+  }
+  void sample(EngineHistId hist, std::uint64_t v) const noexcept {
     hists_[static_cast<std::size_t>(hist)][log2_bucket(v)].fetch_add(
         1, std::memory_order_relaxed);
   }
@@ -118,23 +141,32 @@ class MetricsCell {
   }
 
   /// Zero every counter and bucket (relaxed stores; callers reset while
-  /// quiescent or accept losing concurrent increments).
-  void reset() noexcept;
+  /// quiescent or accept losing concurrent increments). Const like the
+  /// atomic increments: it races nothing, so a const cell can be reset.
+  void reset() const noexcept;
 
   static std::size_t log2_bucket(std::uint64_t v) noexcept;
 
  private:
+  /// The single-writer increment: no read-modify-write instruction.
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
   // 64-byte alignment keeps cells in a MetricsSink from false-sharing
-  // their first (hottest) counters across writer threads.
-  alignas(64) std::array<std::atomic<std::uint64_t>, kMetricCount>
+  // their first (hottest) counters across writer threads. Mutable: the
+  // const increments are the shared writers' form (class comment).
+  alignas(64) mutable std::array<std::atomic<std::uint64_t>, kMetricCount>
       counters_{};
-  std::array<std::array<std::atomic<std::uint64_t>, kEngineHistBuckets>,
-             kEngineHistCount>
+  mutable std::array<
+      std::array<std::atomic<std::uint64_t>, kEngineHistBuckets>,
+      kEngineHistCount>
       hists_{};
 };
 
 /// A fixed set of MetricsCells — per shard or per worker thread —
-/// aggregated on read. Writers call sink.cell(i).add(...); readers call
+/// aggregated on read. Each cell's writer calls sink.cell(i).add(...)
+/// (the single-writer form: one writer per cell); readers call
 /// total()/publish() without synchronizing with writers.
 class MetricsSink {
  public:

@@ -58,6 +58,17 @@ class Aes128 {
       std::span<std::uint8_t, kParallelBlocks * kBlockBytes> out)
       const noexcept;
 
+  /// encrypt_blocks4(in4, out4) under this key and
+  /// second.encrypt_block(in1, out1) under `second`'s, in one kernel call
+  /// on this instance's backend (schedules are backend independent). On
+  /// AES-NI the five AESENC chains interleave: a CTR keystream and a MAC
+  /// pad cost about one keystream's latency instead of two serial calls.
+  void encrypt_blocks4_1(
+      std::span<const std::uint8_t, kParallelBlocks * kBlockBytes> in4,
+      std::span<std::uint8_t, kParallelBlocks * kBlockBytes> out4,
+      const Aes128& second, std::span<const std::uint8_t, kBlockBytes> in1,
+      std::span<std::uint8_t, kBlockBytes> out1) const noexcept;
+
   /// Encrypt eight independent 16-byte blocks in one call (128 bytes
   /// in/out; in == out allowed) — two CTR keystreams. The batch paths
   /// use this to keep eight AESENC chains in flight.

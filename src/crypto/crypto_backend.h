@@ -33,6 +33,15 @@ struct Aes128Ops {
   /// pipeline; portable falls back to four sequential encryptions.
   void (*encrypt4)(const std::uint8_t* rk, const std::uint8_t* in,
                    std::uint8_t* out);
+  /// encrypt4(rk_a, in4, out4) and encrypt1(rk_b, in1, out1) in one call:
+  /// a block's 64-byte CTR keystream and its MAC pad, which use different
+  /// keys but no data. The AES-NI kernel runs the five AESENC chains
+  /// interleaved, so the pad rides in the keystream's pipeline bubbles
+  /// instead of paying a second serial AES latency; portable is encrypt4
+  /// followed by encrypt1. in == out allowed for each pair.
+  void (*encrypt4_1)(const std::uint8_t* rk_a, const std::uint8_t* in4,
+                     std::uint8_t* out4, const std::uint8_t* rk_b,
+                     const std::uint8_t* in1, std::uint8_t* out1);
   /// Encrypt eight independent 16-byte blocks (128 bytes in/out) — two
   /// 64-byte CTR keystreams per call. AESENC retires ~2/cycle with ~4
   /// cycles latency, so four chains only half-fill the unit; the batch

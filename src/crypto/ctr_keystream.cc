@@ -38,6 +38,16 @@ void CtrKeystream::generate(
   aes_.encrypt_blocks4(tweaks, out);
 }
 
+void CtrKeystream::generate_with(
+    std::uint64_t block_addr, std::uint64_t counter,
+    std::span<std::uint8_t, kBlockBytes> out, const Aes128& second,
+    std::span<const std::uint8_t, Aes128::kBlockBytes> second_in,
+    std::span<std::uint8_t, Aes128::kBlockBytes> second_out) const noexcept {
+  DataBlock tweaks;
+  fill_tweaks(block_addr, counter, tweaks.data());
+  aes_.encrypt_blocks4_1(tweaks, out, second, second_in, second_out);
+}
+
 void CtrKeystream::generate_batch(std::span<const std::uint64_t> addrs,
                                   std::span<const std::uint64_t> counters,
                                   std::span<DataBlock> out) const noexcept {

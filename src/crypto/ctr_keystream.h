@@ -9,7 +9,12 @@
 //
 // The four tweak blocks are independent, so one keystream is exactly one
 // Aes128::encrypt_blocks4 call — on AES-NI the four AESENC chains
-// interleave and fill the pipeline.
+// interleave and fill the pipeline. The single-block engine paths need
+// the block's MAC pad under the same (address, counter) too; they get
+// both from CwMac::keystream_and_pad, which runs the four keystream
+// chains and the pad chain through one encrypt_blocks4_1 call
+// (generate_with below). The batch paths pair keystreams through the
+// 8-wide kernel instead (generate_batch, crypt_batch).
 #pragma once
 
 #include <array>
@@ -39,6 +44,16 @@ class CtrKeystream {
   /// `block_addr` is the 64-byte-aligned physical address of the block.
   void generate(std::uint64_t block_addr, std::uint64_t counter,
                 std::span<std::uint8_t, kBlockBytes> out) const noexcept;
+
+  /// generate() fused with one more AES block under `second`'s key:
+  /// second_out = second(second_in), from the same kernel call
+  /// (Aes128::encrypt_blocks4_1). CwMac::keystream_and_pad is the caller:
+  /// it owns the pad tweak, this class owns the keystream tweaks.
+  void generate_with(
+      std::uint64_t block_addr, std::uint64_t counter,
+      std::span<std::uint8_t, kBlockBytes> out, const Aes128& second,
+      std::span<const std::uint8_t, Aes128::kBlockBytes> second_in,
+      std::span<std::uint8_t, Aes128::kBlockBytes> second_out) const noexcept;
 
   /// Batch variant: out[i] = keystream(addrs[i], counters[i]). All three
   /// spans have the same length. Engines use this from read_blocks /

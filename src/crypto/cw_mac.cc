@@ -92,6 +92,16 @@ std::uint64_t CwMac::pad_for(std::uint64_t addr,
   return load_le64(pad_block.data());
 }
 
+std::uint64_t CwMac::keystream_and_pad(
+    const CtrKeystream& keystream, std::uint64_t addr, std::uint64_t counter,
+    std::span<std::uint8_t, kBlockBytes> ks_out) const noexcept {
+  Aes128::Block tweak{};
+  fill_pad_tweak(addr, counter, tweak.data());
+  Aes128::Block pad_block;
+  keystream.generate_with(addr, counter, ks_out, pad_, tweak, pad_block);
+  return load_le64(pad_block.data());
+}
+
 void CwMac::pad_batch(std::span<const std::uint64_t> addrs,
                       std::span<const std::uint64_t> counters,
                       std::span<std::uint64_t> pads) const noexcept {

@@ -105,7 +105,8 @@ class CwMac {
   }
 
   /// Batch variant: tags[i] over blocks[i] bound to (addrs[i],
-  /// counters[i]). Pads are produced through the 4-wide AES kernel.
+  /// counters[i]). Pads are produced through the 8-wide AES kernel
+  /// (pad_batch).
   void compute_batch(std::span<const std::uint64_t> addrs,
                      std::span<const std::uint64_t> counters,
                      std::span<const DataBlock> blocks,
@@ -136,11 +137,23 @@ class CwMac {
   std::uint64_t pad_for(std::uint64_t addr,
                         std::uint64_t counter) const noexcept;
 
-  /// Batch variant of pad_for: pads[i] for (addrs[i], counters[i]). Four
-  /// pad tweaks go through one interleaved AES call.
+  /// Batch variant of pad_for: pads[i] for (addrs[i], counters[i]). Eight
+  /// pad tweaks go through one interleaved AES call (encrypt_blocks8); a
+  /// tail of fewer than eight takes pad_for each.
   void pad_batch(std::span<const std::uint64_t> addrs,
                  std::span<const std::uint64_t> counters,
                  std::span<std::uint64_t> pads) const noexcept;
+
+  /// The 64-byte CTR keystream of `keystream` for (addr, counter), into
+  /// `ks_out`, and the MAC pad pad_for(addr, counter), returned — from
+  /// ONE AES kernel call (Aes128::encrypt_blocks4_1: four keystream
+  /// chains plus the pad chain). Bit-identical to keystream.generate()
+  /// and pad_for(). This is the single-block engine paths' only cipher
+  /// call: a verified read needs the pad before the MAC check and the
+  /// keystream after it, and neither depends on the data.
+  std::uint64_t keystream_and_pad(
+      const CtrKeystream& keystream, std::uint64_t addr, std::uint64_t counter,
+      std::span<std::uint8_t, kBlockBytes> ks_out) const noexcept;
 
   /// Tag given a precomputed pad (see pad_for).
   std::uint64_t compute_with_pad(

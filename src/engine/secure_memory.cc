@@ -54,10 +54,12 @@ DerivedKeys derive_keys(std::uint64_t master) {
 
 /// Optional wall-clock sampling for the latency histograms. Costs two
 /// steady_clock reads per operation, so it is gated on config.time_ops
-/// and compiles down to a single branch when disabled.
+/// and compiles down to a single branch when disabled. `Cell` carries the
+/// caller's constness (MetricsCell: const = shared, atomic sample).
+template <class Cell>
 class OpTimer {
  public:
-  OpTimer(bool enabled, MetricsCell& cell, EngineHistId hist) noexcept
+  OpTimer(bool enabled, Cell& cell, EngineHistId hist) noexcept
       : cell_(cell), hist_(hist), enabled_(enabled) {
     if (enabled_) start_ = std::chrono::steady_clock::now();
   }
@@ -70,7 +72,7 @@ class OpTimer {
   }
 
  private:
-  MetricsCell& cell_;
+  Cell& cell_;
   EngineHistId hist_;
   bool enabled_;
   std::chrono::steady_clock::time_point start_;
@@ -136,20 +138,17 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
   reset_all_blocks({}, 0);
 }
 
-std::uint64_t SecureMemory::data_mac(std::uint64_t block,
-                                     std::uint64_t counter,
-                                     const DataBlock& ciphertext) const {
-  // Bonsai binding: the data MAC covers (address, counter, ciphertext),
-  // so replaying stale data requires replaying a stale counter — which
-  // the tree catches.
-  return mac_.compute(layout_.block_addr(block), counter, ciphertext);
-}
-
 void SecureMemory::store_block(std::uint64_t block, const DataBlock& plaintext,
                                std::uint64_t counter) {
-  DataBlock ct = plaintext;
-  keystream_.crypt(layout_.block_addr(block), counter, ct);
-  const std::uint64_t tag = data_mac(block, counter, ct);
+  // One AES call yields the keystream and the MAC pad. Bonsai binding:
+  // the pad is bound to (address, counter), so the data MAC covers
+  // (address, counter, ciphertext) and replaying stale data requires
+  // replaying a stale counter — which the tree catches.
+  DataBlock ct;
+  const std::uint64_t pad = mac_.keystream_and_pad(
+      keystream_, layout_.block_addr(block), counter, ct);
+  for (std::size_t i = 0; i < kBlockBytes; ++i) ct[i] ^= plaintext[i];
+  const std::uint64_t tag = mac_.compute_with_pad(pad, ct);
   ciphertext_[block] = ct;
   if (config_.mac_placement == MacPlacement::kEccLane) {
     lanes_[block] = mac_ecc_.pack_lane(tag, ct);
@@ -238,7 +237,7 @@ std::uint64_t SecureMemory::reencrypt_group(std::uint64_t group,
       std::min<std::uint64_t>(first + group_blocks, layout_.num_blocks());
 
   // Gather the group's stale ciphertexts and old counters, run
-  // ONE crypt_batch decrypt over the 4-wide AES kernel, then re-store the
+  // ONE crypt_batch decrypt over the 8-wide AES kernel, then re-store the
   // lot through store_blocks (batched encrypt + compute_batch MACs +
   // pack_lane_batch/encode_batch lanes).
   const std::size_t cap = static_cast<std::size_t>(end - first);
@@ -308,16 +307,18 @@ ReadResult SecureMemory::read_block(std::uint64_t block) {
   ReadResult result{ReadStatus::kCounterTampered, {}, 0};
   if (verify_counter_line(scheme_->storage_line_of(block))) {
     const std::uint64_t counter = scheme_->read_counter(block);
-    result = decrypt_verified(
-        block, counter, mac_.pad_for(layout_.block_addr(block), counter));
+    DataBlock keystream;
+    const std::uint64_t pad = mac_.keystream_and_pad(
+        keystream_, layout_.block_addr(block), counter, keystream);
+    result = decrypt_verified(block, pad, keystream);
   }
-  account_read(result, block);
+  count_read(*this, result, block);
   return result;
 }
 
 ReadResult SecureMemory::decrypt_verified(std::uint64_t block,
-                                          std::uint64_t counter,
-                                          std::uint64_t pad) const {
+                                          std::uint64_t pad,
+                                          const DataBlock& keystream) const {
   ReadResult result{ReadStatus::kOk, {}, 0};
   DataBlock ct = ciphertext_[block];
 
@@ -363,43 +364,52 @@ ReadResult SecureMemory::decrypt_verified(std::uint64_t block,
     if (decoded.any_corrected) result.status = ReadStatus::kCorrectedWord;
   }
 
-  // 4. Decrypt.
-  keystream_.crypt(layout_.block_addr(block), counter, ct);
-  result.data = ct;
+  // 4. Decrypt — only here, past every verdict above: each rejection
+  // returns before the keystream touches the data, so a failed read
+  // carries all-zero data even though the keystream already exists.
+  for (std::size_t i = 0; i < kBlockBytes; ++i)
+    result.data[i] = ct[i] ^ keystream[i];
   return result;
 }
 
 void SecureMemory::account_read(const ReadResult& result,
                                 std::uint64_t block) const noexcept {
-  metrics_.add(MetricId::kReads);
+  count_read(*this, result, block);
+}
+
+template <class Self>
+void SecureMemory::count_read(Self& self, const ReadResult& result,
+                              std::uint64_t block) noexcept {
+  auto& metrics = self.metrics_;
+  metrics.add(MetricId::kReads);
   if (result.mac_evaluations != 0) {
-    metrics_.add(MetricId::kMacEvaluations, result.mac_evaluations);
-    metrics_.sample(EngineHistId::kMacEvalsPerCorrection,
-                    result.mac_evaluations);
+    metrics.add(MetricId::kMacEvaluations, result.mac_evaluations);
+    metrics.sample(EngineHistId::kMacEvalsPerCorrection,
+                   result.mac_evaluations);
   }
   switch (result.status) {
     case ReadStatus::kOk: break;
     case ReadStatus::kCorrectedMacField:
-      metrics_.add(MetricId::kCorrectedMacField);
+      metrics.add(MetricId::kCorrectedMacField);
       break;
     case ReadStatus::kCorrectedData:
-      metrics_.add(MetricId::kCorrectedData);
+      metrics.add(MetricId::kCorrectedData);
       break;
     case ReadStatus::kCorrectedWord:
-      metrics_.add(MetricId::kCorrectedWord);
+      metrics.add(MetricId::kCorrectedWord);
       break;
     case ReadStatus::kIntegrityViolation:
-      metrics_.add(MetricId::kIntegrityViolations);
+      metrics.add(MetricId::kIntegrityViolations);
       break;
     case ReadStatus::kCounterTampered:
-      metrics_.add(MetricId::kCounterTampers);
+      metrics.add(MetricId::kCounterTampers);
       break;
     case ReadStatus::kRegionPoisoned:
     case ReadStatus::kSnapshotIoError:  // never a read outcome; fail closed
-      metrics_.add(MetricId::kIntegrityViolations);
+      metrics.add(MetricId::kIntegrityViolations);
       break;
   }
-  trace(TraceEvent::Kind::kRead, result.status, block);
+  self.trace(TraceEvent::Kind::kRead, result.status, block);
 }
 
 namespace {
@@ -445,8 +455,10 @@ std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
   ReadResult result{ReadStatus::kCounterTampered, {}, 0};
   if (line_ok) {
     const std::uint64_t counter = scheme_->read_counter(block);
-    result = decrypt_verified(
-        block, counter, mac_.pad_for(layout_.block_addr(block), counter));
+    DataBlock keystream;
+    const std::uint64_t pad = mac_.keystream_and_pad(
+        keystream_, layout_.block_addr(block), counter, keystream);
+    result = decrypt_verified(block, pad, keystream);
   }
   metrics_.add(MetricId::kSharedReads);
   if (account) account_read(result, block);
@@ -504,8 +516,9 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
     return {ok, resident};
   };
 
-  // MAC pads for the whole batch through the 8-wide AES kernel; one
-  // allocation carries all three lanes.
+  // MAC pads and keystreams for the whole batch through the 8-wide AES
+  // kernel; one allocation carries all three lanes. decrypt_verified
+  // applies a keystream only once its block's MAC verdict stands.
   const std::size_t n = blocks.size();
   std::vector<std::uint64_t> lanes_buf(3 * n);
   const std::span<std::uint64_t> addrs(lanes_buf.data(), n);
@@ -516,6 +529,8 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
     counters[i] = scheme_->read_counter(blocks[i]);
   }
   mac_.pad_batch(addrs, counters, pads);
+  std::vector<DataBlock> keystreams(n);
+  keystream_.generate_batch(addrs, counters, keystreams);
 
   // Per block, preserving read_block_shared's ordering exactly —
   // promotion pulse first (each cold-line read ticks the pulse counter,
@@ -529,7 +544,7 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
       declined.push_back(static_cast<std::uint32_t>(i));
       continue;
     }
-    results[i] = line_ok ? decrypt_verified(block, counters[i], pads[i])
+    results[i] = line_ok ? decrypt_verified(block, pads[i], keystreams[i])
                          : ReadResult{ReadStatus::kCounterTampered, {}, 0};
     metrics_.add(MetricId::kSharedReads);
     account_read(results[i], block);

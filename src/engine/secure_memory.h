@@ -18,7 +18,11 @@
 // atomics — see common/metrics.h), so stats() and publish_metrics() are
 // safe to call from any thread without stalling the datapath, and an
 // optional TraceRing captures recent (op, block, outcome) events for
-// post-mortem analysis of integrity violations.
+// post-mortem analysis of integrity violations. The cell's increment is
+// chosen by constness: non-const members run only under exclusive
+// ownership (a shard's SeqWriteLock, or sole ownership of a plain
+// engine) and count with single-writer stores; const members — the
+// shared read path — see a const cell and count with fetch_add.
 #pragma once
 
 #include <atomic>
@@ -162,7 +166,10 @@ class SecureMemory : public SecureMemoryLike {
 
   /// Metrics/trace bookkeeping for one read outcome. Public and const so
   /// callers running deferred-accounting shared reads (account=false)
-  /// can commit the books once the whole operation is known to stick.
+  /// can commit the books once the whole operation is known to stick;
+  /// being const, it counts atomically, so callers need at least the
+  /// shard's shared lock (an exclusive writer's single-writer stores
+  /// must not interleave with it).
   void account_read(const ReadResult& result, std::uint64_t block)
       const noexcept;
 
@@ -461,7 +468,8 @@ class SecureMemory : public SecureMemoryLike {
   static LayoutParams layout_params(const SecureMemoryConfig& config,
                                     const CounterScheme& scheme);
 
-  /// Encrypt + MAC `plaintext` under `counter` and store everything.
+  /// Encrypt + MAC `plaintext` under `counter` and store everything. One
+  /// AES call (CwMac::keystream_and_pad) yields the keystream and pad.
   void store_block(std::uint64_t block, const DataBlock& plaintext,
                    std::uint64_t counter);
   /// Batch store_block: keystreams and MAC pads go through the batched
@@ -479,7 +487,7 @@ class SecureMemory : public SecureMemoryLike {
   /// fresh group counter `new_counter` (paper Fig 5a). The batched path
   /// gathers the group's stale ciphertexts, decrypts them with their
   /// shadow counters through one crypt_batch, and re-stores through the
-  /// batched store_blocks (4-wide AES + compute_batch + lane-pack batch).
+  /// batched store_blocks (8-wide AES + compute_batch + lane-pack batch).
   /// Counter lines are NOT synced — the caller owns the one sync per
   /// group. Returns the number of blocks rewritten.
   std::uint64_t reencrypt_group(std::uint64_t group, std::uint64_t skip_block,
@@ -507,16 +515,25 @@ class SecureMemory : public SecureMemoryLike {
   [[nodiscard]] bool verify_counter_line(std::uint64_t line);
   /// Steps 2-4 of every verified read, once the counter line is
   /// authentic: unpack the MAC lane (SEC-DED decode on the separate-MAC
-  /// path), verify the MAC under `pad` = pad_for(addr, `counter`), run
-  /// flip-and-check on a mismatch, then decrypt. Const and
+  /// path), verify the MAC under `pad`, run flip-and-check on a
+  /// mismatch, then decrypt with `keystream`. The caller computes both
+  /// for the block's (address, counter) — one keystream_and_pad call on
+  /// the single-block paths, pad_batch + generate_batch on the batch —
+  /// so this makes no cipher call. The keystream is applied only after
+  /// every verdict: a rejected read returns all-zero data. Const and
   /// accounting-free — each read path commits the result itself.
-  ReadResult decrypt_verified(std::uint64_t block, std::uint64_t counter,
-                              std::uint64_t pad) const;
+  ReadResult decrypt_verified(std::uint64_t block, std::uint64_t pad,
+                              const DataBlock& keystream) const;
+  /// account_read's one body. `Self` is SecureMemory or const
+  /// SecureMemory, so the metrics cell takes the increment the calling
+  /// member's constness allows (common/metrics.h): read_block counts
+  /// with single-writer stores, the shared paths atomically.
+  template <class Self>
+  static void count_read(Self& self, const ReadResult& result,
+                         std::uint64_t block) noexcept;
   /// Promotion pulse: true when this shared read of a non-`resident`
   /// counter line must decline to the exclusive path.
   bool pulse_declines(bool resident) const noexcept;
-  std::uint64_t data_mac(std::uint64_t block, std::uint64_t counter,
-                         const DataBlock& ciphertext) const;
   void trace(TraceEvent::Kind kind, Status outcome,
              std::uint64_t block) const noexcept {
     if (trace_) trace_->record(kind, outcome, block, trace_shard_);
@@ -525,14 +542,19 @@ class SecureMemory : public SecureMemoryLike {
   /// ------------------------------------------------------------------
   /// Delta-snapshot plane.
   /// ------------------------------------------------------------------
-  /// One relaxed fetch_or per block store — the entire steady-state cost
-  /// of dirty tracking. Covers every backing-store mutation path
-  /// (writes, group re-encryptions, scrub heals, rotations, restores)
-  /// because they all funnel through store_block/store_blocks.
+  /// One relaxed load and store per block store — the entire
+  /// steady-state cost of dirty tracking. Covers every backing-store
+  /// mutation path (writes, group re-encryptions, scrub heals,
+  /// rotations, restores) because they all funnel through
+  /// store_block/store_blocks. Single-writer like every non-const
+  /// member: store paths run under exclusive ownership, so no lock
+  /// prefix.
   void mark_dirty(std::uint64_t block) noexcept {
     const std::uint64_t g = block / granule_blocks_;
-    dirty_words_[g >> 6].fetch_or(std::uint64_t{1} << (g & 63),
-                                  std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& word = dirty_words_[g >> 6];
+    word.store(word.load(std::memory_order_relaxed) |
+                   (std::uint64_t{1} << (g & 63)),
+               std::memory_order_relaxed);
   }
   void mark_all_dirty() noexcept;
   void clear_dirty() noexcept;
@@ -577,9 +599,10 @@ class SecureMemory : public SecureMemoryLike {
   std::vector<std::uint64_t> macs_;          ///< separate-MAC mode
   std::vector<std::uint8_t> counter_store_;  ///< serialized counter lines
   std::vector<std::uint64_t> shadow_ctr_;    ///< current counter per block
-  /// Mutable: relaxed-atomic observability is written from the const
-  /// shared read path (the cell's own contract — see common/metrics.h).
-  mutable MetricsCell metrics_;
+  /// Not mutable: const members (the shared read path) see a const cell
+  /// and count with fetch_add; non-const members, which hold the engine
+  /// exclusively, count with single-writer stores (common/metrics.h).
+  MetricsCell metrics_;
   /// Promotion pulse for read_block_shared: a relaxed counter of
   /// non-resident shared reads; every kSharedProbePulse-th one declines
   /// so the exclusive retry warms the verified frontier.

@@ -137,7 +137,7 @@ class SecureMemoryLike {
   /// ------------------------------------------------------------------
   /// Semantically equivalent to looping the single-block calls in request
   /// order, but each engine amortizes work across the batch: crypto
-  /// kernels run over the whole request set (4-wide AES pads,
+  /// kernels run over the whole request set (8-wide AES pads,
   /// deduplicated tree-leaf verifications, one counter-line sync per dirty
   /// line) and sharded engines take each shard lock once per batch. Unlike the single-block
   /// calls, ALL block indices are validated up front — std::out_of_range

@@ -428,14 +428,20 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
   const std::uint16_t owner =
       static_cast<std::uint16_t>(shard_of_block(first_block));
   struct PendingAccount {
-    const SecureMemory* engine;
+    unsigned shard;
     std::uint64_t local_block;
     ReadResult result;
   };
   std::vector<PendingAccount> pending;
+  // Under each shard's shared lock: account_read's atomic increments
+  // must not interleave with an exclusive writer's single-writer stores
+  // into the same cell.
   const auto commit_accounting = [&] {
-    for (const PendingAccount& p : pending)
-      p.engine->account_read(p.result, p.local_block);
+    for (const PendingAccount& p : pending) {
+      Shard& s = shards_[p.shard];
+      const SeqReadLock lock(s.mu);
+      s.engine->account_read(p.result, p.local_block);
+    }
   };
 
   Status folded = Status::kOk;
@@ -454,7 +460,7 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
       res = s.engine->read_block_shared(r.local_block, /*account=*/false);
     }
     if (!res) return std::nullopt;  // declined: warm via exclusive path
-    pending.push_back({s.engine.get(), r.local_block, *res});
+    pending.push_back({r.shard, r.local_block, *res});
     if (!status_ok(res->status)) {
       // A failure verdict is only reportable if it belongs to a
       // consistent instant — a writer racing this range could otherwise

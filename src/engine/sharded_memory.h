@@ -48,6 +48,10 @@
 // (relaxed atomics), and the region keeps one more cell for byte-level
 // operations. stats()/publish_metrics() aggregate the cells without
 // taking any shard lock, so observability never stalls the datapath.
+// A shard's exclusive-path increments are single-writer stores (the
+// SeqWriteLock excludes every other writer of that cell), so anything
+// that counts into a shard's cell from outside its exclusive lock holds
+// the shard's shared lock (see try_read_bytes_optimistic).
 #pragma once
 
 #include <atomic>
@@ -362,7 +366,10 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// observes the trace/metric records that explain it.
   std::atomic<bool> poisoned_{false};
   std::function<void()> rotate_rollback_fault_hook_;  ///< test-only seam
-  mutable MetricsCell metrics_;  ///< region-level (byte-op) counters
+  /// Region-level (byte-op) counters. Const: the container's members run
+  /// concurrently without a common lock, so every increment must take
+  /// the cell's atomic form (common/metrics.h).
+  const MetricsCell metrics_;
   TraceRing* trace_ = nullptr;
 };
 

@@ -44,6 +44,10 @@
 // (so residency decisions still see read-path recency once a writer
 // takes over). Metrics go to an optional MetricsCell (relaxed atomics),
 // so the observability plane reads them without touching any lock.
+// Recency stamps and metric counts follow the cell's constness rule
+// (common/metrics.h): the non-const members own the cache exclusively
+// and advance the LRU clock and their counters with single-writer
+// stores; probe() takes the atomic fetch_add forms.
 #pragma once
 
 #include <array>
@@ -51,6 +55,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -141,12 +146,23 @@ class VerifiedTreeCache {
   std::size_t set_of(std::uint64_t key) const noexcept;
   const Entry* find(unsigned level, std::uint64_t node) const noexcept;
   Entry* find(unsigned level, std::uint64_t node) noexcept;
+  /// Recency and metrics, chosen by constness like MetricsCell::add: the
+  /// non-const forms run under the owner's exclusive lock (no lock
+  /// prefix), the const ones from probe()'s concurrent readers.
+  void touch(const Entry& e) noexcept {
+    const std::uint64_t stamp = next_lru_.load(std::memory_order_relaxed);
+    next_lru_.store(stamp + 1, std::memory_order_relaxed);
+    e.lru.store(stamp, std::memory_order_relaxed);
+  }
   void touch(const Entry& e) const noexcept {
     e.lru.store(next_lru_.fetch_add(1, std::memory_order_relaxed),
                 std::memory_order_relaxed);
   }
-  void count(MetricId id) const noexcept {
+  void count(MetricId id) noexcept {
     if (metrics_) metrics_->add(id);
+  }
+  void count(MetricId id) const noexcept {
+    if (metrics_) std::as_const(*metrics_).add(id);
   }
   std::span<Entry> entries() noexcept { return {entries_.get(), entry_count_}; }
   std::span<const Entry> entries() const noexcept {

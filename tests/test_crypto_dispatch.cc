@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "crypto/cw_mac.h"
 #include "crypto/gf64.h"
 #include "engine/secure_memory.h"
+#include "engine/sharded_memory.h"
 
 namespace secmem {
 namespace {
@@ -386,6 +388,102 @@ TEST(CryptoDispatch, BlockPolyhashConsistentWithTags) {
 }
 
 // ---------------------------------------------------------------------
+// The fused keystream + MAC pad kernel.
+// ---------------------------------------------------------------------
+
+/// Every AES backend on this host: portable, plus AES-NI when present.
+std::vector<const Aes128Ops*> aes_backends() {
+  std::vector<const Aes128Ops*> ops{&aes128_ops_portable()};
+  if (const Aes128Ops* ni = aes128_ops_accelerated()) ops.push_back(ni);
+  return ops;
+}
+
+TEST(CryptoDispatch, Encrypt4_1MatchesEncrypt4PlusEncrypt1) {
+  // Lane 5 (the block under the second schedule) carries the FIPS-197
+  // Appendix C.1 vector on even trials, so a fifth chain run under the
+  // wrong schedule fails a known answer, not only the differential.
+  const Aes128::Key fips_key{0x00, 0x01, 0x02, 0x03, 0x04, 0x05,
+                             0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b,
+                             0x0c, 0x0d, 0x0e, 0x0f};
+  const Aes128::Block fips_plain{0x00, 0x11, 0x22, 0x33, 0x44, 0x55,
+                                 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb,
+                                 0xcc, 0xdd, 0xee, 0xff};
+  const Aes128::Block fips_cipher{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b,
+                                  0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
+                                  0x70, 0xb4, 0xc5, 0x5a};
+  for (const Aes128Ops* ops : aes_backends()) {
+    SCOPED_TRACE(ops->name);
+    Xoshiro256 rng(40);
+    for (int trial = 0; trial < 200; ++trial) {
+      const bool fips = trial % 2 == 0;
+      const Aes128::Key key_a = random_key(rng);
+      const Aes128::Key key_b = fips ? fips_key : random_key(rng);
+      ASSERT_NE(key_a, key_b);
+      std::uint8_t rk_a[176], rk_b[176];
+      ops->expand_key(key_a.data(), rk_a);
+      ops->expand_key(key_b.data(), rk_b);
+      const DataBlock in4 = random_block64(rng);
+      const Aes128::Block in1 = fips ? fips_plain : random_block16(rng);
+
+      DataBlock serial4;
+      Aes128::Block serial1;
+      ops->encrypt4(rk_a, in4.data(), serial4.data());
+      ops->encrypt1(rk_b, in1.data(), serial1.data());
+      if (fips) {
+        ASSERT_EQ(serial1, fips_cipher);
+      }
+
+      DataBlock fused4;
+      Aes128::Block fused1;
+      ops->encrypt4_1(rk_a, in4.data(), fused4.data(), rk_b, in1.data(),
+                      fused1.data());
+      ASSERT_EQ(fused4, serial4) << "trial " << trial;
+      ASSERT_EQ(fused1, serial1) << "trial " << trial;
+
+      // in == out for both pairs.
+      DataBlock alias4 = in4;
+      Aes128::Block alias1 = in1;
+      ops->encrypt4_1(rk_a, alias4.data(), alias4.data(), rk_b, alias1.data(),
+                      alias1.data());
+      ASSERT_EQ(alias4, serial4) << "trial " << trial;
+      ASSERT_EQ(alias1, serial1) << "trial " << trial;
+    }
+  }
+}
+
+TEST(CryptoDispatch, KeystreamAndPadMatchesSerialCalls) {
+  // CwMac::keystream_and_pad (one encrypt4_1 call) against
+  // CtrKeystream::generate + CwMac::pad_for (two calls), over random
+  // (addr, counter) pairs; counters span the full 56 bits the tweaks
+  // hold, including the top value.
+  constexpr std::uint64_t kMax56 = (std::uint64_t{1} << 56) - 1;
+  for (const Aes128Ops* ops : aes_backends()) {
+    SCOPED_TRACE(ops->name);
+    Xoshiro256 rng(41);
+    const Aes128::Key data_key = random_key(rng);
+    CwMacKey mac_key{};
+    mac_key.hash_key = rng.next();
+    mac_key.pad_key = random_key(rng);
+    const CtrKeystream ks(data_key, *ops);
+    const CwMac mac(mac_key, *ops, gf64_ops_portable());
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::uint64_t addr = rng.next() & ~std::uint64_t{63};
+      std::uint64_t counter = rng.next() & kMax56;
+      if (trial % 3 == 0) counter |= std::uint64_t{1} << 55;
+      if (trial == 1) counter = kMax56;
+      if (trial == 2) counter = 0;
+      DataBlock fused_ks;
+      const std::uint64_t pad = mac.keystream_and_pad(ks, addr, counter,
+                                                      fused_ks);
+      DataBlock serial_ks;
+      ks.generate(addr, counter, serial_ks);
+      ASSERT_EQ(fused_ks, serial_ks) << "trial " << trial;
+      ASSERT_EQ(pad, mac.pad_for(addr, counter)) << "trial " << trial;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // End to end: the whole engine produces bit-identical off-chip state on
 // both backends.
 // ---------------------------------------------------------------------
@@ -521,6 +619,92 @@ TEST(CryptoDispatch, EngineBatchReadsOfDamagedBlocksMatchScalar) {
       EXPECT_EQ(batch.integrity_violations, scalar.integrity_violations);
       EXPECT_EQ(batch.counter_tampers, scalar.counter_tampers);
       EXPECT_EQ(batch.mac_evaluations, scalar.mac_evaluations);
+    }
+  }
+}
+
+TEST(CryptoDispatch, RejectedReadsReturnZeroData) {
+  // The fused call produces a block's keystream before its MAC verdict,
+  // so every read path must still decrypt only after the verdict: each
+  // tamper below yields a failing status with all-zero data, never the
+  // keystream XOR of damaged ciphertext. Tampers: three ciphertext bits
+  // in one 64-bit word (beyond flip-and-check, and miscorrected by
+  // SEC-DED), two bits of one lane byte (uncorrectable in either lane
+  // code), and one bit of the block's counter line.
+  enum class Tamper { kCiphertext3Bits, kLane2Bits, kCounterLine };
+  const auto tamper = [](SecureMemory& m, std::uint64_t block, Tamper t) {
+    auto view = m.untrusted();
+    switch (t) {
+      case Tamper::kCiphertext3Bits:
+        for (const unsigned bit : {1u, 2u, 3u})
+          view.flip_ciphertext_bit(block, bit);
+        break;
+      case Tamper::kLane2Bits:
+        view.flip_lane_bit(block, 16);
+        view.flip_lane_bit(block, 17);
+        break;
+      case Tamper::kCounterLine:
+        view.flip_counter_bit(m.counters().storage_line_of(block), 13);
+        break;
+    }
+  };
+  const DataBlock zeros{};
+  // Block 10 sits in routing granule 0, so in the sharded engine it is
+  // shard 0's local block 10 as well.
+  constexpr std::uint64_t kBlock = 10;
+
+  for (const CryptoBackendChoice choice :
+       {CryptoBackendChoice::kPortable, CryptoBackendChoice::kAccelerated}) {
+    for (const MacPlacement placement :
+         {MacPlacement::kEccLane, MacPlacement::kSeparate}) {
+      for (const Tamper t : {Tamper::kCiphertext3Bits, Tamper::kLane2Bits,
+                             Tamper::kCounterLine}) {
+        SCOPED_TRACE(testing::Message()
+                     << "backend " << static_cast<int>(choice) << " placement "
+                     << static_cast<int>(placement) << " tamper "
+                     << static_cast<int>(t));
+        BackendGuard guard(choice);
+        SecureMemoryConfig config;
+        config.size_bytes = 64 * 1024;
+        config.mac_placement = placement;
+        Xoshiro256 rng(42);
+
+        SecureMemory plain(config);
+        for (std::uint64_t b = 0; b < 16; ++b)
+          ASSERT_EQ(plain.write_block(b, random_block64(rng)), Status::kOk);
+        tamper(plain, kBlock, t);
+
+        const ReadResult exclusive = plain.read_block(kBlock);
+        EXPECT_FALSE(status_ok(exclusive.status));
+        EXPECT_EQ(exclusive.data, zeros);
+
+        std::optional<ReadResult> shared;
+        while (!shared) shared = plain.read_block_shared(kBlock);
+        EXPECT_FALSE(status_ok(shared->status));
+        EXPECT_EQ(shared->data, zeros);
+
+        const std::vector<std::uint64_t> batch = {3, kBlock, 11};
+        const std::vector<ReadResult> batched = plain.read_blocks(batch);
+        EXPECT_FALSE(status_ok(batched[1].status));
+        EXPECT_EQ(batched[1].data, zeros);
+
+        config.size_bytes = 128 * 1024;
+        ShardedSecureMemory sharded(config, 2);
+        for (std::uint64_t b = 0; b < 16; ++b)
+          ASSERT_EQ(sharded.write_block(b, random_block64(rng)), Status::kOk);
+        sharded.with_shard_exclusive(
+            0, [&](SecureMemory& shard) { tamper(shard, kBlock, t); });
+
+        const ReadResult routed = sharded.read_block(kBlock);
+        EXPECT_FALSE(status_ok(routed.status));
+        EXPECT_EQ(routed.data, zeros);
+
+        DataBlock bytes{};
+        EXPECT_FALSE(status_ok(sharded.read_bytes(kBlock * kBlockBytes,
+                                                  std::span<std::uint8_t>(
+                                                      bytes))));
+        EXPECT_EQ(bytes, zeros);
+      }
     }
   }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -627,6 +629,147 @@ TEST(ShardedSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
 }
 
 }  // namespace
+// ------------------------------------------------------ exact counts
+// A shard's exclusive-path increments are single-writer stores (no lock
+// prefix; common/metrics.h); only the shard's SeqWriteLock keeps them
+// from racing the shared path's atomic increments into the same cell.
+// These run every path at once under contention and demand the books
+// balance to the op: a single-writer increment reachable from a shared
+// or unlocked path loses counts here.
+
+unsigned count_clients() {
+  return std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
+}
+
+TEST(ShardedSecureMemoryStress, ConcurrentSingleWriterCountsAreExact) {
+  // 8 shards of 512 KiB. Half the ops hit blocks 0..127 (shards 0 and 1),
+  // so clients meet on the same shard; the other half roam the region.
+  // A 2 KB frontier per shard holds 32 of each shard's 128 counter lines,
+  // so roaming probes miss and the promotion pulse declines reads to the
+  // exclusive path.
+  SecureMemoryConfig config = region_config(4 * 1024 * 1024);
+  config.tree_cache_kb = 2;
+  ShardedSecureMemory memory(config, 8);
+  const std::uint64_t blocks = memory.num_blocks();
+  memory.reset_stats();
+  const unsigned clients = count_clients();
+  constexpr unsigned kOps = 4000;
+  std::atomic<std::uint64_t> reads{0}, writes{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(9000 + t);
+      std::uint64_t my_reads = 0, my_writes = 0;
+      for (unsigned op = 0; op < kOps; ++op) {
+        const std::uint64_t block = rng.next_below(2) == 0
+                                        ? rng.next_below(128)
+                                        : rng.next_below(blocks);
+        if (rng.next_below(10) < 3) {
+          if (memory.write_block(block, pattern(static_cast<std::uint8_t>(
+                                            op))) != Status::kOk)
+            ++failures;
+          ++my_writes;
+        } else {
+          if (memory.read_block(block).status != ReadStatus::kOk) ++failures;
+          ++my_reads;
+        }
+      }
+      reads += my_reads;
+      writes += my_writes;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const EngineStats stats = memory.stats();
+  StatRegistry registry;
+  memory.publish_metrics(registry);
+  const std::uint64_t shared = registry.counter_value("engine.shared_reads");
+  const std::uint64_t declines =
+      registry.counter_value("engine.shared_read_declines");
+  const std::uint64_t probe_hits =
+      registry.counter_value("engine.tree_cache.probe_hits");
+  const std::uint64_t probe_misses =
+      registry.counter_value("engine.tree_cache.probe_misses");
+  // Every read is served shared or declined to the exclusive path, and
+  // probes once on the way; every write and every declined read updates
+  // or verifies through the tree cache exactly once.
+  EXPECT_EQ(stats.reads, reads.load());
+  EXPECT_EQ(stats.writes, writes.load());
+  EXPECT_EQ(shared + declines, reads.load());
+  EXPECT_EQ(probe_hits + probe_misses, reads.load());
+  EXPECT_EQ(stats.tree_cache_hits + stats.tree_cache_misses,
+            writes.load() + declines);
+  // Each path actually ran.
+  EXPECT_GT(declines, 0u);
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(probe_hits, 0u);
+  EXPECT_GT(stats.tree_cache_hits, 0u);
+}
+
+TEST(ShardedSecureMemoryStress, ConcurrentByteReadAccountingIsExact) {
+  // Cross-shard byte reads defer their accounting until the optimistic
+  // snapshot validates, then commit it into each shard's cell, racing
+  // deep scrubs (an exclusive verified read each) and writes that count
+  // into the same cells under the shard's write lock. Every op lands on
+  // shards 0 and 1; each read_bytes covers the last block of shard 0's
+  // first granule and the first of shard 1's, so it must add exactly two
+  // reads however many attempts it took.
+  ShardedSecureMemory memory(region_config(256 * 1024), 8);
+  const std::uint64_t granule = memory.granule_blocks();
+  memory.reset_stats();
+  const unsigned clients = count_clients();
+  constexpr unsigned kOps = 4000;
+  std::atomic<std::uint64_t> reads{0}, byte_reads{0}, writes{0}, scrubs{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(9100 + t);
+      std::uint64_t my_reads = 0, my_byte_reads = 0, my_writes = 0,
+                    my_scrubs = 0;
+      std::array<std::uint8_t, 64> buffer{};
+      for (unsigned op = 0; op < kOps; ++op) {
+        const std::uint64_t kind = rng.next_below(10);
+        const std::uint64_t block = rng.next_below(2 * granule);
+        if (kind < 5) {
+          if (!status_ok(memory.read_bytes(granule * kBlockBytes - 32,
+                                           buffer)))
+            ++failures;
+          ++my_byte_reads;
+          my_reads += 2;
+        } else if (kind < 8) {
+          if (memory.scrub_block(block, /*deep=*/true) !=
+              ScrubStatus::kClean)
+            ++failures;
+          ++my_scrubs;
+          ++my_reads;
+        } else {
+          if (memory.write_block(block, pattern(static_cast<std::uint8_t>(
+                                            op))) != Status::kOk)
+            ++failures;
+          ++my_writes;
+        }
+      }
+      reads += my_reads;
+      byte_reads += my_byte_reads;
+      writes += my_writes;
+      scrubs += my_scrubs;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const EngineStats stats = memory.stats();
+  StatRegistry registry;
+  memory.publish_metrics(registry);
+  EXPECT_EQ(stats.reads, reads.load());
+  EXPECT_EQ(stats.writes, writes.load());
+  EXPECT_EQ(registry.counter_value("engine.byte_reads"), byte_reads.load());
+  EXPECT_EQ(registry.counter_value("engine.scrubbed_blocks"), scrubs.load());
+}
+
 TEST(ShardedSecureMemoryStress, ContendedShardPoolNeverDeadlocks) {
   // Every fan-out operation at once on one 8-shard engine: scrub_all,
   // rotate_master_key, full restore and delta replication each want the
