@@ -1,7 +1,6 @@
 #include "engine/delta_image.h"
 
 #include <cstring>
-#include <unordered_map>
 
 #include "common/bitops.h"
 
@@ -18,12 +17,13 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.insert(out.end(), le, le + 8);
 }
 
+/// A self-COPY: granules [dst, dst+n) stay as the base has them.
 void append_copy(std::vector<std::uint8_t>& out, std::uint64_t dst,
-                 std::uint64_t n, std::uint64_t src) {
+                 std::uint64_t n) {
   out.push_back(Command::kCopy);
   append_u64(out, dst);
   append_u64(out, n);
-  append_u64(out, src);
+  append_u64(out, dst);  // src: always dst
 }
 
 /// Append granule g's payload: ciphertext, lanes, MACs (LE), counters.
@@ -53,71 +53,6 @@ void append_add(const Geometry& geo, const ConstSections& s,
   for (std::uint64_t g = dst; g < dst + n; ++g) append_payload(geo, s, g, out);
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p,
-                    std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Content hash of one granule across all sections (diff candidates).
-std::uint64_t granule_hash(const Geometry& geo, const ConstSections& s,
-                           std::uint64_t g) noexcept {
-  const std::uint64_t b0 = geo.block_start(g);
-  const std::uint64_t nb = geo.blocks_in(g);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(h, reinterpret_cast<const std::uint8_t*>(s.ciphertext.data() + b0),
-            nb * sizeof(DataBlock));
-  h = fnv1a(h, reinterpret_cast<const std::uint8_t*>(s.lanes.data() + b0),
-            nb * sizeof(EccLane));
-  if (geo.separate_macs)
-    for (std::uint64_t b = b0; b < b0 + nb; ++b) {
-      std::uint8_t le[8];
-      store_le64(le, s.macs[b]);
-      h = fnv1a(h, le, 8);
-    }
-  h = fnv1a(h,
-            s.counters.data() + geo.line_start(g) * kCounterLineBytes,
-            geo.lines_in(g) * kCounterLineBytes);
-  return h;
-}
-
-/// Verified byte equality of granule `a` in `x` and granule `b` in `y`
-/// (same shape required — callers only compare equal-sized granules).
-/// These compares dedup two caller-owned ciphertext images inside the
-/// diff encoder — no secret is being verified against attacker input,
-/// so variable-time memcmp is fine (and the whole point: candidates
-/// mismatch in the first bytes almost always).
-bool granules_equal(const Geometry& geo, const ConstSections& x,
-                    std::uint64_t a, const ConstSections& y,
-                    std::uint64_t b) noexcept {
-  const std::uint64_t nb = geo.blocks_in(a);
-  if (nb != geo.blocks_in(b) || geo.lines_in(a) != geo.lines_in(b))
-    return false;
-  if (std::memcmp(x.ciphertext.data() +  // secmem-lint: allow(ct-compare)
-                      geo.block_start(a),
-                  y.ciphertext.data() + geo.block_start(b),
-                  nb * sizeof(DataBlock)) != 0)
-    return false;
-  if (std::memcmp(x.lanes.data() +  // secmem-lint: allow(ct-compare)
-                      geo.block_start(a),
-                  y.lanes.data() + geo.block_start(b),
-                  nb * sizeof(EccLane)) != 0)
-    return false;
-  if (geo.separate_macs &&
-      std::memcmp(x.macs.data() +  // secmem-lint: allow(ct-compare)
-                      geo.block_start(a),
-                  y.macs.data() + geo.block_start(b),
-                  nb * sizeof(std::uint64_t)) != 0)
-    return false;
-  return std::memcmp(x.counters.data() +  // secmem-lint: allow(ct-compare)
-                         geo.line_start(a) * kCounterLineBytes,
-                     y.counters.data() + geo.line_start(b) * kCounterLineBytes,
-                     geo.lines_in(a) * kCounterLineBytes) == 0;
-}
-
 }  // namespace
 
 std::uint64_t Geometry::payload_bytes(std::uint64_t g) const noexcept {
@@ -140,7 +75,7 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
     if (run_dirty)
       append_add(geo, target, run_start, end - run_start, out);
     else
-      append_copy(out, run_start, end - run_start, run_start);
+      append_copy(out, run_start, end - run_start);
   };
   for (std::uint64_t g = 0; g < granules; ++g) {
     const bool dirty =
@@ -158,120 +93,6 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
   return dirty_count;
 }
 
-std::uint64_t encode_from_diff(const Geometry& geo, const ConstSections& base,
-                               const ConstSections& target,
-                               std::vector<std::uint8_t>& out) {
-  const std::uint64_t granules = geo.num_granules();
-
-  // Pass 1 — hash every base granule so target granules can probe for a
-  // source anywhere in the base (cross-instance images share content at
-  // shifted positions only rarely — MACs bind addresses — but when they
-  // do, a COPY beats shipping the bytes).
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> by_hash;
-  by_hash.reserve(granules);
-  for (std::uint64_t g = 0; g < granules; ++g)
-    by_hash[granule_hash(geo, base, g)].push_back(g);
-
-  // Pass 2 — classify each target granule: self-COPY when unchanged in
-  // place (the correcting preference: positional match wins over any
-  // hash-table candidate), cross-COPY on a verified match elsewhere,
-  // ADD otherwise.
-  struct Plan {
-    std::uint8_t op;
-    std::uint64_t dst, n, src;
-  };
-  std::vector<Plan> plan;
-  std::uint64_t add_granules = 0;
-  for (std::uint64_t g = 0; g < granules; ++g) {
-    const std::uint64_t h = granule_hash(geo, target, g);
-    std::uint64_t src = granules;  // sentinel: no match
-    if (granules_equal(geo, base, g, target, g)) {
-      src = g;
-    } else if (auto it = by_hash.find(h); it != by_hash.end()) {
-      for (const std::uint64_t cand : it->second)
-        if (cand != g && granules_equal(geo, base, cand, target, g)) {
-          src = cand;
-          break;
-        }
-    }
-    if (src == granules) {
-      ++add_granules;
-      if (!plan.empty() && plan.back().op == Command::kAdd &&
-          plan.back().dst + plan.back().n == g) {
-        ++plan.back().n;
-      } else {
-        plan.push_back({Command::kAdd, g, 1, 0});
-      }
-    } else if (src == g) {
-      if (!plan.empty() && plan.back().op == Command::kCopy &&
-          plan.back().src == plan.back().dst &&
-          plan.back().dst + plan.back().n == g) {
-        ++plan.back().n;
-      } else {
-        plan.push_back({Command::kCopy, g, 1, g});
-      }
-    } else {
-      // Cross-COPYs stay single-granule: they carry no payload, and
-      // unmerged commands keep the in-place scheduling graph simple.
-      plan.push_back({Command::kCopy, g, 1, src});
-    }
-  }
-
-  // Pass 3 — order for in-place apply (Burns/Long/Stockmeyer): every
-  // cross-COPY must read its source before the source granule's writer
-  // runs. blocked[c] counts pending cross-COPYs reading any granule c
-  // writes; executing (or demoting) a reader unblocks its source's
-  // writer. A dependency cycle is broken by demoting one blocked
-  // cross-COPY to an ADD — payload instead of ordering.
-  std::vector<std::uint32_t> writer_of(granules);
-  for (std::uint32_t c = 0; c < plan.size(); ++c)
-    for (std::uint64_t g = plan[c].dst; g < plan[c].dst + plan[c].n; ++g)
-      writer_of[g] = c;
-  std::vector<std::uint32_t> blocked(plan.size(), 0);
-  for (const Plan& p : plan)
-    if (p.op == Command::kCopy && p.src != p.dst) ++blocked[writer_of[p.src]];
-
-  std::vector<std::uint32_t> ready;
-  std::vector<bool> done(plan.size(), false);
-  for (std::uint32_t c = 0; c < plan.size(); ++c)
-    if (blocked[c] == 0) ready.push_back(c);
-  std::size_t emitted = 0;
-  const auto retire_read = [&](const Plan& p) {
-    if (p.op == Command::kCopy && p.src != p.dst) {
-      const std::uint32_t w = writer_of[p.src];
-      if (--blocked[w] == 0 && !done[w]) ready.push_back(w);
-    }
-  };
-  while (emitted < plan.size()) {
-    if (ready.empty()) {
-      // Cycle: demote the first pending cross-COPY (cycles are made of
-      // cross-COPYs only — ADDs and self-COPYs read nothing).
-      for (std::uint32_t c = 0; c < plan.size(); ++c)
-        if (!done[c] && plan[c].op == Command::kCopy &&
-            plan[c].src != plan[c].dst) {
-          retire_read(plan[c]);
-          plan[c].op = Command::kAdd;
-          ++add_granules;
-          if (blocked[c] == 0 && !done[c]) ready.push_back(c);
-          break;
-        }
-      continue;
-    }
-    const std::uint32_t c = ready.back();
-    ready.pop_back();
-    if (done[c]) continue;
-    done[c] = true;
-    ++emitted;
-    const Plan& p = plan[c];
-    if (p.op == Command::kAdd)
-      append_add(geo, target, p.dst, p.n, out);
-    else
-      append_copy(out, p.dst, p.n, p.src);
-    retire_read(p);
-  }
-  return add_granules;
-}
-
 bool parse(const Geometry& geo, std::span<const std::uint8_t> cmd_bytes,
            std::vector<Command>& cmds) {
   cmds.clear();
@@ -286,17 +107,14 @@ bool parse(const Geometry& geo, std::span<const std::uint8_t> cmd_bytes,
       if (cmd_bytes.size() - off < kCopyWire) return false;
       cmd.dst = load_le64(cmd_bytes.data() + off + 1);
       cmd.n = load_le64(cmd_bytes.data() + off + 9);
-      cmd.src = load_le64(cmd_bytes.data() + off + 17);
+      const std::uint64_t src = load_le64(cmd_bytes.data() + off + 17);
       off += kCopyWire;
+      // A COPY only ever keeps granules in place: under counter mode a
+      // ciphertext granule is bound to its address, so no valid image
+      // holds another granule's bytes.
       if (cmd.n == 0 || cmd.dst >= granules || cmd.n > granules - cmd.dst ||
-          cmd.src >= granules || cmd.n > granules - cmd.src)
+          src != cmd.dst)
         return false;
-      // Equal shapes per position, so the byte move is well-defined
-      // (only the tail granule can be short).
-      for (std::uint64_t i = 0; i < cmd.n; ++i)
-        if (geo.blocks_in(cmd.src + i) != geo.blocks_in(cmd.dst + i) ||
-            geo.lines_in(cmd.src + i) != geo.lines_in(cmd.dst + i))
-          return false;
     } else if (cmd.op == Command::kAdd) {
       if (cmd_bytes.size() - off < kAddWire) return false;
       cmd.dst = load_le64(cmd_bytes.data() + off + 1);
@@ -327,46 +145,24 @@ void apply(const Geometry& geo, std::span<const Command> cmds,
            std::span<const std::uint8_t> cmd_bytes,
            const MutSections& s) {
   for (const Command& cmd : cmds) {
-    if (cmd.op == Command::kCopy) {
-      if (cmd.src == cmd.dst) continue;
-      const std::uint64_t sb = geo.block_start(cmd.src);
-      const std::uint64_t db = geo.block_start(cmd.dst);
-      std::uint64_t nb = 0, nl = 0;
-      for (std::uint64_t i = 0; i < cmd.n; ++i) {
-        nb += geo.blocks_in(cmd.src + i);
-        nl += geo.lines_in(cmd.src + i);
-      }
-      std::memmove(s.ciphertext.data() + db, s.ciphertext.data() + sb,
-                   nb * sizeof(DataBlock));
-      std::memmove(s.lanes.data() + db, s.lanes.data() + sb,
-                   nb * sizeof(EccLane));
+    if (cmd.op == Command::kCopy) continue;  // granules stay in place
+    std::size_t off = cmd.payload_off;
+    for (std::uint64_t g = cmd.dst; g < cmd.dst + cmd.n; ++g) {
+      const std::uint64_t b0 = geo.block_start(g);
+      const std::uint64_t nb = geo.blocks_in(g);
+      std::memcpy(s.ciphertext.data() + b0, cmd_bytes.data() + off,
+                  nb * sizeof(DataBlock));
+      off += nb * sizeof(DataBlock);
+      std::memcpy(s.lanes.data() + b0, cmd_bytes.data() + off,
+                  nb * sizeof(EccLane));
+      off += nb * sizeof(EccLane);
       if (geo.separate_macs)
-        std::memmove(s.macs.data() + db, s.macs.data() + sb,
-                     nb * sizeof(std::uint64_t));
-      std::memmove(
-          s.counters.data() + geo.line_start(cmd.dst) * kCounterLineBytes,
-          s.counters.data() + geo.line_start(cmd.src) * kCounterLineBytes,
-          nl * kCounterLineBytes);
-    } else {
-      std::size_t off = cmd.payload_off;
-      for (std::uint64_t g = cmd.dst; g < cmd.dst + cmd.n; ++g) {
-        const std::uint64_t b0 = geo.block_start(g);
-        const std::uint64_t nb = geo.blocks_in(g);
-        std::memcpy(s.ciphertext.data() + b0, cmd_bytes.data() + off,
-                    nb * sizeof(DataBlock));
-        off += nb * sizeof(DataBlock);
-        std::memcpy(s.lanes.data() + b0, cmd_bytes.data() + off,
-                    nb * sizeof(EccLane));
-        off += nb * sizeof(EccLane);
-        if (geo.separate_macs)
-          for (std::uint64_t b = b0; b < b0 + nb; ++b, off += 8)
-            s.macs[b] = load_le64(cmd_bytes.data() + off);
-        const std::uint64_t nl = geo.lines_in(g);
-        std::memcpy(
-            s.counters.data() + geo.line_start(g) * kCounterLineBytes,
-            cmd_bytes.data() + off, nl * kCounterLineBytes);
-        off += nl * kCounterLineBytes;
-      }
+        for (std::uint64_t b = b0; b < b0 + nb; ++b, off += 8)
+          s.macs[b] = load_le64(cmd_bytes.data() + off);
+      const std::uint64_t nl = geo.lines_in(g);
+      std::memcpy(s.counters.data() + geo.line_start(g) * kCounterLineBytes,
+                  cmd_bytes.data() + off, nl * kCounterLineBytes);
+      off += nl * kCounterLineBytes;
     }
   }
 }

@@ -9,33 +9,29 @@
 // re-encryption groups and whole counter lines) and expresses one image
 // as a VCDIFF-style COPY/ADD command stream against another:
 //
-//   COPY dst n src   — granules [dst, dst+n) equal base [src, src+n);
-//                      src == dst is the "unchanged" fast case and
-//                      carries zero payload
+//   COPY dst n src   — granules [dst, dst+n) are unchanged; src must
+//                      equal dst, and the command carries no payload
 //   ADD  dst n data  — granules [dst, dst+n) ship verbatim (ciphertext,
 //                      lanes, MACs little-endian, counter lines — in
 //                      that order, per granule)
 //
-// Two encoders produce such streams:
-//  - encode_from_dirty: the hot path. The engine's dirty-granule bitmap
-//    says exactly which granules changed since the base snapshot; clean
-//    runs become self-COPYs, dirty runs become ADDs. O(dirty) payload.
-//  - encode_from_diff: the cold path for diffing two arbitrary images
-//    (e.g. cross-instance replication) with no dirty information. A
-//    one-pass block-hash diff (hash table over base granules, verified
-//    byte compare, self-match preferred — the Correcting-1.5-Pass
-//    refinement) finds COPYs; everything else ships as ADD.
+// Only self-COPYs exist. Counter mode binds every ciphertext block (and
+// its MAC) to its (address, counter) nonce, so a granule of one valid
+// image never reappears at another granule of a later one: content
+// matching across positions has nothing to find. The wire keeps the src
+// field; parse() rejects any COPY whose src differs from dst.
 //
-// Streams are applied IN PLACE over the base (Burns/Long/Stockmeyer):
-// a cross-COPY must read its source granule before any command
-// overwrites it, so encode_from_diff topologically orders the emitted
-// commands (Kahn over read-before-write edges) and breaks the rare
-// cycle by demoting one cross-COPY to an ADD. apply() then just walks
-// the stream in order. Decoders must parse() first: it bounds-checks
-// every command and enforces exact coverage (each granule written
-// exactly once), so a validated stream always reconstructs a complete
-// image. Authentication of the stream (command-section MAC, base seal)
-// is the engine's job — this module moves bytes only.
+// encode_from_dirty is the one encoder: the engine's dirty-granule
+// bitmap says exactly which granules changed since the base snapshot;
+// clean runs become COPYs, dirty runs become ADDs. O(dirty) payload.
+//
+// Streams apply IN PLACE over the base, and with no command reading
+// another's destination, any order is correct. Decoders must parse()
+// first: it bounds-checks every command and enforces exact coverage
+// (each granule written exactly once), so a validated stream always
+// reconstructs a complete image. Authentication of the stream
+// (command-section MAC, base seal) is the engine's job — this module
+// moves bytes only.
 #pragma once
 
 #include <cstddef>
@@ -114,14 +110,13 @@ struct MutSections {
 };
 
 /// One parsed command. Wire form (all fields little-endian u64 after a
-/// 1-byte opcode): COPY = op,dst,n,src; ADD = op,dst,n,payload.
+/// 1-byte opcode): COPY = op,dst,n,src (src == dst); ADD = op,dst,n,payload.
 struct Command {
   enum : std::uint8_t { kCopy = 1, kAdd = 2 };
   std::uint8_t op = kCopy;
   std::uint64_t dst = 0;
   std::uint64_t n = 0;
-  std::uint64_t src = 0;          ///< kCopy only
-  std::size_t payload_off = 0;    ///< kAdd only: offset into the stream
+  std::size_t payload_off = 0;  ///< kAdd only: offset into the stream
 };
 
 /// Encode target state against the in-memory base using the dirty
@@ -133,26 +128,17 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
                                 std::span<const std::uint64_t> dirty_words,
                                 std::vector<std::uint8_t>& out);
 
-/// Encode `target` against `base` with no dirty information: one-pass
-/// hash diff, byte-verified matches, self-match preferred, commands
-/// topologically ordered for in-place apply. Returns the number of
-/// granules shipped as ADD payload.
-std::uint64_t encode_from_diff(const Geometry& geo,
-                               const ConstSections& base,
-                               const ConstSections& target,
-                               std::vector<std::uint8_t>& out);
-
-/// Validate a command stream: opcode, bounds, payload sizes, matching
-/// src/dst shapes for cross-COPYs, and exact coverage of all granules.
+/// Validate a command stream: opcode, bounds, payload sizes, COPYs that
+/// stay in place (src == dst), and exact coverage of all granules.
 /// False leaves `cmds` unspecified and means the stream must not be
 /// applied.
 [[nodiscard]] bool parse(const Geometry& geo,
                          std::span<const std::uint8_t> cmd_bytes,
                          std::vector<Command>& cmds);
 
-/// Apply a parse()-validated stream in place over the base sections, in
-/// stream order. Self-COPYs are no-ops; cross-COPYs move section
-/// slices; ADDs splat payload bytes (MACs decoded little-endian).
+/// Apply a parse()-validated stream in place over the base sections.
+/// COPYs are no-ops; ADDs splat payload bytes (MACs decoded
+/// little-endian).
 void apply(const Geometry& geo, std::span<const Command> cmds,
            std::span<const std::uint8_t> cmd_bytes,
            const MutSections& sections);

@@ -551,54 +551,6 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
   }
 }
 
-std::optional<Status> SecureMemory::read_bytes_shared(
-    std::uint64_t addr, std::span<std::uint8_t> out) const {
-  if (addr > config_.size_bytes || out.size() > config_.size_bytes - addr)
-    throw std::out_of_range(
-        "SecureMemory::read_bytes_shared: range exceeds region");
-
-  // Gather first, account after: a decline must leave zero footprint so
-  // the exclusive retry's books match a single read_bytes() call.
-  struct Pending {
-    std::uint64_t block;
-    ReadResult result;
-  };
-  std::vector<Pending> pending;
-  Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  bool failed = false;
-  std::uint64_t failed_block = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const auto r = read_block_shared(block, /*account=*/false);
-    if (!r) return std::nullopt;
-    pending.push_back({block, *r});
-    folded = worse(folded, r->status);
-    if (!status_ok(r->status)) {
-      failed = true;
-      failed_block = block;
-      break;
-    }
-    std::memcpy(out.data() + done, r->data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
-  }
-
-  metrics_.add(MetricId::kByteReads);
-  metrics_.sample(EngineHistId::kByteReadBytes, out.size());
-  for (const Pending& p : pending) account_read(p.result, p.block);
-  if (failed) {
-    trace(TraceEvent::Kind::kByteRead, folded, failed_block);
-    return folded;
-  }
-  trace(TraceEvent::Kind::kByteRead, folded, addr / 64);
-  return folded;
-}
-
 std::vector<ReadResult> SecureMemory::read_blocks(
     std::span<const std::uint64_t> blocks) {
   for (const std::uint64_t block : blocks)
@@ -1010,7 +962,10 @@ void SecureMemory::wipe_to_zeros() {
 }
 
 bool SecureMemory::restore(std::istream& in) {
-  std::optional<StagedRestore> staged = stage_restore(in);
+  return commit_or_wipe(stage_restore(in));
+}
+
+bool SecureMemory::commit_or_wipe(std::optional<StagedRestore> staged) {
   if (!staged) {
     wipe_to_zeros();
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
@@ -1109,8 +1064,9 @@ std::uint64_t SecureMemory::delta_cmd_mac(
   // both epochs, the base seal, the command length, the command bytes,
   // and the expected-root trailer. Only the magic and the MAC itself
   // stay outside. The epochs are authenticated METADATA only, never a
-  // MAC nonce — the epoch space is reused under one seal key (restore
-  // resets it, encode_delta pins 0→1), so only the nonce-free PRF form
+  // MAC nonce — the epoch space is reused under one seal key (a full
+  // restore resets it to 0, and two instances restored from one image
+  // both seal epoch 0→1 next), so only the nonce-free PRF form
   // below is sound here. The message is header ‖ cmd ‖ trailer, hashed
   // part by part where it lies rather than copied into one buffer.
   const std::uint64_t fields[8] = {
@@ -1292,7 +1248,7 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
   // full rebuild — the in-place payoff on restore), and the per-block
   // shadow counters.
   for (const delta::Command& cmd : staged.cmds) {
-    if (cmd.op == delta::Command::kCopy && cmd.src == cmd.dst) continue;
+    if (cmd.op == delta::Command::kCopy) continue;
     for (std::uint64_t g = cmd.dst; g < cmd.dst + cmd.n; ++g) {
       const std::uint64_t line0 = geo.line_start(g);
       for (std::uint64_t line = line0; line < line0 + geo.lines_in(g);
@@ -1337,18 +1293,9 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
 bool SecureMemory::restore_delta(std::istream& in) {
   char magic[8] = {};
   in.read(magic, sizeof(magic));
-  if (in && std::memcmp(magic, kImageMagic, sizeof(magic)) == 0) {
-    // Full image: ordinary restore semantics, including wipe-on-failure.
-    std::optional<StagedRestore> staged =
-        stage_restore_tail(in, config_.master_key);
-    if (!staged) {
-      wipe_to_zeros();
-      trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
-      return false;
-    }
-    commit_restore(std::move(*staged));
-    return true;
-  }
+  // Full image: ordinary restore semantics, including wipe-on-failure.
+  if (in && std::memcmp(magic, kImageMagic, sizeof(magic)) == 0)
+    return commit_or_wipe(stage_restore_tail(in, config_.master_key));
   if (!in || std::memcmp(magic, kDeltaMagic, sizeof(magic)) != 0) {
     metrics_.add(MetricId::kDeltaRejects);
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
@@ -1366,82 +1313,6 @@ bool SecureMemory::restore_delta(std::istream& in) {
     return false;
   }
   return commit_delta(std::move(*staged));
-}
-
-Status SecureMemory::encode_delta(std::span<const std::uint8_t> base_image,
-                                  std::span<const std::uint8_t> target_image,
-                                  std::ostream& out) const {
-  struct Parsed {
-    delta::ConstSections sections;
-    std::span<const std::uint8_t> root;
-    std::vector<std::uint64_t> mac_words;
-  };
-  const std::uint64_t nb = layout_.num_blocks();
-  const auto slice = [&](std::span<const std::uint8_t> img,
-                         Parsed& parsed) -> bool {
-    if (img.size() != image_bytes()) return false;
-    if (std::memcmp(img.data(), kImageMagic, sizeof(kImageMagic)) != 0)
-      return false;
-    std::size_t off = sizeof(kImageMagic);
-    const auto field = [&img, &off] {
-      const std::uint64_t v = load_le64(img.data() + off);
-      off += 8;
-      return v;
-    };
-    if (field() != config_.size_bytes ||
-        field() != static_cast<std::uint64_t>(config_.scheme) ||
-        field() != static_cast<std::uint64_t>(config_.mac_placement) ||
-        field() != config_.generic_delta_bits)
-      return false;
-    // DataBlock/EccLane are byte arrays (alignment 1), so the image's
-    // contiguous sections reinterpret directly; MAC words decode into
-    // owned storage.
-    parsed.sections.ciphertext = std::span<const DataBlock>(
-        reinterpret_cast<const DataBlock*>(img.data() + off), nb);
-    off += nb * sizeof(DataBlock);
-    parsed.sections.lanes = std::span<const EccLane>(
-        reinterpret_cast<const EccLane*>(img.data() + off), nb);
-    off += nb * sizeof(EccLane);
-    parsed.mac_words.resize(macs_.size());
-    for (std::uint64_t& w : parsed.mac_words) {
-      w = load_le64(img.data() + off);
-      off += 8;
-    }
-    parsed.sections.macs = parsed.mac_words;
-    parsed.sections.counters = img.subspan(off, counter_store_.size());
-    off += counter_store_.size();
-    parsed.root = img.subspan(off);
-    return true;
-  };
-
-  Parsed base, target;
-  if (!slice(base_image, base) || !slice(target_image, target))
-    return Status::kIntegrityViolation;
-
-  std::vector<std::uint8_t> cmd;
-  delta::encode_from_diff(delta_geometry(), base.sections, target.sections,
-                          cmd);
-  const std::uint64_t base_seal = seal_root_bytes(base.root);
-  const std::uint64_t mac =
-      delta_cmd_mac(0, 1, base_seal, cmd,
-                    {target.root.data(), target.root.size()});
-
-  out.write(kDeltaMagic, sizeof(kDeltaMagic));
-  write_u64(out, config_.size_bytes);
-  write_u64(out, static_cast<std::uint64_t>(config_.scheme));
-  write_u64(out, static_cast<std::uint64_t>(config_.mac_placement));
-  write_u64(out, config_.generic_delta_bits);
-  write_u64(out, 0);  // base epoch (informational — acceptance is by seal,
-  write_u64(out, 1);  // and the epochs are MAC'd metadata, not nonces)
-  write_u64(out, base_seal);
-  write_u64(out, cmd.size());
-  write_u64(out, mac);
-  out.write(reinterpret_cast<const char*>(cmd.data()),
-            static_cast<std::streamsize>(cmd.size()));
-  out.write(reinterpret_cast<const char*>(target.root.data()),
-            static_cast<std::streamsize>(target.root.size()));
-  out.flush();
-  return out ? Status::kOk : Status::kSnapshotIoError;
 }
 
 bool SecureMemory::rotate_master_key(std::uint64_t new_master) {

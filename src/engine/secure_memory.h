@@ -156,14 +156,6 @@ class SecureMemory : public SecureMemoryLike {
                           std::span<ReadResult> results,
                           std::vector<std::uint32_t>& declined) const;
 
-  /// Whole-range shared read with read_bytes() semantics (same statuses,
-  /// same partial-output behavior on failure). nullopt when any block
-  /// declines — in that case NOTHING has been accounted, so the caller's
-  /// exclusive read_bytes() retry keeps the books identical to a single
-  /// call. All metrics/trace commit only once the attempt stands.
-  [[nodiscard]] std::optional<Status> read_bytes_shared(
-      std::uint64_t addr, std::span<std::uint8_t> out) const;
-
   /// Metrics/trace bookkeeping for one read outcome. Public and const so
   /// callers running deferred-accounting shared reads (account=false)
   /// can commit the books once the whole operation is known to stick;
@@ -261,16 +253,6 @@ class SecureMemory : public SecureMemoryLike {
   /// save_delta falls back to a full image and re-bases it.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
   [[nodiscard]] bool restore_delta(std::istream& in) override;
-
-  /// Diff two full save() images of THIS engine's geometry into a delta
-  /// stream restore_delta accepts (cross-instance replication under the
-  /// same master secret — the command MAC and seals derive from it). No
-  /// dirty information: a one-pass block-hash diff finds the COPYs.
-  /// kIntegrityViolation if either buffer is not a full image of this
-  /// geometry; nothing is written in that case.
-  [[nodiscard]] Status encode_delta(std::span<const std::uint8_t> base_image,
-                                    std::span<const std::uint8_t> target_image,
-                                    std::ostream& out) const;
 
   /// Dirty-plane observability: granule size in blocks, granules touched
   /// since the last alignment point, the chain epoch, and whether a
@@ -499,6 +481,9 @@ class SecureMemory : public SecureMemoryLike {
   /// single-engine failure posture shared by restore() and a
   /// commit_delta root mismatch.
   void wipe_to_zeros();
+  /// The restore() body after staging: commit a staged image, or wipe
+  /// to zeros and trace the rejection.
+  bool commit_or_wipe(std::optional<StagedRestore> staged);
   /// stage_restore minus the magic bytes — restore_delta dispatches on
   /// the magic itself and hands the stream tail here.
   [[nodiscard]] std::optional<StagedRestore> stage_restore_tail(

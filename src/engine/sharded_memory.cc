@@ -702,110 +702,139 @@ Status ShardedSecureMemory::save(std::ostream& out) {
 }
 
 bool ShardedSecureMemory::restore(std::istream& in) {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  // Public image magic, not secret material.
-  if (!in || std::memcmp(magic, kShardMagic, sizeof(magic)) != 0)
-    return false;
-  return restore_full_tail(in, nullptr);
+  return restore_container(in, nullptr, /*accept_delta=*/false);
 }
 
 bool ShardedSecureMemory::restore_delta(std::istream& in) {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in) return false;
-  if (std::memcmp(magic, kShardMagic, sizeof(magic)) == 0)
-    return restore_full_tail(in, nullptr);
-  if (std::memcmp(magic, kShardDeltaMagic, sizeof(magic)) == 0)
-    return restore_delta_tail(in, nullptr);
-  return false;
+  return restore_container(in, nullptr, /*accept_delta=*/true);
 }
 
 bool ShardedSecureMemory::restore_timed(std::istream& in,
                                         SnapshotTiming& timing) {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in) return false;
-  if (std::memcmp(magic, kShardMagic, sizeof(magic)) == 0)
-    return restore_full_tail(in, &timing);
-  if (std::memcmp(magic, kShardDeltaMagic, sizeof(magic)) == 0)
-    return restore_delta_tail(in, &timing);
-  return false;
+  return restore_container(in, &timing, /*accept_delta=*/true);
 }
 
-// All shard locks for the duration, in table order (runtime lock set —
-// outside static analysis, TSan-covered): a restore must be atomic
-// against every concurrent operation.
-bool ShardedSecureMemory::restore_full_tail(std::istream& in,
-                                            SnapshotTiming* timing)
+// Stage-then-commit, mirroring write_bytes' all-or-nothing protocol.
+// Staging fully validates every shard's image or delta — sealed-root
+// check, command MAC, base seal, command-stream validation — against
+// staging storage; the first bad shard aborts with the region EXACTLY
+// as it was. Commit cannot fail, bar commit_delta's defense-in-depth
+// verdict.
+//
+// The region key and the delta payload buffer (snapshot_mu_) first,
+// then every shard lock in table order, all held to the last commit
+// (runtime lock set — outside static analysis, TSan-covered): a restore
+// must be atomic against every concurrent operation.
+bool ShardedSecureMemory::restore_container(std::istream& in,
+                                            SnapshotTiming* timing,
+                                            bool accept_delta)
     SECMEM_NO_THREAD_SAFETY_ANALYSIS {
   const auto t0 = std::chrono::steady_clock::now();
-  if (read_u64(in) != num_shards_) return false;
-  if (read_u64(in) != granule_blocks_) return false;
+  char magic[8] = {};
+  in.read(magic, sizeof(magic));
+  // Public image magics, not secret material.
+  const bool full = std::memcmp(magic, kShardMagic, sizeof(magic)) == 0;
+  const bool delta =
+      accept_delta &&
+      std::memcmp(magic, kShardDeltaMagic, sizeof(magic)) == 0;
+  if (!in || !(full || delta) || read_u64(in) != num_shards_ ||
+      read_u64(in) != granule_blocks_)
+    return reject_restore({}, {}, 0);
 
-  // The region key first (see rotate_master_key), then every shard.
   const MutexLock region(snapshot_mu_);
   std::vector<std::size_t> all(num_shards_);
   std::iota(all.begin(), all.end(), std::size_t{0});
   const auto locks = lock_in_order(mutexes_of(all));
-
-  // Stage-then-commit, mirroring write_bytes' all-or-nothing protocol.
-  // The old per-shard engine->restore() loop committed (or wiped!) each
-  // shard as it went, so a truncated or tampered image left a mix of
-  // restored and re-zeroed shards behind a false return. Phase 1 fully
-  // validates every shard's image — sealed-root check included —
-  // against staging storage; the first bad shard aborts with the region
-  // EXACTLY as it was. Phase 2 cannot fail.
-  //
-  // Each shard's image is staged under the master derived from the
-  // REGION key, not the shard engine's current one: after a failed
-  // rollback a shard can be stranded on a half-rotated key, and this is
-  // exactly how restore() un-poisons it — commit_restore re-derives that
-  // shard's working keys from the image's master.
-  //
-  // Staging reads straight off the caller's stream, shard by shard,
-  // into each engine's recycled staging storage: a bulk read first
-  // would only add a whole-image copy. The workers of the commit below
-  // receive raw engine pointers gathered here, where the analysis
-  // already knows this runtime lock set is beyond it: every shard lock
-  // is held for the whole function, and each worker touches only its
-  // own shard's engine.
+  // The stage and commit workers receive raw engine pointers gathered
+  // here, where the analysis already knows this runtime lock set is
+  // beyond it: every shard lock is held for the whole function, and
+  // each worker touches only its own shard's engine.
   std::vector<SecureMemory*> engines(num_shards_);
   for (unsigned s = 0; s < num_shards_; ++s)
     engines[s] = shards_[s].engine.get();
-  std::vector<SecureMemory::StagedRestore> staged;
-  staged.reserve(num_shards_);
-  for (unsigned s = 0; s < num_shards_; ++s) {
-    auto image = engines[s]->stage_restore(
-        in, shard_master_key(config_.master_key, s));
-    if (!image) {
-      // Hand the shards staged so far their storage back, so the next
-      // restore does not re-allocate and re-fault it.
-      for (unsigned k = 0; k < staged.size(); ++k)
-        engines[k]->discard_restore(std::move(staged[k]));
-      if (trace_)
-        trace_->record(TraceEvent::Kind::kRestore,
-                       Status::kIntegrityViolation, 0,
-                       static_cast<std::uint16_t>(s));
-      return false;
+
+  // Staged deltas point into the payload buffer, so it outlives the
+  // last commit; the delta stager decides whether it is recycled.
+  bool keep_payload = true;
+  struct Release {
+    std::vector<char>& buffer;
+    const bool& keep;
+    ~Release() {
+      if (!keep) std::vector<char>().swap(buffer);
     }
-    staged.push_back(std::move(*image));
-  }
-  // Commit touches only per-shard state (counter decode, shadow
-  // counters, arena parking), so it runs shard-parallel — on this thread
-  // alone if another job holds the pool, since that job may be waiting
-  // for one of the locks held here.
+  } release{delta_payload_, keep_payload};
+  std::vector<StagedShard> staged(num_shards_);
+  const std::optional<unsigned> bad =
+      full ? stage_full_container(in, engines, staged)
+           : stage_delta_container(in, engines, staged, keep_payload);
+  if (bad) return reject_restore(engines, staged, *bad);
+
+  // Commit touches only per-shard state (counter decode, tree leaves,
+  // shadow counters, arena parking), so it runs shard-parallel — on
+  // this thread alone if another job holds the pool, since that job may
+  // be waiting for one of the locks held here.
   const auto t1 = std::chrono::steady_clock::now();
-  pool_.run(num_shards_, [&engines, &staged](unsigned s) {
-    engines[s]->commit_restore(std::move(staged[s]));
+  std::vector<char> commit_failed(num_shards_, 0);
+  pool_.run(num_shards_, [&engines, &staged, &commit_failed](unsigned s) {
+    if (staged[s].full)
+      engines[s]->commit_restore(std::move(*staged[s].full));
+    else if (!engines[s]->commit_delta(std::move(*staged[s].delta)))
+      commit_failed[s] = 1;
   });
+  if (std::find(commit_failed.begin(), commit_failed.end(), 1) !=
+      commit_failed.end()) {
+    // commit_delta's defense-in-depth verdict fired (a base-seal
+    // collision — cryptographically negligible): that shard wiped
+    // itself and traced the rejection, so the region is part old, part
+    // zeroed. Poison it; the way out is a full-image restore, as with a
+    // rollback failure.
+    poisoned_.store(true, std::memory_order_release);
+    return false;
+  }
   if (timing) {
     timing->stage_s = seconds_between(t0, t1);
     timing->commit_s = seconds_between(t1, std::chrono::steady_clock::now());
   }
-  // A fully-restored region is uniformly keyed again by construction.
+  // Every shard was re-keyed from the region master (full images) or
+  // proved it sits on the region-keyed chain (deltas) — uniformly keyed
+  // again.
   poisoned_.store(false, std::memory_order_release);
   return true;
+}
+
+bool ShardedSecureMemory::reject_restore(
+    std::span<SecureMemory* const> engines, std::span<StagedShard> staged,
+    unsigned shard) {
+  // Shards that did stage hand their storage back, so the next restore
+  // neither re-allocates nor re-faults it.
+  for (std::size_t k = 0; k < staged.size(); ++k) {
+    if (staged[k].full)
+      engines[k]->discard_restore(std::move(*staged[k].full));
+    if (staged[k].delta)
+      engines[k]->discard_restore(std::move(*staged[k].delta));
+  }
+  if (trace_)
+    trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0,
+                   static_cast<std::uint16_t>(shard));
+  return false;
+}
+
+// Each shard's image stages straight off the caller's stream into that
+// engine's recycled staging storage: a bulk read first would only add a
+// whole-image copy. It stages under the master derived from the REGION
+// key, not the shard engine's current one: after a failed rollback a
+// shard can be stranded on a half-rotated key, and this is exactly how
+// restore() un-poisons it — commit_restore re-derives that shard's
+// working keys from the image's master.
+std::optional<unsigned> ShardedSecureMemory::stage_full_container(
+    std::istream& in, std::span<SecureMemory* const> engines,
+    std::span<StagedShard> staged) SECMEM_REQUIRES(snapshot_mu_) {
+  for (unsigned s = 0; s < num_shards_; ++s) {
+    staged[s].full = engines[s]->stage_restore(
+        in, shard_master_key(config_.master_key, s));
+    if (!staged[s].full) return s;
+  }
+  return std::nullopt;
 }
 
 Status ShardedSecureMemory::save_delta(std::ostream& out) {
@@ -871,37 +900,20 @@ const char* ShardedSecureMemory::read_delta_payload(std::istream& in,
   return payload.data();
 }
 
-// All shard locks held from before the bulk payload read to the last
-// commit, exactly like restore_full_tail (runtime lock set — outside
-// static analysis, TSan-covered).
-bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
-                                             SnapshotTiming* timing)
-    SECMEM_NO_THREAD_SAFETY_ANALYSIS {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (read_u64(in) != num_shards_) return false;
-  if (read_u64(in) != granule_blocks_) return false;
-
+std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
+    std::istream& in, std::span<SecureMemory* const> engines,
+    std::span<StagedShard> staged, bool& keep_payload)
+    SECMEM_REQUIRES(snapshot_mu_) {
   // Length table. Each slice must at least hold a magic and can never
   // exceed slice_cap_ — a hostile table must not size the bulk read.
   std::vector<std::uint64_t> lengths(num_shards_);
   std::uint64_t total = 0;
   for (unsigned s = 0; s < num_shards_; ++s) {
     lengths[s] = read_u64(in);
-    if (lengths[s] < 8 || lengths[s] > slice_cap_) return false;
+    if (lengths[s] < 8 || lengths[s] > slice_cap_) return 0;
     total += lengths[s];
   }
-  if (!in) return false;
-
-  // The region key and the payload buffer (snapshot_mu_), then every
-  // shard.
-  const MutexLock region(snapshot_mu_);
-  std::vector<std::size_t> all(num_shards_);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto locks = lock_in_order(mutexes_of(all));
-
-  std::vector<SecureMemory*> engines(num_shards_);
-  for (unsigned s = 0; s < num_shards_; ++s)
-    engines[s] = shards_[s].engine.get();
+  if (!in) return 0;
 
   // One bulk read, sliced by the length table. Unlike the full path,
   // which stages straight off the stream, the slices are variable-sized
@@ -914,103 +926,39 @@ bool ShardedSecureMemory::restore_delta_tail(std::istream& in,
   // fallback slice (or a short read after a hostile length table) sized
   // it like whole shard images, which the small deltas that follow
   // would leave parked.
-  bool recycle = false;
-  struct Release {
-    std::vector<char>& buffer;
-    const bool& keep;
-    ~Release() {
-      if (!keep) std::vector<char>().swap(buffer);
-    }
-  } release{delta_payload_, recycle};
+  keep_payload = false;
   const char* const payload = read_delta_payload(in, total);
-  if (payload == nullptr) {
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
-                     0, 0);
-    return false;
-  }
+  if (payload == nullptr) return 0;
   std::vector<std::size_t> offsets(num_shards_, 0);
   for (unsigned s = 1; s < num_shards_; ++s)
     offsets[s] = offsets[s - 1] + static_cast<std::size_t>(lengths[s - 1]);
-  recycle = true;
+  keep_payload = true;
   for (unsigned s = 0; s < num_shards_; ++s) {
     if (std::memcmp(payload + offsets[s], kEngineDeltaMagic, 8) != 0)
-      recycle = false;
+      keep_payload = false;
   }
 
   // Stage every slice — sniffing each on ITS magic: kEngineDeltaMagic
   // is a delta against that shard's current chain, kEngineImageMagic a
   // full fallback image (staged under the REGION-derived master, the
-  // same un-poisoning rule as restore_full_tail). All checks — command
-  // MAC, base seal, command-stream validation, sealed root — happen
-  // here, before any shard is touched.
-  struct StagedShard {
-    std::optional<SecureMemory::StagedRestore> full;
-    std::optional<SecureMemory::StagedDelta> delta;
-    bool ok = false;
-  };
-  std::vector<StagedShard> staged(num_shards_);
-  pool_.run(num_shards_, [this, payload, &offsets, &lengths, &engines,
-                          &staged](unsigned s) {
+  // same un-poisoning rule as the full container).
+  pool_.run(num_shards_, [this, payload, &offsets, &lengths, engines,
+                          staged](unsigned s) {
     const char* slice = payload + offsets[s];
     const auto len = static_cast<std::size_t>(lengths[s]);
     if (std::memcmp(slice, kEngineDeltaMagic, 8) == 0) {
       staged[s].delta = engines[s]->stage_delta(std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(slice), len));
-      staged[s].ok = staged[s].delta.has_value();
     } else if (std::memcmp(slice, kEngineImageMagic, 8) == 0) {
       SpanSource source(slice, len);
       std::istream shard_in(&source);
       staged[s].full = engines[s]->stage_restore(
           shard_in, shard_master_key(config_.master_key, s));
-      staged[s].ok = staged[s].full.has_value();
     }
   });
-  for (unsigned s = 0; s < num_shards_; ++s) {
-    if (staged[s].ok) continue;
-    // Slices that did stage hand their storage back.
-    for (unsigned k = 0; k < num_shards_; ++k) {
-      if (staged[k].full)
-        engines[k]->discard_restore(std::move(*staged[k].full));
-      if (staged[k].delta)
-        engines[k]->discard_restore(std::move(*staged[k].delta));
-    }
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
-                     0, static_cast<std::uint16_t>(s));
-    return false;
-  }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  std::vector<char> commit_failed(num_shards_, 0);
-  pool_.run(num_shards_, [&engines, &staged, &commit_failed](unsigned s) {
-    if (staged[s].full) {
-      engines[s]->commit_restore(std::move(*staged[s].full));
-    } else if (!engines[s]->commit_delta(std::move(*staged[s].delta))) {
-      commit_failed[s] = 1;
-    }
-  });
-  for (unsigned s = 0; s < num_shards_; ++s) {
-    if (!commit_failed[s]) continue;
-    // commit_delta's defense-in-depth verdict fired (a base-seal
-    // collision — cryptographically negligible): that shard wiped
-    // itself, so the region is part old, part zeroed. Poison it; the
-    // way out is a full-image restore, as with a rollback failure.
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation,
-                     0, static_cast<std::uint16_t>(s));
-    poisoned_.store(true, std::memory_order_release);
-    return false;
-  }
-  if (timing) {
-    timing->stage_s = seconds_between(t0, t1);
-    timing->commit_s = seconds_between(t1, std::chrono::steady_clock::now());
-  }
-  // Every shard proved it sits on the region-keyed chain (delta slices)
-  // or was re-keyed from the region master (full slices) — uniformly
-  // keyed again.
-  poisoned_.store(false, std::memory_order_release);
-  return true;
+  for (unsigned s = 0; s < num_shards_; ++s)
+    if (!staged[s].full && !staged[s].delta) return s;
+  return std::nullopt;
 }
 
 std::uint64_t ShardedSecureMemory::delta_buffer_bytes() const {

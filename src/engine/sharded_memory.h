@@ -210,6 +210,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// mirroring write_bytes' pre-verify-then-mutate protocol. A false
   /// return means the region is EXACTLY as it was, including a poisoned
   /// flag; a true return restores every shard and clears poisoning.
+  /// Every rejection, container damage included, records one
+  /// kRestore/kIntegrityViolation trace event, tagged with the shard
+  /// that failed to stage (shard 0 for the container itself).
   ///
   /// The container is the 24-byte header (magic, shard count, granule
   /// blocks) followed by each shard's SecureMemory::save image in shard
@@ -320,15 +323,38 @@ class ShardedSecureMemory : public SecureMemoryLike {
   std::optional<Status> try_read_bytes_optimistic(
       std::uint64_t addr, std::span<std::uint8_t> out,
       std::span<const std::size_t> involved);
-  /// restore() / restore_delta() bodies past the container magic, with
-  /// optional stage/commit timing. Callers have consumed the 8 magic
-  /// bytes and hold no locks yet.
-  bool restore_full_tail(std::istream& in, SnapshotTiming* timing);
-  bool restore_delta_tail(std::istream& in, SnapshotTiming* timing);
+  /// One shard's staged restore: a full image or a delta.
+  struct StagedShard {
+    std::optional<SecureMemory::StagedRestore> full;
+    std::optional<SecureMemory::StagedDelta> delta;
+  };
+  /// The one body behind restore(), restore_delta() and restore_timed():
+  /// container magic and header, every lock, staging, then the
+  /// shard-parallel commit (timed into `timing` when non-null). A delta
+  /// container is accepted only with `accept_delta`.
+  bool restore_container(std::istream& in, SnapshotTiming* timing,
+                         bool accept_delta);
+  /// Stage every shard of a full / delta container whose header `in`
+  /// has consumed. Returns the first shard that failed (0 for damage to
+  /// the container itself), or nullopt once every shard staged. The
+  /// delta stager says in `keep_payload` whether the bulk payload
+  /// buffer is worth recycling.
+  std::optional<unsigned> stage_full_container(
+      std::istream& in, std::span<SecureMemory* const> engines,
+      std::span<StagedShard> staged) SECMEM_REQUIRES(snapshot_mu_);
+  std::optional<unsigned> stage_delta_container(
+      std::istream& in, std::span<SecureMemory* const> engines,
+      std::span<StagedShard> staged, bool& keep_payload)
+      SECMEM_REQUIRES(snapshot_mu_);
   /// Bulk-read `total` payload bytes of a delta container into the
   /// recycled payload buffer; nullptr if the stream ran short.
   const char* read_delta_payload(std::istream& in, std::uint64_t total)
       SECMEM_REQUIRES(snapshot_mu_);
+  /// The one reject path of every restore: hand each staged shard its
+  /// storage back, record one kRestore/kIntegrityViolation event
+  /// against `shard`, return false.
+  bool reject_restore(std::span<SecureMemory* const> engines,
+                      std::span<StagedShard> staged, unsigned shard);
   /// Invalidate every shard's delta base (see SecureMemory::break_chain)
   /// after a container-level snapshot stream failure: the shards aligned
   /// on an image that never persisted, so the next save_delta must fall

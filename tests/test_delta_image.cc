@@ -1,10 +1,10 @@
-// secmem::delta codec unit tests: geometry math (tail granules), both
-// encoders round-tripping through parse + in-place apply, the
-// topological ordering of cross-COPYs (including the swap cycle the
-// encoder must break by demoting a COPY to an ADD), and the parser's
-// rejection contract — truncation, bad opcodes, bounds, double cover,
-// incomplete cover. The engine-level sealing/authentication sits on top
-// of this codec and is covered by test_delta_snapshot.cc.
+// secmem::delta codec unit tests: geometry math (tail granules), the
+// dirty-bitmap encoder round-tripping through parse + in-place apply
+// (fixed cases and random geometries), and the parser's rejection
+// contract — truncation, bad opcodes, bounds, double cover, incomplete
+// cover, and COPYs that do not stay in place. The engine-level
+// sealing/authentication sits on top of this codec and is covered by
+// test_delta_snapshot.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,26 +54,21 @@ Image make_image(const Geometry& geo, std::uint64_t seed) {
   return img;
 }
 
-/// Copy granule `src` of `from` over granule `dst` of `to` (same shape).
-void copy_granule(const Geometry& geo, const Image& from, std::uint64_t src,
-                  Image& to, std::uint64_t dst) {
-  const std::uint64_t nb = geo.blocks_in(src);
-  ASSERT_EQ(nb, geo.blocks_in(dst));
-  for (std::uint64_t b = 0; b < nb; ++b) {
-    to.ciphertext[geo.block_start(dst) + b] =
-        from.ciphertext[geo.block_start(src) + b];
-    to.lanes[geo.block_start(dst) + b] =
-        from.lanes[geo.block_start(src) + b];
-    if (geo.separate_macs)
-      to.macs[geo.block_start(dst) + b] =
-          from.macs[geo.block_start(src) + b];
+/// Copy granule `g` of `from` over the same granule of `to`.
+void copy_granule(const Geometry& geo, const Image& from, std::uint64_t g,
+                  Image& to) {
+  const std::uint64_t b0 = geo.block_start(g);
+  for (std::uint64_t b = b0; b < b0 + geo.blocks_in(g); ++b) {
+    to.ciphertext[b] = from.ciphertext[b];
+    to.lanes[b] = from.lanes[b];
+    if (geo.separate_macs) to.macs[b] = from.macs[b];
   }
-  std::memcpy(to.counters.data() + geo.line_start(dst) * 64,
-              from.counters.data() + geo.line_start(src) * 64,
-              geo.lines_in(src) * 64);
+  std::memcpy(to.counters.data() + geo.line_start(g) * 64,
+              from.counters.data() + geo.line_start(g) * 64,
+              geo.lines_in(g) * 64);
 }
 
-/// Round-trip helper: encode target-vs-base, parse, apply over a copy of
+/// Round-trip helper: parse an encoded stream, apply it over a copy of
 /// base, expect the reconstruction to equal target bit for bit.
 void expect_roundtrip(const Geometry& geo, const Image& base,
                       const Image& target,
@@ -155,82 +150,33 @@ TEST(DeltaDirtyEncode, AllDirtyShipsWholeImage) {
   expect_roundtrip(geo, base, target, cmd);
 }
 
-TEST(DeltaDiffEncode, IdenticalImagesNeedZeroAdds) {
-  const Geometry geo = tail_geometry(true);
-  const Image base = make_image(geo, 5);
-  std::vector<std::uint8_t> cmd;
-  EXPECT_EQ(encode_from_diff(geo, base.view(), base.view(), cmd), 0u);
-  // Self-match preferred: one coalesced self-COPY, no payload.
-  EXPECT_EQ(cmd.size(), 25u);
-  expect_roundtrip(geo, base, base, cmd);
-}
-
-TEST(DeltaDiffEncode, FindsCrossCopiesAndAdds) {
-  const Geometry geo = tail_geometry(false);
-  const Image base = make_image(geo, 6);
-  Image target = make_image(geo, 7);
-  // Target granule 0 = base granule 2 (a cross-COPY the hash diff must
-  // find); granule 1 = base granule 1 (self); granules 2..4 are new.
-  copy_granule(geo, base, 2, target, 0);
-  copy_granule(geo, base, 1, target, 1);
-  std::vector<std::uint8_t> cmd;
-  const std::uint64_t adds =
-      encode_from_diff(geo, base.view(), target.view(), cmd);
-  EXPECT_EQ(adds, 3u);
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, SwapCycleBrokenByDemotion) {
-  // Granules 0 and 1 swap: COPY 0<-1 and COPY 1<-0 form a cycle no
-  // in-place order satisfies, so the encoder must demote one to an ADD.
-  const Geometry geo = tail_geometry(true);
-  const Image base = make_image(geo, 8);
-  Image target = base;
-  copy_granule(geo, base, 1, target, 0);
-  copy_granule(geo, base, 0, target, 1);
-  std::vector<std::uint8_t> cmd;
-  const std::uint64_t adds =
-      encode_from_diff(geo, base.view(), target.view(), cmd);
-  EXPECT_EQ(adds, 1u) << "exactly one side of the swap ships as payload";
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, ChainedMoveOrderedForInPlaceApply) {
-  // Target: 0 <- base1, 1 <- base2, 2 <- new. An in-place apply must
-  // read base granule 1 before overwriting it — acyclic, but order
-  // matters; a stream-order apply only works if Kahn emitted it right.
-  const Geometry geo = tail_geometry(false);
-  const Image base = make_image(geo, 9);
-  Image target = make_image(geo, 10);
-  copy_granule(geo, base, 1, target, 0);
-  copy_granule(geo, base, 2, target, 1);
-  std::vector<std::uint8_t> cmd;
-  encode_from_diff(geo, base.view(), target.view(), cmd);
-  expect_roundtrip(geo, base, target, cmd);
-}
-
-TEST(DeltaDiffEncode, RandomizedRoundTrips) {
+TEST(DeltaDirtyEncode, RandomizedRoundTrips) {
   Xoshiro256 rng(0xD17F);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random geometry: 1-8 blocks per counter line, 1-4 lines per
+    // granule, and a block count that usually leaves a short tail.
     Geometry geo;
-    geo.num_blocks = 8 + rng.next_below(64);
-    geo.blocks_per_line = 4;
-    geo.num_lines = (geo.num_blocks + 3) / 4;
-    geo.granule_blocks = 8;
+    geo.blocks_per_line = std::uint64_t{1} << rng.next_below(4);
+    geo.granule_blocks = geo.blocks_per_line * (1 + rng.next_below(4));
+    geo.num_blocks = 1 + rng.next_below(200);
+    geo.num_lines =
+        (geo.num_blocks + geo.blocks_per_line - 1) / geo.blocks_per_line;
     geo.separate_macs = (trial & 1) != 0;
     const Image base = make_image(geo, 100 + trial);
-    Image target = make_image(geo, 200 + trial);
-    // Random granule-level mixture of self, cross, and fresh content.
+    const Image fresh = make_image(geo, 200 + trial);
+    // Random dirty bitmap: dirty granules take fresh content, clean
+    // ones keep the base's.
+    Image target = base;
+    std::vector<std::uint64_t> dirty(geo.dirty_words(), 0);
+    std::uint64_t dirty_count = 0;
     for (std::uint64_t g = 0; g < geo.num_granules(); ++g) {
-      const std::uint64_t pick = rng.next_below(3);
-      const std::uint64_t src = rng.next_below(geo.num_granules());
-      if (pick == 0 && geo.blocks_in(src) == geo.blocks_in(g))
-        copy_granule(geo, base, src, target, g);
-      else if (pick == 1)
-        copy_granule(geo, base, g, target, g);
+      if (rng.next_below(3) != 0) continue;
+      dirty[g / 64] |= std::uint64_t{1} << (g % 64);
+      ++dirty_count;
+      copy_granule(geo, fresh, g, target);
     }
     std::vector<std::uint8_t> cmd;
-    encode_from_diff(geo, base.view(), target.view(), cmd);
+    EXPECT_EQ(encode_from_dirty(geo, target.view(), dirty, cmd), dirty_count);
     expect_roundtrip(geo, base, target, cmd);
   }
 }
@@ -312,6 +258,13 @@ TEST(DeltaParse, RejectsMalformedStreams) {
   // ...and whole again with the last payload byte present.
   bad.push_back(0xEE);
   EXPECT_TRUE(parse(geo, bad, cmds));
+  // Cross-COPY with both indices in range and equal shapes: the cover is
+  // exact, but a COPY must keep its granules in place.
+  bad.clear();
+  put_copy(bad, 0, 3, 0);
+  put_copy(bad, 4, 1, 4);
+  put_copy(bad, 3, 1, 2);
+  EXPECT_FALSE(parse(geo, bad, cmds));
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 // rotation breaking the chain and falling back to full images, callers
 // that ship only full images through restore_delta, the exhaustive
 // every-byte-flip-rejects contract on sealed delta images, pinned delta
-// image bytes, the recycled delta buffers, and the cross-instance
-// encode_delta image diff. The codec underneath is unit tested in
+// image bytes, the recycled delta buffers, and one trace event per
+// rejected sharded restore. The codec underneath is unit tested in
 // test_delta_image.cc.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -19,6 +20,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/rng.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
@@ -366,6 +368,74 @@ TEST(DeltaSharded, AggregatesDirtyGranulesAndTimesRestores) {
   EXPECT_GT(full_timing.commit_s, 0.0);
 }
 
+TEST(DeltaSharded, EveryRejectedContainerTracesOnce) {
+  TraceRing ring(64);
+  ShardedSecureMemory source(small_config(), 4);
+  ShardedSecureMemory replica(small_config(), 4);
+  populate(source, 33);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  ASSERT_EQ(source.write_block(0, pattern(0xE1)), Status::kOk);
+  const std::string delta = delta_of(source);
+  const std::string full = image_of(source);
+
+  // Container layout: magic, shard count, granule blocks (8 bytes each);
+  // a delta container then has one slice length per shard.
+  const auto with_u64 = [](std::string image, std::size_t off,
+                           std::uint64_t v) {
+    std::uint8_t le[8];
+    store_le64(le, v);
+    std::memcpy(image.data() + off, le, sizeof(le));
+    return image;
+  };
+  const auto flipped = [](std::string image, std::size_t off) {
+    image[off] = static_cast<char>(image[off] ^ 0x01);
+    return image;
+  };
+  struct Case {
+    const char* what;
+    std::string image;
+    bool delta_api;
+  };
+  const std::vector<Case> cases = {
+      {"full: magic", flipped(full, 0), false},
+      {"full: short magic", full.substr(0, 5), false},
+      {"full: delta container", delta, false},
+      {"full: shard count", with_u64(full, 8, 3), false},
+      {"full: granule", with_u64(full, 16, 1), false},
+      {"full: short shard image", full.substr(0, full.size() - 1), false},
+      {"delta: magic", flipped(delta, 7), true},
+      {"delta: shard count", with_u64(delta, 8, 5), true},
+      {"delta: granule", with_u64(delta, 16, 0), true},
+      {"delta: slice shorter than a magic", with_u64(delta, 24, 7), true},
+      {"delta: slice over the cap", with_u64(delta, 32, 1ull << 40), true},
+      {"delta: short length table", delta.substr(0, 24 + 8 * 3 + 3), true},
+      {"delta: short payload", delta.substr(0, delta.size() - 1), true},
+  };
+  replica.attach_trace(&ring);
+  const auto expect_one_reject = [&ring](const char* what) {
+    const std::vector<TraceEvent> events = ring.snapshot();
+    ASSERT_EQ(events.size(), 1u) << what;
+    EXPECT_EQ(events[0].kind, TraceEvent::Kind::kRestore) << what;
+    EXPECT_EQ(events[0].outcome, Status::kIntegrityViolation) << what;
+    ring.clear();
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.image);
+    EXPECT_FALSE(c.delta_api ? replica.restore_delta(in)
+                             : replica.restore(in))
+        << c.what;
+    expect_one_reject(c.what);
+  }
+  SnapshotTiming timing;
+  std::istringstream timed_in(flipped(delta, 0));
+  EXPECT_FALSE(replica.restore_timed(timed_in, timing));
+  expect_one_reject("timed: magic");
+
+  // Every rejection left the region as it was: the clean delta applies.
+  ASSERT_TRUE(apply_delta(replica, delta));
+  EXPECT_EQ(image_of(replica), image_of(source));
+}
+
 // --------------------------------------------- snapshot IO failures
 
 /// A streambuf that accepts `capacity` bytes and then fails every
@@ -663,44 +733,6 @@ TEST(DeltaArena, ShardedBuffersStayBoundedAcrossCycles) {
   hot_writes(52);
   ASSERT_TRUE(apply_delta(replica, delta_of(source)));
   EXPECT_EQ(image_of(source), image_of(replica));
-}
-
-// --------------------------------------------- cross-instance diffing
-
-TEST(DeltaEncode, DiffsTwoImagesIntoAnApplicableDelta) {
-  SecureMemory engine(small_config());
-  populate(engine, 37);
-  const std::string img1 = image_of(engine);
-  ASSERT_EQ(engine.write_block(6, pattern(0x66)), Status::kOk);
-  ASSERT_EQ(engine.write_block(400, pattern(0x46)), Status::kOk);
-  const std::string img2 = image_of(engine);
-
-  const auto bytes_of = [](const std::string& s) {
-    return std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  };
-  std::stringstream delta;
-  ASSERT_EQ(engine.encode_delta(bytes_of(img1), bytes_of(img2), delta),
-            Status::kOk);
-  EXPECT_LT(delta.str().size(), img2.size() / 2);
-
-  // A replica sitting at img1 applies the diff and lands at img2 —
-  // bit-identically.
-  SecureMemory replica(small_config());
-  {
-    std::istringstream in(img1);
-    ASSERT_TRUE(replica.restore(in));
-  }
-  ASSERT_TRUE(apply_delta(replica, delta.str()));
-  EXPECT_EQ(image_of(replica), img2);
-  EXPECT_EQ(replica.read_block(6).data, pattern(0x66));
-
-  // Unusable inputs are refused without output.
-  std::stringstream none;
-  EXPECT_EQ(engine.encode_delta(bytes_of(img1).subspan(1), bytes_of(img2),
-                                none),
-            Status::kIntegrityViolation);
-  EXPECT_TRUE(none.str().empty());
 }
 
 }  // namespace
