@@ -103,10 +103,8 @@ int main(int argc, char** argv) {
           continue;
         }
         const std::uint64_t pad = mac.pad_for(addr, counter);
-        const auto verify = [&](const DataBlock& candidate) {
-          return mac.verify_with_pad(pad, candidate, unpacked.mac);
-        };
-        const auto result = corrector.correct(stored, verify);
+        const auto result =
+            corrector.correct_incremental(stored, mac, pad, unpacked.mac);
         if (result.status == CorrectionStatus::kUncorrectable) {
           ++mac_tally.detected;
         } else if (result.data == data) {

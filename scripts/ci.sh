@@ -84,7 +84,7 @@ if [ "$fast" -eq 0 ]; then
 fi
 
 echo "=== metrics JSON smoke ==="
-# A quick engine run through the CLI plus one bench; both exports must be
+# A quick engine run through the CLI plus two benches; every export must be
 # valid JSON (python3 is the only parser dependency).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -93,26 +93,11 @@ trap 'rm -rf "$tmp"' EXIT
 # Benches default their export to the build tree; pin it into $tmp here.
 SECMEM_METRICS_JSON="$tmp/fig1_storage.metrics.json" \
   ./build/bench/bench_fig1_storage >/dev/null
-# Small-args smoke of the re-encryption bench: exercises the functional
-# group-drain phase end to end and must export valid metrics.
+# Small-args smoke of the Table 2 bench: one simulator pass per
+# workload, with the three counter schemes observing it, and a valid
+# metrics export.
 SECMEM_METRICS_JSON="$tmp/table2_reencryption.metrics.json" \
   ./build/bench/bench_table2_reencryption 20000 1 >/dev/null
-# Snapshot-pipeline smoke: one save/restore pass per engine with the
-# metrics export validated like the rest. The delta phase must report
-# nonzero delta rows for both engines.
-SECMEM_METRICS_JSON="$tmp/snapshot.metrics.json" \
-  ./build/bench/bench_snapshot --quick --out "$tmp/snapshot.bench.json" \
-  >/dev/null
-python3 - "$tmp/snapshot.bench.json" <<'EOF'
-import json, sys
-results = json.load(open(sys.argv[1]))["results"]
-for row in results:
-    for key in ("delta_bytes", "delta_save_gibps", "delta_restore_gibps"):
-        assert row[key] > 0, f"{row['engine']}: {key} is zero"
-    assert 0 < row["delta_bytes"] < row["image_bytes"], \
-        f"{row['engine']}: delta not smaller than full image"
-print(f"ok: delta rows in {sys.argv[1]} ({len(results)} samples)")
-EOF
 for f in "$tmp"/*.metrics.json; do
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$f"
   echo "ok: $f"

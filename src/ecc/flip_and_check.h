@@ -7,25 +7,22 @@
 // The MAC field itself is protected by its own 7-bit Hamming code
 // (mac_ecc.h), so only data-bit flips need the brute-force search.
 //
-// Two engines are provided:
-//   - correct() is generic over a verification predicate, so it works
-//     against CwMac or toy checkers in tests. Every trial re-hashes the
-//     whole 64-byte candidate.
-//   - correct_incremental() exploits that the Carter-Wegman hash is
-//     GF(2)-linear in the message: flipping bit k of 64-bit word j shifts
-//     the full hash by exactly x^k * h^(8-j). The 512 per-bit hash deltas
-//     are walked in O(1) each (multiply-by-x), and every candidate trial
-//     is then one XOR and one masked compare instead of a fresh 8-word
-//     polynomial hash. Results (status, repaired bits, trial counts) are
-//     bit-identical to the generic path by linearity.
+// correct_incremental() exploits that the Carter-Wegman hash is
+// GF(2)-linear in the message: flipping bit k of 64-bit word j shifts the
+// full hash by exactly x^k * h^(8-j). The 512 per-bit hash deltas are
+// walked in O(1) each (multiply-by-x), and every candidate trial is then
+// one XOR and one masked compare instead of a fresh 8-word polynomial
+// hash. The generic search that re-hashes every candidate through an
+// arbitrary predicate lives in tests/ as the differential reference
+// (ReferenceFlipAndCheck); results (status, repaired bits, trial counts)
+// match it bit for bit by linearity.
 //
-// Both report the number of MAC evaluations performed and a modeled
-// hardware cycle cost (one GF-multiply-based MAC evaluates in ~1 cycle,
-// paper §3.4).
+// The result reports the number of MAC evaluations performed and a
+// modeled hardware cycle cost (one GF-multiply-based MAC evaluates in ~1
+// cycle, paper §3.4).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "crypto/ctr_keystream.h"
 #include "crypto/cw_mac.h"
@@ -50,9 +47,6 @@ struct [[nodiscard]] CorrectionResult {
 
 class FlipAndCheck {
  public:
-  /// `verify(block)` returns true iff the block's MAC checks out.
-  using Verifier = std::function<bool(const DataBlock&)>;
-
   struct Config {
     /// Highest number of simultaneous bit errors to attempt (0..2).
     /// The paper stops at 2: beyond that the worst case explodes to
@@ -66,15 +60,12 @@ class FlipAndCheck {
   FlipAndCheck() noexcept : config_(Config{}) {}
   explicit FlipAndCheck(const Config& config) noexcept : config_(config) {}
 
-  /// Try to make `block` verify by flipping up to max_errors bits.
-  CorrectionResult correct(const DataBlock& block, const Verifier& verify) const;
-
-  /// Incremental variant for the CwMac construction. `pad` is
-  /// mac.pad_for(addr, counter) and `tag` the stored (56-bit) tag; a
-  /// candidate verifies iff (hash ^ pad) & kMacMask == tag & kMacMask,
-  /// the same predicate CwMac::verify_with_pad applies. Candidate order,
-  /// result fields, and evaluation counts match correct() exactly — only
-  /// the per-trial cost drops from a full block hash to O(1).
+  /// Try to make `block` verify by flipping up to max_errors bits, in
+  /// the paper's order: the block as is, then every single bit, then
+  /// every pair (i < j). `pad` is mac.pad_for(addr, counter) and `tag`
+  /// the stored (56-bit) tag; a candidate verifies iff
+  /// (hash ^ pad) & kMacMask == tag & kMacMask, the same predicate
+  /// CwMac::verify_with_pad applies, at O(1) per trial.
   CorrectionResult correct_incremental(const DataBlock& block,
                                        const CwMac& mac, std::uint64_t pad,
                                        std::uint64_t tag) const;

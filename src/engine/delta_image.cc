@@ -1,6 +1,8 @@
 #include "engine/delta_image.h"
 
 #include <cstring>
+#include <istream>
+#include <ostream>
 
 #include "common/bitops.h"
 
@@ -165,6 +167,18 @@ void apply(const Geometry& geo, std::span<const Command> cmds,
       off += nl * kCounterLineBytes;
     }
   }
+}
+
+void write_u64(std::ostream& out, std::uint64_t v) {
+  std::uint8_t buf[8];
+  store_le64(buf, v);
+  out.write(reinterpret_cast<const char*>(buf), 8);
+}
+
+std::uint64_t read_u64(std::istream& in) {
+  std::uint8_t buf[8] = {};
+  in.read(reinterpret_cast<char*>(buf), 8);
+  return load_le64(buf);
 }
 
 }  // namespace secmem::delta

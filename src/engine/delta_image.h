@@ -36,9 +36,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
+#include "common/ct.h"
 #include "crypto/ctr_keystream.h"  // DataBlock
 #include "ecc/secded72.h"          // EccLane
 
@@ -142,5 +144,23 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
 void apply(const Geometry& geo, std::span<const Command> cmds,
            std::span<const std::uint8_t> cmd_bytes,
            const MutSections& sections);
+
+/// Engine image framing: every SecureMemory image opens with one of
+/// these magics, then little-endian u64 header fields. The sharded
+/// container routes each shard's slice on the same magics.
+inline constexpr char kImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
+inline constexpr char kDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
+
+/// True iff the 8 bytes at `bytes` are `magic`. Magics are public
+/// framing, but they compare through ct_equal like every other byte
+/// compare in the engine, so no engine file needs a ct-compare
+/// exemption.
+[[nodiscard]] inline bool is_magic(const void* bytes,
+                                   const char (&magic)[8]) noexcept {
+  return ct_equal(bytes, magic, sizeof(magic));
+}
+
+void write_u64(std::ostream& out, std::uint64_t v);
+std::uint64_t read_u64(std::istream& in);
 
 }  // namespace secmem::delta

@@ -106,7 +106,6 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
       keystream_(derive_keys(config.master_key).data_key),
       mac_(derive_keys(config.master_key).mac_key),
       seal_mac_(derive_keys(config.master_key).seal_key),
-      corrector_(FlipAndCheck::Config{config.max_correctable_errors, 1}),
       tree_(layout_.tree(), derive_keys(config.master_key).tree_key),
       tree_cache_(tree_, TreeCacheConfig{config.tree_cache_kb, 8},
                   &metrics_),
@@ -699,8 +698,12 @@ ScrubReport SecureMemory::scrub_all(bool deep) {
 }
 
 namespace {
-constexpr char kImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
-constexpr char kDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
+using delta::is_magic;
+using delta::kDeltaMagic;
+using delta::kImageMagic;
+using delta::read_u64;
+using delta::write_u64;
+
 /// Delta image header: the magic, then nine u64 fields — size, scheme,
 /// MAC placement, generic delta bits, base epoch, new epoch, base seal,
 /// command length, command MAC.
@@ -713,18 +716,6 @@ constexpr std::size_t kDeltaHeaderBytes = sizeof(kDeltaMagic) + 9 * 8;
 /// the first reused (addr, counter) pad — must never be used here.
 constexpr std::uint64_t kSealDomain = 0x5ea1'0000'0001ULL;
 constexpr std::uint64_t kCmdMacDomain = 0x5ea1'0000'0002ULL;
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  std::uint8_t buf[8];
-  store_le64(buf, v);
-  out.write(reinterpret_cast<const char*>(buf), 8);
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint8_t buf[8] = {};
-  in.read(reinterpret_cast<char*>(buf), 8);
-  return load_le64(buf);
-}
 
 // The contiguous vectors ARE the serialized layout: one bulk stream call
 // per section depends on the element types packing without padding.
@@ -799,15 +790,10 @@ Status SecureMemory::save(std::ostream& out) {
 }
 
 std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore(
-    std::istream& in) const {
-  return stage_restore(in, config_.master_key);
-}
-
-std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore(
     std::istream& in, std::uint64_t master_key) const {
   char magic[8] = {};
   in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kImageMagic, sizeof(magic)) != 0)
+  if (!in || !is_magic(magic, kImageMagic))
     return std::nullopt;
   return stage_restore_tail(in, master_key);
 }
@@ -962,7 +948,7 @@ void SecureMemory::wipe_to_zeros() {
 }
 
 bool SecureMemory::restore(std::istream& in) {
-  return commit_or_wipe(stage_restore(in));
+  return commit_or_wipe(stage_restore(in, config_.master_key));
 }
 
 bool SecureMemory::commit_or_wipe(std::optional<StagedRestore> staged) {
@@ -1153,7 +1139,7 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
     std::istream& in) {
   char magic[8] = {};
   in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kDeltaMagic, sizeof(magic)) != 0)
+  if (!in || !is_magic(magic, kDeltaMagic))
     return std::nullopt;
   const std::span<const std::uint8_t> image = read_delta_image(in);
   if (image.empty()) return std::nullopt;
@@ -1187,7 +1173,7 @@ std::span<const std::uint8_t> SecureMemory::read_delta_image(
 std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
     std::span<const std::uint8_t> image) {
   if (image.size() < kDeltaHeaderBytes ||
-      std::memcmp(image.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0)
+      !is_magic(image.data(), kDeltaMagic))
     return std::nullopt;
   const auto field = [&image](unsigned i) {
     return load_le64(image.data() + sizeof(kDeltaMagic) + 8 * i);
@@ -1294,9 +1280,9 @@ bool SecureMemory::restore_delta(std::istream& in) {
   char magic[8] = {};
   in.read(magic, sizeof(magic));
   // Full image: ordinary restore semantics, including wipe-on-failure.
-  if (in && std::memcmp(magic, kImageMagic, sizeof(magic)) == 0)
+  if (in && is_magic(magic, kImageMagic))
     return commit_or_wipe(stage_restore_tail(in, config_.master_key));
-  if (!in || std::memcmp(magic, kDeltaMagic, sizeof(magic)) != 0) {
+  if (!in || !is_magic(magic, kDeltaMagic)) {
     metrics_.add(MetricId::kDeltaRejects);
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
     return false;

@@ -57,8 +57,6 @@ struct SecureMemoryConfig {
   CounterSchemeKind scheme = CounterSchemeKind::kDelta;
   MacPlacement mac_placement = MacPlacement::kEccLane;
   std::uint64_t onchip_bytes = 3 * 1024;
-  /// Flip-and-check effort in MAC-ECC mode (0 disables correction).
-  unsigned max_correctable_errors = 2;
   /// Nonzero: override `scheme` with a GenericDeltaCounters of this delta
   /// width (2..16 bits) — the §4.2 design-space knob.
   unsigned generic_delta_bits = 0;
@@ -313,8 +311,6 @@ class SecureMemory : public SecureMemoryLike {
     std::vector<std::uint8_t> counter_store;
     BonsaiTree tree;
   };
-  [[nodiscard]] std::optional<StagedRestore> stage_restore(
-      std::istream& in) const;
   [[nodiscard]] std::optional<StagedRestore> stage_restore(
       std::istream& in, std::uint64_t master_key) const;
   void commit_restore(StagedRestore&& staged);

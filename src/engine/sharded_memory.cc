@@ -46,10 +46,9 @@ constexpr char kShardMagic[8] = {'S', 'E', 'C', 'S', 'H', 'R', 'D', '1'};
 /// payloads (each a SecureMemory full OR delta image, sniffed on its
 /// own magic below — a shard with a broken chain falls back to full).
 constexpr char kShardDeltaMagic[8] = {'S', 'E', 'C', 'S', 'H', 'D', 'L', '1'};
-/// The per-engine image magics (owned by secure_memory.cc, which
-/// validates them again when staging — these copies only route slices).
-constexpr char kEngineImageMagic[8] = {'S', 'E', 'C', 'M', 'E', 'M', '0', '1'};
-constexpr char kEngineDeltaMagic[8] = {'S', 'E', 'C', 'M', 'D', 'L', 'T', '1'};
+using delta::is_magic;
+using delta::read_u64;
+using delta::write_u64;
 
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
@@ -90,18 +89,6 @@ class SpanSource final : public std::streambuf {
     setg(p, p, p + size);
   }
 };
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  std::uint8_t buf[8];
-  store_le64(buf, v);
-  out.write(reinterpret_cast<const char*>(buf), 8);
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint8_t buf[8] = {};
-  in.read(reinterpret_cast<char*>(buf), 8);
-  return load_le64(buf);
-}
 
 }  // namespace
 
@@ -732,11 +719,8 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
   const auto t0 = std::chrono::steady_clock::now();
   char magic[8] = {};
   in.read(magic, sizeof(magic));
-  // Public image magics, not secret material.
-  const bool full = std::memcmp(magic, kShardMagic, sizeof(magic)) == 0;
-  const bool delta =
-      accept_delta &&
-      std::memcmp(magic, kShardDeltaMagic, sizeof(magic)) == 0;
+  const bool full = is_magic(magic, kShardMagic);
+  const bool delta = accept_delta && is_magic(magic, kShardDeltaMagic);
   if (!in || !(full || delta) || read_u64(in) != num_shards_ ||
       read_u64(in) != granule_blocks_)
     return reject_restore({}, {}, 0);
@@ -873,8 +857,7 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
   // A full fallback slice holds a whole shard image; recycling its
   // buffer would park that much memory for the small deltas that follow.
   for (std::vector<char>& image : images) {
-    if (image.size() >= 8 &&
-        std::memcmp(image.data(), kEngineImageMagic, 8) == 0)
+    if (image.size() >= 8 && is_magic(image.data(), delta::kImageMagic))
       std::vector<char>().swap(image);
   }
   // The shard engines aligned their chains into the private buffers; if
@@ -934,22 +917,22 @@ std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
     offsets[s] = offsets[s - 1] + static_cast<std::size_t>(lengths[s - 1]);
   keep_payload = true;
   for (unsigned s = 0; s < num_shards_; ++s) {
-    if (std::memcmp(payload + offsets[s], kEngineDeltaMagic, 8) != 0)
+    if (!is_magic(payload + offsets[s], delta::kDeltaMagic))
       keep_payload = false;
   }
 
-  // Stage every slice — sniffing each on ITS magic: kEngineDeltaMagic
-  // is a delta against that shard's current chain, kEngineImageMagic a
+  // Stage every slice — sniffing each on ITS magic: delta::kDeltaMagic
+  // is a delta against that shard's current chain, delta::kImageMagic a
   // full fallback image (staged under the REGION-derived master, the
   // same un-poisoning rule as the full container).
   pool_.run(num_shards_, [this, payload, &offsets, &lengths, engines,
                           staged](unsigned s) {
     const char* slice = payload + offsets[s];
     const auto len = static_cast<std::size_t>(lengths[s]);
-    if (std::memcmp(slice, kEngineDeltaMagic, 8) == 0) {
+    if (is_magic(slice, delta::kDeltaMagic)) {
       staged[s].delta = engines[s]->stage_delta(std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(slice), len));
-    } else if (std::memcmp(slice, kEngineImageMagic, 8) == 0) {
+    } else if (is_magic(slice, delta::kImageMagic)) {
       SpanSource source(slice, len);
       std::istream shard_in(&source);
       staged[s].full = engines[s]->stage_restore(

@@ -98,7 +98,6 @@ ReferenceMemory::ReferenceMemory(const SecureMemoryConfig& config)
       tree_key_(derive(config.master_key).tree_key),
       keystream_(derive(config.master_key).data_key),
       mac_(derive(config.master_key).mac_key),
-      corrector_(FlipAndCheck::Config{config.max_correctable_errors, 1}),
       tree_(layout_.tree(), tree_key_),
       ciphertext_(layout_.num_blocks()),
       lanes_(layout_.num_blocks()),

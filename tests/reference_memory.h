@@ -34,11 +34,11 @@
 #include "counters/counter_scheme.h"
 #include "crypto/ctr_keystream.h"
 #include "crypto/cw_mac.h"
-#include "ecc/flip_and_check.h"
 #include "ecc/mac_ecc.h"
 #include "ecc/secded72.h"
 #include "engine/layout.h"
 #include "engine/secure_memory.h"
+#include "reference_flip_and_check.h"
 #include "tree/bonsai_tree.h"
 
 namespace secmem {
@@ -75,7 +75,7 @@ class ReferenceMemory {
   CwMac mac_;
   MacEccCodec mac_ecc_;
   Secded72 secded_;
-  FlipAndCheck corrector_;
+  ReferenceFlipAndCheck corrector_;
   BonsaiTree tree_;
   std::vector<DataBlock> ciphertext_;
   std::vector<EccLane> lanes_;

@@ -361,6 +361,8 @@ TEST(DeltaSharded, AggregatesDirtyGranulesAndTimesRestores) {
 
   // restore_timed takes full containers too (the bench's other mode).
   const std::string full = image_of(source);
+  // One dirty granule ships as a delta well under the full container.
+  EXPECT_LT(delta.size() * 4, full.size());
   SnapshotTiming full_timing;
   std::istringstream full_in(full);
   ASSERT_TRUE(replica.restore_timed(full_in, full_timing));

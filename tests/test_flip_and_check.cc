@@ -1,3 +1,7 @@
+// Flip-and-check correction (paper §3.4). The FlipAndCheck.* searches
+// exercise the generic test-side reference (reference_flip_and_check.h)
+// against a real CwMac predicate; FlipAndCheckIncremental.* pin the
+// production corrector to that reference result for result.
 #include "ecc/flip_and_check.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +11,7 @@
 #include "common/bitops.h"
 #include "common/rng.h"
 #include "crypto/cw_mac.h"
+#include "reference_flip_and_check.h"
 
 namespace secmem {
 namespace {
@@ -22,7 +27,7 @@ struct Fixture {
   CwMac mac{test_key()};
   DataBlock block{};
   std::uint64_t tag = 0;
-  FlipAndCheck::Verifier verifier;
+  ReferenceFlipAndCheck::Verifier verifier;
 
   explicit Fixture(std::uint64_t seed) {
     Xoshiro256 rng(seed);
@@ -36,7 +41,7 @@ struct Fixture {
 
 TEST(FlipAndCheck, CleanBlockNoWork) {
   Fixture f(1);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   const auto result = corrector.correct(f.block, f.verifier);
   EXPECT_EQ(result.status, CorrectionStatus::kClean);
   EXPECT_EQ(result.mac_evaluations, 1u);
@@ -45,7 +50,7 @@ TEST(FlipAndCheck, CleanBlockNoWork) {
 
 TEST(FlipAndCheck, SingleBitErrorsSampledAcrossBlock) {
   Fixture f(2);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   for (std::size_t bit = 0; bit < 512; bit += 23) {
     DataBlock corrupted = f.block;
     flip_bit(corrupted, bit);
@@ -59,7 +64,7 @@ TEST(FlipAndCheck, SingleBitErrorsSampledAcrossBlock) {
 
 TEST(FlipAndCheck, FirstAndLastBitPositions) {
   Fixture f(3);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   for (std::size_t bit : {std::size_t{0}, std::size_t{511}}) {
     DataBlock corrupted = f.block;
     flip_bit(corrupted, bit);
@@ -71,7 +76,7 @@ TEST(FlipAndCheck, FirstAndLastBitPositions) {
 
 TEST(FlipAndCheck, DoubleBitErrorsCorrected) {
   Fixture f(4);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   const std::pair<std::size_t, std::size_t> cases[] = {
       {0, 1},      // adjacent, same word — standard SEC-DED would fail
       {3, 60},     // same word
@@ -93,7 +98,7 @@ TEST(FlipAndCheck, DoubleBitErrorsCorrected) {
 
 TEST(FlipAndCheck, TripleBitErrorUncorrectableAtMaxTwo) {
   Fixture f(5);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   DataBlock corrupted = f.block;
   flip_bit(corrupted, 1);
   flip_bit(corrupted, 77);
@@ -104,7 +109,7 @@ TEST(FlipAndCheck, TripleBitErrorUncorrectableAtMaxTwo) {
 
 TEST(FlipAndCheck, MaxErrorsZeroOnlyDetects) {
   Fixture f(6);
-  FlipAndCheck corrector(FlipAndCheck::Config{0, 1});
+  ReferenceFlipAndCheck corrector(FlipAndCheck::Config{0, 1});
   DataBlock corrupted = f.block;
   flip_bit(corrupted, 42);
   const auto result = corrector.correct(corrupted, f.verifier);
@@ -114,7 +119,7 @@ TEST(FlipAndCheck, MaxErrorsZeroOnlyDetects) {
 
 TEST(FlipAndCheck, MaxErrorsOneSkipsPairSearch) {
   Fixture f(7);
-  FlipAndCheck corrector(FlipAndCheck::Config{1, 1});
+  ReferenceFlipAndCheck corrector(FlipAndCheck::Config{1, 1});
   DataBlock corrupted = f.block;
   flip_bit(corrupted, 3);
   flip_bit(corrupted, 300);
@@ -159,8 +164,8 @@ TEST(FlipAndCheck, WorstCaseChecksSymmetryAndRange) {
 
 TEST(FlipAndCheck, ModeledCyclesScaleWithCyclesPerMac) {
   Fixture f(8);
-  FlipAndCheck fast(FlipAndCheck::Config{2, 1});
-  FlipAndCheck slow(FlipAndCheck::Config{2, 4});
+  ReferenceFlipAndCheck fast(FlipAndCheck::Config{2, 1});
+  ReferenceFlipAndCheck slow(FlipAndCheck::Config{2, 4});
   DataBlock corrupted = f.block;
   flip_bit(corrupted, 128);
   const auto r1 = fast.correct(corrupted, f.verifier);
@@ -173,7 +178,7 @@ TEST(FlipAndCheck, NeverMiscorrects) {
   // With a real 56-bit MAC, the corrector must only ever return the true
   // original block — a wrong candidate verifying would be a MAC collision.
   Fixture f(9);
-  FlipAndCheck corrector;
+  ReferenceFlipAndCheck corrector;
   Xoshiro256 rng(99);
   for (int trial = 0; trial < 10; ++trial) {
     DataBlock corrupted = f.block;
@@ -211,12 +216,13 @@ TEST(FlipAndCheckIncremental, CleanBlockNoWork) {
 TEST(FlipAndCheckIncremental, MatchesGenericOnSingleBitErrors) {
   IncrementalFixture f(22);
   FlipAndCheck corrector;
+  ReferenceFlipAndCheck reference;
   for (std::size_t bit = 0; bit < 512; bit += 17) {
     DataBlock corrupted = f.block;
     flip_bit(corrupted, bit);
     const auto fast =
         corrector.correct_incremental(corrupted, f.mac, f.pad, f.tag);
-    const auto slow = corrector.correct(corrupted, f.verifier);
+    const auto slow = reference.correct(corrupted, f.verifier);
     EXPECT_EQ(fast.status, slow.status) << bit;
     EXPECT_EQ(fast.data, slow.data) << bit;
     EXPECT_EQ(fast.mac_evaluations, slow.mac_evaluations) << bit;
@@ -228,6 +234,7 @@ TEST(FlipAndCheckIncremental, MatchesGenericOnSingleBitErrors) {
 TEST(FlipAndCheckIncremental, MatchesGenericOnDoubleBitErrors) {
   IncrementalFixture f(23);
   FlipAndCheck corrector;
+  ReferenceFlipAndCheck reference;
   Xoshiro256 rng(777);
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t i = rng.next_below(512);
@@ -238,7 +245,7 @@ TEST(FlipAndCheckIncremental, MatchesGenericOnDoubleBitErrors) {
     flip_bit(corrupted, j);
     const auto fast =
         corrector.correct_incremental(corrupted, f.mac, f.pad, f.tag);
-    const auto slow = corrector.correct(corrupted, f.verifier);
+    const auto slow = reference.correct(corrupted, f.verifier);
     EXPECT_EQ(fast.status, slow.status) << i << "," << j;
     EXPECT_EQ(fast.data, slow.data) << i << "," << j;
     EXPECT_EQ(fast.mac_evaluations, slow.mac_evaluations) << i << "," << j;
