@@ -84,12 +84,16 @@ if [ "$fast" -eq 0 ]; then
 fi
 
 echo "=== metrics JSON smoke ==="
-# A quick engine run through the CLI plus two benches; every export must be
+# Quick engine runs through the CLI plus two benches; every export must be
 # valid JSON (python3 is the only parser dependency).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 ./build/tools/secmem-sim --engine sharded --refs 2000 \
   --metrics-json "$tmp/engine.metrics.json" >/dev/null
+# The plain engine's save/delta path and metrics export, through the CLI.
+./build/tools/secmem-sim --engine plain --refs 2000 \
+  --delta-save "$tmp/plain.delta" \
+  --metrics-json "$tmp/plain.metrics.json" >/dev/null
 # Benches default their export to the build tree; pin it into $tmp here.
 SECMEM_METRICS_JSON="$tmp/fig1_storage.metrics.json" \
   ./build/bench/bench_fig1_storage >/dev/null

@@ -67,7 +67,7 @@ enum class MetricId : unsigned {
   kDeltaSaves,           ///< incremental (COPY/ADD) snapshot images emitted
   kDeltaSaveFallbacks,   ///< save_delta calls that emitted a full image
   kDeltaRestores,        ///< delta images verified and applied in place
-  kDeltaRejects,         ///< delta images rejected before any byte applied
+  kDeltaRejects,         ///< rejected restore_delta/restore_timed calls
   kCount_,               ///< sentinel
 };
 inline constexpr std::size_t kMetricCount =

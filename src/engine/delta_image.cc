@@ -1,5 +1,6 @@
 #include "engine/delta_image.h"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -62,6 +63,14 @@ std::uint64_t Geometry::payload_bytes(std::uint64_t g) const noexcept {
   std::uint64_t bytes = nb * (sizeof(DataBlock) + sizeof(EccLane));
   if (separate_macs) bytes += nb * sizeof(std::uint64_t);
   return bytes + lines_in(g) * kCounterLineBytes;
+}
+
+std::uint64_t max_stream_bytes(const Geometry& geo) noexcept {
+  std::uint64_t bytes = 0;
+  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
+    bytes += std::max<std::uint64_t>(kCopyWire,
+                                     kAddWire + geo.payload_bytes(g));
+  return bytes;
 }
 
 std::uint64_t encode_from_dirty(const Geometry& geo,

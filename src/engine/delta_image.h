@@ -130,6 +130,11 @@ std::uint64_t encode_from_dirty(const Geometry& geo,
                                 std::span<const std::uint64_t> dirty_words,
                                 std::vector<std::uint8_t>& out);
 
+/// Longest command stream parse() can accept for `geo`: every granule
+/// under its own command, each the larger of a COPY and an ADD with its
+/// payload. Bounds a claimed command length before any byte is read.
+std::uint64_t max_stream_bytes(const Geometry& geo) noexcept;
+
 /// Validate a command stream: opcode, bounds, payload sizes, COPYs that
 /// stay in place (src == dst), and exact coverage of all granules.
 /// False leaves `cmds` unspecified and means the stream must not be

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <streambuf>
 #include <unordered_map>
 
 #include "common/bitops.h"
@@ -20,6 +21,7 @@
 #include "counters/generic_delta.h"
 #include "counters/monolithic.h"
 #include "counters/split_counter.h"
+#include "engine/byte_range.h"
 
 namespace secmem {
 
@@ -128,9 +130,7 @@ SecureMemory::SecureMemory(const SecureMemoryConfig& config)
   dirty_word_count_ = (num_granules_ + 63) / 64;
   dirty_words_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(dirty_word_count_);
-  const delta::Geometry geo = delta_geometry();
-  for (std::uint64_t g = 0; g < geo.num_granules(); ++g)
-    delta_cmd_bound_ += 25 + geo.payload_bytes(g);
+  delta_cmd_bound_ = delta::max_stream_bytes(delta_geometry());
 
   // Initialize every block as encrypted zeros under counter 0, so reads
   // before the first write still verify.
@@ -469,18 +469,6 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
                                       std::vector<std::uint32_t>& declined)
     const {
   assert(results.size() == blocks.size());
-  if (config_.time_ops) {
-    // Per-op latency sampling needs per-op boundaries — scalar wholesale.
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (const auto r = read_block_shared(blocks[i])) {
-        results[i] = *r;
-      } else {
-        declined.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    return;
-  }
-
   // Each distinct counter line is probed once — under the shared lock the
   // line bytes cannot change within the batch, so one read-side verify
   // per line is observationally equivalent to one per block. The line
@@ -570,12 +558,6 @@ Status SecureMemory::write_blocks(std::span<const BlockWrite> writes) {
     if (w.block >= layout_.num_blocks())
       throw std::out_of_range("SecureMemory::write_blocks: block " +
                               std::to_string(w.block) + " out of range");
-  if (config_.time_ops) {
-    Status folded = Status::kOk;
-    for (const BlockWrite& w : writes)
-      folded = worse(folded, write_block(w.block, w.data));
-    return folded;
-  }
 
   // Counter-scheme events are processed strictly in request order;
   // stores buffer up so the crypto runs batched, and flush before any
@@ -704,10 +686,10 @@ using delta::kImageMagic;
 using delta::read_u64;
 using delta::write_u64;
 
-/// Delta image header: the magic, then nine u64 fields — size, scheme,
-/// MAC placement, generic delta bits, base epoch, new epoch, base seal,
-/// command length, command MAC.
-constexpr std::size_t kDeltaHeaderBytes = sizeof(kDeltaMagic) + 9 * 8;
+/// Delta image header past the magic: nine u64 fields — the four
+/// geometry fields, base epoch, new epoch, base seal, command length,
+/// command MAC.
+constexpr std::size_t kDeltaFieldBytes = 9 * 8;
 
 /// Domain constants for the snapshot-chain MACs (CwMac::compute_prf,
 /// ≤56 bits). These MACs are nonce-FREE by construction: chain roots
@@ -724,14 +706,60 @@ static_assert(sizeof(EccLane) == kEccLaneBytes);
 
 /// MACs per endian-conversion chunk (64 KiB of stream traffic a flush).
 constexpr std::size_t kMacChunk = 8192;
+
+/// istream source over a borrowed byte slice — a full image inside a
+/// sharded delta container stages off its cut of the bulk-read payload
+/// without copying it. The const_cast is the std::streambuf get-area
+/// API's; the get area is never written through.
+class SpanSource final : public std::streambuf {
+ public:
+  explicit SpanSource(std::span<const std::uint8_t> bytes) {
+    auto* p = reinterpret_cast<char*>(const_cast<std::uint8_t*>(bytes.data()));
+    setg(p, p, p + bytes.size());
+  }
+};
 }  // namespace
 
-std::uint64_t SecureMemory::image_bytes() const noexcept {
+std::array<std::uint64_t, 4> SecureMemory::image_geometry() const noexcept {
+  return {config_.size_bytes, static_cast<std::uint64_t>(config_.scheme),
+          static_cast<std::uint64_t>(config_.mac_placement),
+          config_.generic_delta_bits};
+}
+
+std::span<const std::uint8_t> SecureMemory::root_level(
+    const BonsaiTree& tree) {
+  std::vector<std::uint8_t>& root = scratch_.root_bytes;
+  root.clear();
   const unsigned top = layout_.tree().total_levels() - 1;
+  for (std::uint64_t node = 0; node < layout_.tree().nodes_at[top]; ++node) {
+    const auto bytes = tree.read_node(top, node);
+    root.insert(root.end(), bytes.begin(), bytes.end());
+  }
+  return root;
+}
+
+std::uint64_t SecureMemory::root_level_bytes() const noexcept {
+  const unsigned top = layout_.tree().total_levels() - 1;
+  return layout_.tree().nodes_at[top] * 64;
+}
+
+bool SecureMemory::verify_root_level(
+    const BonsaiTree& tree, std::span<const std::uint8_t> expected) {
+  const std::span<const std::uint8_t> root = root_level(tree);
+  return root.size() == expected.size() &&
+         ct_equal(root.data(), expected.data(), root.size());
+}
+
+std::uint64_t SecureMemory::image_bytes() const noexcept {
   return sizeof(kImageMagic) + 4 * 8 +
          layout_.num_blocks() * (kBlockBytes + kEccLaneBytes) +
-         macs_.size() * 8 + counter_store_.size() +
-         layout_.tree().nodes_at[top] * 64;
+         macs_.size() * 8 + counter_store_.size() + root_level_bytes();
+}
+
+std::uint64_t SecureMemory::max_image_bytes() const noexcept {
+  return std::max<std::uint64_t>(
+      image_bytes(), sizeof(kDeltaMagic) + kDeltaFieldBytes +
+                         delta_cmd_bound_ + root_level_bytes());
 }
 
 Status SecureMemory::save(std::ostream& out) {
@@ -739,10 +767,7 @@ Status SecureMemory::save(std::ostream& out) {
   // is bit-identical to what the eager path would persist.
   tree_cache_.flush();
   out.write(kImageMagic, sizeof(kImageMagic));
-  write_u64(out, config_.size_bytes);
-  write_u64(out, static_cast<std::uint64_t>(config_.scheme));
-  write_u64(out, static_cast<std::uint64_t>(config_.mac_placement));
-  write_u64(out, config_.generic_delta_bits);
+  for (const std::uint64_t field : image_geometry()) write_u64(out, field);
 
   // Off-chip state, exactly what sits on the (NV)DIMMs. Ciphertext and
   // lane vectors are contiguous and byte-identical to the per-element
@@ -770,13 +795,9 @@ Status SecureMemory::save(std::ostream& out) {
 
   // Sealed root snapshot: the on-chip root level of the tree (a handful
   // of nodes — never the bandwidth term).
-  const unsigned top = layout_.tree().total_levels() - 1;
-  for (std::uint64_t node = 0; node < layout_.tree().nodes_at[top];
-       ++node) {
-    const auto bytes = tree_.read_node(top, node);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  const std::span<const std::uint8_t> root = root_level(tree_);
+  out.write(reinterpret_cast<const char*>(root.data()),
+            static_cast<std::streamsize>(root.size()));
   // A full image is always a valid delta base — but only if it actually
   // persisted. On stream failure keep the previous alignment point (it
   // still describes the last image that made it out) and surface the
@@ -789,49 +810,79 @@ Status SecureMemory::save(std::ostream& out) {
   return Status::kOk;
 }
 
-std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore(
-    std::istream& in, std::uint64_t master_key) const {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in || !is_magic(magic, kImageMagic))
-    return std::nullopt;
-  return stage_restore_tail(in, master_key);
+bool SecureMemory::restore_image(std::istream& in, bool accept_delta) {
+  std::optional<StagedImage> staged =
+      stage_image(in, config_.master_key, accept_delta);
+  if (!staged) {
+    if (accept_delta) metrics_.add(MetricId::kDeltaRejects);
+    trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
+    return false;
+  }
+  return commit_image(std::move(*staged));
 }
 
-std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
-    std::istream& in, std::uint64_t master_key) const {
-  if (read_u64(in) != config_.size_bytes) return std::nullopt;
-  if (read_u64(in) != static_cast<std::uint64_t>(config_.scheme))
-    return std::nullopt;
-  if (read_u64(in) != static_cast<std::uint64_t>(config_.mac_placement))
-    return std::nullopt;
-  if (read_u64(in) != config_.generic_delta_bits) return std::nullopt;
+std::optional<SecureMemory::StagedImage> SecureMemory::stage_image(
+    std::istream& in, std::uint64_t master_key, bool accept_delta) {
+  char magic[8] = {};
+  in.read(magic, sizeof(magic));
+  if (!in) return std::nullopt;
+  if (is_magic(magic, kImageMagic)) return stage_restore_tail(in, master_key);
+  if (!accept_delta || !is_magic(magic, kDeltaMagic)) return std::nullopt;
+  // A delta is read into the arena's stream buffer and staged there. The
+  // buffer only grows: shrinking and regrowing would re-zero reused bytes
+  // the reads overwrite anyway. The command length is bounded before it
+  // sizes the read.
+  std::vector<std::uint8_t>& buf = snap_arena_.delta_stream;
+  if (buf.size() < kDeltaFieldBytes) buf.resize(kDeltaFieldBytes);
+  in.read(reinterpret_cast<char*>(buf.data()), kDeltaFieldBytes);
+  const std::uint64_t cmd_len = load_le64(buf.data() + 7 * 8);
+  if (!in || cmd_len > delta_cmd_bound_) return std::nullopt;
+  const std::size_t size = kDeltaFieldBytes +
+                           static_cast<std::size_t>(cmd_len) +
+                           static_cast<std::size_t>(root_level_bytes());
+  if (buf.size() < size) buf.resize(size);
+  in.read(reinterpret_cast<char*>(buf.data() + kDeltaFieldBytes),
+          static_cast<std::streamsize>(size - kDeltaFieldBytes));
+  if (!in) return std::nullopt;
+  return stage_delta({buf.data(), size});
+}
 
-  // Read the off-chip image into staging storage — engine state is not
-  // touched anywhere in this function. The tree's zero-leaf build is
-  // deferred: rebuild_from_lines below overwrites every slot the image's
-  // leaves reach, so building zero MACs first would be pure waste.
-  const CwMacKey tree_key = derive_keys(master_key).tree_key;
-  // Staging storage is adopted from the arena (the state vectors the
-  // last commit replaced — right-sized and page-warm; empty vectors on
-  // the first restore, where resize allocates). Every byte of every
-  // section is overwritten by the reads below, so stale recycled
-  // contents can never leak into a staged image.
-  StagedRestore staged{master_key,
-                       std::move(snap_arena_.ciphertext),
-                       std::move(snap_arena_.lanes),
-                       std::move(snap_arena_.macs),
-                       std::move(snap_arena_.counter_store),
-                       BonsaiTree(layout_.tree(), tree_key,
-                                  BonsaiTree::DeferredBuild{})};
+std::optional<SecureMemory::StagedImage> SecureMemory::stage_image(
+    std::span<const std::uint8_t> image, std::uint64_t master_key) {
+  if (image.size() < sizeof(kImageMagic)) return std::nullopt;
+  const auto tail = image.subspan(sizeof(kImageMagic));
+  if (is_magic(image.data(), kDeltaMagic)) return stage_delta(tail);
+  if (!is_magic(image.data(), kImageMagic)) return std::nullopt;
+  SpanSource source(tail);
+  std::istream tail_in(&source);
+  return stage_restore_tail(tail_in, master_key);
+}
+
+std::optional<SecureMemory::StagedImage> SecureMemory::stage_restore_tail(
+    std::istream& in, std::uint64_t master_key) {
+  for (const std::uint64_t field : image_geometry())
+    if (read_u64(in) != field) return std::nullopt;
+
+  // Read the off-chip image into staging storage adopted from the arena
+  // (the state vectors the last commit replaced — right-sized and
+  // page-warm); engine state is not touched. Every byte of every section
+  // is overwritten by the reads below, so stale recycled contents never
+  // leak into a staged image. The tree's zero-leaf build is deferred:
+  // rebuild_from_lines overwrites every slot the image's leaves reach.
+  StagedImage staged;
+  staged.master_key = master_key;
+  staged.ciphertext = std::move(snap_arena_.ciphertext);
+  staged.lanes = std::move(snap_arena_.lanes);
+  staged.macs = std::move(snap_arena_.macs);
+  staged.counter_store = std::move(snap_arena_.counter_store);
+  staged.tree.emplace(layout_.tree(), derive_keys(master_key).tree_key,
+                      BonsaiTree::DeferredBuild{});
   staged.ciphertext.resize(layout_.num_blocks());
   staged.lanes.resize(layout_.num_blocks());
   staged.macs.resize(macs_.size());
   staged.counter_store.resize(counter_store_.size());
-  // Chunked reads, mirroring save(): contiguous sections in one stream
-  // call each; the MAC words land in their own storage and convert
-  // endianness in place (each element independently re-read through
-  // load_le64 — the identity on little-endian hosts).
+  // Mirroring save(): contiguous sections in one stream call each; the
+  // MAC words convert endianness in place (load_le64 per element).
   in.read(reinterpret_cast<char*>(staged.ciphertext.data()),
           static_cast<std::streamsize>(staged.ciphertext.size() *
                                        sizeof(DataBlock)));
@@ -849,40 +900,32 @@ std::optional<SecureMemory::StagedRestore> SecureMemory::stage_restore_tail(
   }
   in.read(reinterpret_cast<char*>(staged.counter_store.data()),
           static_cast<std::streamsize>(staged.counter_store.size()));
-  // A rejected image hands the adopted storage back to the arena.
-  const auto reject = [this, &staged] {
-    discard_restore(std::move(staged));
-    return std::nullopt;
-  };
-  if (!in) return reject();
-
+  std::vector<std::uint8_t> sealed(root_level_bytes());
+  in.read(reinterpret_cast<char*>(sealed.data()),
+          static_cast<std::streamsize>(sealed.size()));
   // Rebuild the tree from the image's counter lines and check its root
   // level against the sealed snapshot — offline counter tamper dies here.
   // Bottom-up bulk rebuild: O(lines) batched MACs instead of the
   // O(lines x depth) scalar MACs of per-leaf root walks, bit-identical
   // final tree (see BonsaiTree::rebuild_from_lines).
-  staged.tree.rebuild_from_lines(staged.counter_store);
-  const unsigned top = layout_.tree().total_levels() - 1;
-  for (std::uint64_t node = 0; node < layout_.tree().nodes_at[top];
-       ++node) {
-    std::array<std::uint8_t, 64> sealed{};
-    in.read(reinterpret_cast<char*>(sealed.data()), 64);
-    const auto computed = staged.tree.read_node(top, node);
-    if (!in || !ct_equal(computed.data(), sealed.data(), sealed.size()))
-      return reject();
+  if (in) staged.tree->rebuild_from_lines(staged.counter_store);
+  if (!in || !verify_root_level(*staged.tree, sealed)) {
+    // A rejected image hands the adopted storage back to the arena.
+    discard_image(std::move(staged));
+    return std::nullopt;
   }
   return staged;
 }
 
-void SecureMemory::discard_restore(StagedRestore&& staged) const {
+void SecureMemory::discard_image(StagedImage&& staged) const {
+  if (!staged.tree) {
+    snap_arena_.delta_cmds = std::move(staged.cmds);
+    return;
+  }
   snap_arena_.ciphertext = std::move(staged.ciphertext);
   snap_arena_.lanes = std::move(staged.lanes);
   snap_arena_.macs = std::move(staged.macs);
   snap_arena_.counter_store = std::move(staged.counter_store);
-}
-
-void SecureMemory::discard_restore(StagedDelta&& staged) const {
-  snap_arena_.delta_cmds = std::move(staged.cmds);
 }
 
 std::uint64_t SecureMemory::snapshot_arena_bytes() const noexcept {
@@ -895,7 +938,8 @@ std::uint64_t SecureMemory::snapshot_arena_bytes() const noexcept {
          snap_arena_.delta_cmds.capacity() * sizeof(delta::Command);
 }
 
-void SecureMemory::commit_restore(StagedRestore&& staged) {
+bool SecureMemory::commit_image(StagedImage&& staged) {
+  if (!staged.tree) return commit_delta(std::move(staged));
   if (staged.master_key != config_.master_key) {
     // The image was staged under a different master (a shard stranded
     // mid-rotation being recovered): adopt it and re-derive the working
@@ -907,13 +951,13 @@ void SecureMemory::commit_restore(StagedRestore&& staged) {
     seal_mac_ = CwMac(keys.seal_key);
   }
   // Swap rather than move-assign: the replaced state vectors survive in
-  // `staged` and are parked in the arena below, so the next
-  // stage_restore reuses their (right-sized, already-faulted) pages.
+  // `staged` and are parked in the arena below, so the next stage
+  // reuses their (right-sized, already-faulted) pages.
   std::swap(ciphertext_, staged.ciphertext);
   std::swap(lanes_, staged.lanes);
   std::swap(macs_, staged.macs);
   std::swap(counter_store_, staged.counter_store);
-  tree_ = std::move(staged.tree);
+  tree_ = std::move(*staged.tree);
   tree_cache_.invalidate_all();  // cached state described the old tree
   // One virtual dispatch per region for the line decode and the shadow
   // counter refill (schemes override read_counters with direct group
@@ -921,7 +965,7 @@ void SecureMemory::commit_restore(StagedRestore&& staged) {
   // read_counter.
   scheme_->deserialize_all(counter_store_);
   scheme_->read_counters(shadow_ctr_);
-  discard_restore(std::move(staged));  // park the replaced vectors
+  discard_image(std::move(staged));  // park the replaced vectors
   metrics_.add(MetricId::kRestores);
   trace(TraceEvent::Kind::kRestore, Status::kOk, 0);
   // Full images carry no chain state: the restored image becomes epoch
@@ -929,6 +973,7 @@ void SecureMemory::commit_restore(StagedRestore&& staged) {
   // that restored it (the seal covers the root level, not the epoch).
   snap_epoch_ = 0;
   align_chain();
+  return true;
 }
 
 void SecureMemory::wipe_to_zeros() {
@@ -947,37 +992,9 @@ void SecureMemory::wipe_to_zeros() {
   mark_all_dirty();
 }
 
-bool SecureMemory::restore(std::istream& in) {
-  return commit_or_wipe(stage_restore(in, config_.master_key));
-}
-
-bool SecureMemory::commit_or_wipe(std::optional<StagedRestore> staged) {
-  if (!staged) {
-    wipe_to_zeros();
-    trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
-    return false;
-  }
-  commit_restore(std::move(*staged));
-  return true;
-}
-
 /// ---------------------------------------------------------------------
 /// Incremental (delta) snapshots.
 /// ---------------------------------------------------------------------
-namespace {
-/// Concatenated root-level bytes — the material both chain seals and
-/// delta trailers are built from.
-void append_root_level(const SecureRegionLayout& layout,
-                       const BonsaiTree& tree,
-                       std::vector<std::uint8_t>& out) {
-  const unsigned top = layout.tree().total_levels() - 1;
-  for (std::uint64_t node = 0; node < layout.tree().nodes_at[top]; ++node) {
-    const auto bytes = tree.read_node(top, node);
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-}
-}  // namespace
-
 void SecureMemory::mark_all_dirty() noexcept {
   for (std::uint64_t w = 0; w < dirty_word_count_; ++w)
     dirty_words_[w].store(~std::uint64_t{0}, std::memory_order_relaxed);
@@ -1009,31 +1026,14 @@ delta::Geometry SecureMemory::delta_geometry() const noexcept {
   return geo;
 }
 
-delta::ConstSections SecureMemory::delta_sections() const noexcept {
-  return {ciphertext_, lanes_, macs_, counter_store_};
-}
-
-std::uint64_t SecureMemory::seal_root_bytes(
-    std::span<const std::uint8_t> root_bytes) const noexcept {
+std::uint64_t SecureMemory::root_seal() {
+  tree_cache_.flush();
   // PRF mode, not the XOR-pad data MAC: every alignment point seals a
   // different root byte string under this one key, and both the seal
   // (delta header, plaintext) and the root bytes (trailer/full image)
   // are attacker-visible — XOR-pad reuse would hand out known-plaintext
   // hash-key equations. The PRF form has no uniqueness requirement.
-  return seal_mac_.compute_prf(kSealDomain, root_bytes);
-}
-
-std::uint64_t SecureMemory::root_seal() {
-  tree_cache_.flush();
-  std::vector<std::uint8_t>& root = scratch_.root_bytes;
-  root.clear();
-  append_root_level(layout_, tree_, root);
-  return seal_root_bytes(root);
-}
-
-std::uint64_t SecureMemory::root_level_bytes() const noexcept {
-  const unsigned top = layout_.tree().total_levels() - 1;
-  return layout_.tree().nodes_at[top] * 64;
+  return seal_mac_.compute_prf(kSealDomain, root_level(tree_));
 }
 
 void SecureMemory::align_chain() {
@@ -1055,15 +1055,10 @@ std::uint64_t SecureMemory::delta_cmd_mac(
   // both seal epoch 0→1 next), so only the nonce-free PRF form
   // below is sound here. The message is header ‖ cmd ‖ trailer, hashed
   // part by part where it lies rather than copied into one buffer.
-  const std::uint64_t fields[8] = {
-      config_.size_bytes,
-      static_cast<std::uint64_t>(config_.scheme),
-      static_cast<std::uint64_t>(config_.mac_placement),
-      config_.generic_delta_bits,
-      base_epoch,
-      new_epoch,
-      base_seal,
-      cmd.size()};
+  const std::array<std::uint64_t, 4> geometry = image_geometry();
+  const std::uint64_t fields[8] = {geometry[0], geometry[1], geometry[2],
+                                   geometry[3], base_epoch,  new_epoch,
+                                   base_seal,   cmd.size()};
   std::array<std::uint8_t, sizeof(fields)> header;
   for (std::size_t i = 0; i < 8; ++i)
     store_le64(header.data() + 8 * i, fields[i]);
@@ -1074,8 +1069,9 @@ std::uint64_t SecureMemory::delta_cmd_mac(
 
 Status SecureMemory::save_delta(std::ostream& out) {
   if (!has_base_) {
-    // No usable base (fresh engine, broken chain): fall back to a full image — which save() re-bases the chain on, so the
-    // NEXT save_delta is incremental again.
+    // No usable base (fresh engine, broken chain): fall back to a full
+    // image — which save() re-bases the chain on, so the NEXT save_delta
+    // is incremental again.
     metrics_.add(MetricId::kDeltaSaveFallbacks);
     return save(out);
   }
@@ -1088,27 +1084,23 @@ Status SecureMemory::save_delta(std::ostream& out) {
   for (std::uint64_t w = 0; w < dirty_word_count_; ++w)
     dirty[w] = dirty_words_[w].load(std::memory_order_relaxed);
 
-  // Command output and trailer land in recycled storage; the trailer's
-  // buffer is reused by align_chain below, after the write.
+  // Command output lands in recycled storage and the trailer in the
+  // root-level scratch, which align_chain below reuses after the write.
   std::vector<std::uint8_t>& cmd = snap_arena_.delta_cmd;
   cmd.clear();
-  const std::uint64_t dirty_count =
-      delta::encode_from_dirty(delta_geometry(), delta_sections(), dirty, cmd);
+  const std::uint64_t dirty_count = delta::encode_from_dirty(
+      delta_geometry(), {ciphertext_, lanes_, macs_, counter_store_}, dirty,
+      cmd);
 
-  std::vector<std::uint8_t>& trailer = scratch_.root_bytes;
-  trailer.clear();
-  append_root_level(layout_, tree_, trailer);
+  const std::span<const std::uint8_t> trailer = root_level(tree_);
   const std::uint64_t new_epoch = snap_epoch_ + 1;
   const std::uint64_t mac =
       delta_cmd_mac(snap_epoch_, new_epoch, base_seal_, cmd, trailer);
   const std::uint64_t image_size =
-      kDeltaHeaderBytes + cmd.size() + trailer.size();
+      sizeof(kDeltaMagic) + kDeltaFieldBytes + cmd.size() + trailer.size();
 
   out.write(kDeltaMagic, sizeof(kDeltaMagic));
-  write_u64(out, config_.size_bytes);
-  write_u64(out, static_cast<std::uint64_t>(config_.scheme));
-  write_u64(out, static_cast<std::uint64_t>(config_.mac_placement));
-  write_u64(out, config_.generic_delta_bits);
+  for (const std::uint64_t field : image_geometry()) write_u64(out, field);
   write_u64(out, snap_epoch_);
   write_u64(out, new_epoch);
   write_u64(out, base_seal_);
@@ -1135,69 +1127,29 @@ Status SecureMemory::save_delta(std::ostream& out) {
   return Status::kOk;
 }
 
-std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
-    std::istream& in) {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in || !is_magic(magic, kDeltaMagic))
-    return std::nullopt;
-  const std::span<const std::uint8_t> image = read_delta_image(in);
-  if (image.empty()) return std::nullopt;
-  return stage_delta(image);
-}
-
-std::span<const std::uint8_t> SecureMemory::read_delta_image(
-    std::istream& in) {
-  // Grow-only: shrinking and regrowing would re-zero reused bytes that
-  // the reads below overwrite anyway.
-  std::vector<std::uint8_t>& buf = snap_arena_.delta_stream;
-  if (buf.size() < kDeltaHeaderBytes) buf.resize(kDeltaHeaderBytes);
-  std::memcpy(buf.data(), kDeltaMagic, sizeof(kDeltaMagic));
-  in.read(reinterpret_cast<char*>(buf.data() + sizeof(kDeltaMagic)),
-          kDeltaHeaderBytes - sizeof(kDeltaMagic));
-  if (!in) return {};
-  // Bound the buffer before trusting the command length.
-  const std::uint64_t cmd_len =
-      load_le64(buf.data() + sizeof(kDeltaMagic) + 7 * 8);
-  if (cmd_len > delta_cmd_bound_) return {};
-  const std::size_t size =
-      kDeltaHeaderBytes + static_cast<std::size_t>(cmd_len) +
-      static_cast<std::size_t>(root_level_bytes());
-  if (buf.size() < size) buf.resize(size);
-  in.read(reinterpret_cast<char*>(buf.data() + kDeltaHeaderBytes),
-          static_cast<std::streamsize>(size - kDeltaHeaderBytes));
-  if (!in) return {};
-  return {buf.data(), size};
-}
-
-std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
+std::optional<SecureMemory::StagedImage> SecureMemory::stage_delta(
     std::span<const std::uint8_t> image) {
-  if (image.size() < kDeltaHeaderBytes ||
-      !is_magic(image.data(), kDeltaMagic))
-    return std::nullopt;
+  if (image.size() < kDeltaFieldBytes) return std::nullopt;
   const auto field = [&image](unsigned i) {
-    return load_le64(image.data() + sizeof(kDeltaMagic) + 8 * i);
+    return load_le64(image.data() + 8 * i);
   };
-  if (field(0) != config_.size_bytes ||
-      field(1) != static_cast<std::uint64_t>(config_.scheme) ||
-      field(2) != static_cast<std::uint64_t>(config_.mac_placement) ||
-      field(3) != config_.generic_delta_bits)
-    return std::nullopt;
+  const std::array<std::uint64_t, 4> geometry = image_geometry();
+  for (unsigned i = 0; i < geometry.size(); ++i)
+    if (field(i) != geometry[i]) return std::nullopt;
   const std::uint64_t base_epoch = field(4);
   const std::uint64_t new_epoch = field(5);
   const std::uint64_t base_seal = field(6);
   const std::uint64_t cmd_len = field(7);
   const std::uint64_t mac = field(8);
   // The image is exactly header, commands and trailer: bound cmd_len
-  // before it sizes the cut (no valid stream exceeds one command header
-  // plus full payload per granule).
+  // before it sizes the cut.
   if (cmd_len > delta_cmd_bound_ ||
-      image.size() - kDeltaHeaderBytes != cmd_len + root_level_bytes())
+      image.size() - kDeltaFieldBytes != cmd_len + root_level_bytes())
     return std::nullopt;
   const std::span<const std::uint8_t> cmd =
-      image.subspan(kDeltaHeaderBytes, static_cast<std::size_t>(cmd_len));
+      image.subspan(kDeltaFieldBytes, static_cast<std::size_t>(cmd_len));
   const std::span<const std::uint8_t> trailer =
-      image.subspan(kDeltaHeaderBytes + static_cast<std::size_t>(cmd_len));
+      image.subspan(kDeltaFieldBytes + static_cast<std::size_t>(cmd_len));
 
   // Verify-before-apply, in authentication order: (1) the command
   // section MAC — nothing below is interpreted until the whole stream
@@ -1210,20 +1162,23 @@ std::optional<SecureMemory::StagedDelta> SecureMemory::stage_delta(
           delta_cmd_mac(base_epoch, new_epoch, base_seal, cmd, trailer), mac))
     return std::nullopt;
   if (!ct_equal_u64(root_seal(), base_seal)) return std::nullopt;
-  StagedDelta staged{new_epoch, cmd, trailer,
-                     std::move(snap_arena_.delta_cmds)};
+  StagedImage staged;
+  staged.new_epoch = new_epoch;
+  staged.cmd = cmd;
+  staged.trailer = trailer;
+  staged.cmds = std::move(snap_arena_.delta_cmds);
   if (!delta::parse(delta_geometry(), cmd, staged.cmds)) {
-    discard_restore(std::move(staged));
+    discard_image(std::move(staged));
     return std::nullopt;
   }
   return staged;
 }
 
-bool SecureMemory::commit_delta(StagedDelta&& staged) {
+bool SecureMemory::commit_delta(StagedImage&& staged) {
   const delta::Geometry geo = delta_geometry();
   delta::MutSections sections{ciphertext_, lanes_, macs_, counter_store_};
-  // The staged delta was authenticated in stage_delta_tail (command MAC
-  // + base-seal ct_equal_u64, then delta::parse) before this commit ran;
+  // The staged delta was authenticated in stage_delta (command MAC +
+  // base-seal ct_equal_u64, then delta::parse) before this commit ran;
   // the stage/commit split is the verify-before-apply boundary itself.
   delta::apply(geo, staged.cmds,  // secmem-lint: allow(verify-before-apply)
                staged.cmd, sections);
@@ -1254,14 +1209,9 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
   // A mismatch can only mean the base seal collided (negligible), but
   // serving data off a mismatched tree is never acceptable — wipe.
   tree_cache_.flush();
-  std::vector<std::uint8_t>& root = scratch_.root_bytes;
-  root.clear();
-  append_root_level(layout_, tree_, root);
-  const bool root_ok =
-      root.size() == staged.trailer.size() &&
-      ct_equal(root.data(), staged.trailer.data(), root.size());
+  const bool root_ok = verify_root_level(tree_, staged.trailer);
   const std::uint64_t new_epoch = staged.new_epoch;
-  discard_restore(std::move(staged));  // park the command storage
+  discard_image(std::move(staged));  // park the command storage
   if (!root_ok) {
     wipe_to_zeros();
     metrics_.add(MetricId::kDeltaRejects);
@@ -1274,31 +1224,6 @@ bool SecureMemory::commit_delta(StagedDelta&& staged) {
   metrics_.add(MetricId::kDeltaRestores);
   trace(TraceEvent::Kind::kRestore, Status::kOk, 0);
   return true;
-}
-
-bool SecureMemory::restore_delta(std::istream& in) {
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  // Full image: ordinary restore semantics, including wipe-on-failure.
-  if (in && is_magic(magic, kImageMagic))
-    return commit_or_wipe(stage_restore_tail(in, config_.master_key));
-  if (!in || !is_magic(magic, kDeltaMagic)) {
-    metrics_.add(MetricId::kDeltaRejects);
-    trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
-    return false;
-  }
-  // Delta image: read into the arena's stream buffer, then verified in
-  // full before any byte lands, so a rejection leaves the region
-  // EXACTLY as it was (crash/restore-loop contract).
-  const std::span<const std::uint8_t> image = read_delta_image(in);
-  std::optional<StagedDelta> staged;
-  if (!image.empty()) staged = stage_delta(image);
-  if (!staged) {
-    metrics_.add(MetricId::kDeltaRejects);
-    trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
-    return false;
-  }
-  return commit_delta(std::move(*staged));
 }
 
 bool SecureMemory::rotate_master_key(std::uint64_t new_master) {
@@ -1362,59 +1287,13 @@ Status SecureMemory::write_bytes(std::uint64_t addr,
   metrics_.add(MetricId::kByteWrites);
   metrics_.sample(EngineHistId::kByteWriteBytes, bytes.size());
   if (bytes.empty()) return Status::kOk;
-  Status folded = Status::kOk;
-
-  // All-or-nothing: only the partial blocks at the edges of the range
-  // need their old contents, so they are the only blocks whose
-  // verification can fail. Pre-verify them BEFORE mutating anything —
-  // a mid-range failure must not leave a torn write behind.
-  const std::uint64_t first_block = addr / 64;
-  const std::uint64_t last_block = (addr + bytes.size() - 1) / 64;
-  const bool head_partial = addr % 64 != 0 || bytes.size() < 64;
-  const bool tail_partial = (addr + bytes.size()) % 64 != 0;
-
-  DataBlock head_plain{};
-  DataBlock tail_plain{};
-  if (head_partial) {
-    const ReadResult r = read_block(first_block);
-    folded = worse(folded, r.status);
-    if (!status_ok(r.status)) {
-      trace(TraceEvent::Kind::kByteWrite, r.status, first_block);
-      return r.status;
-    }
-    head_plain = r.data;
-  }
-  if (tail_partial && last_block != first_block) {
-    const ReadResult r = read_block(last_block);
-    folded = worse(folded, r.status);
-    if (!status_ok(r.status)) {
-      trace(TraceEvent::Kind::kByteWrite, r.status, last_block);
-      return r.status;
-    }
-    tail_plain = r.data;
-  }
-
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk = std::min<std::size_t>(64 - offset,
-                                                    bytes.size() - done);
-    // Middle blocks are fully overwritten; edge blocks merge into the
-    // pre-verified plaintext. (Group re-encryptions triggered by earlier
-    // iterations change ciphertexts, never plaintexts, so the cached
-    // copies stay valid.)
-    DataBlock plain{};
-    if (chunk != 64)
-      plain = block == first_block ? head_plain : tail_plain;
-    std::memcpy(plain.data() + offset, bytes.data() + done, chunk);
-    folded = worse(folded, write_block(block, plain));
-    pos += chunk;
-    done += chunk;
-  }
-  trace(TraceEvent::Kind::kByteWrite, folded, first_block);
-  return folded;
+  const RangeVerdict verdict = write_range(
+      addr, bytes, [this](std::uint64_t block) { return read_block(block); },
+      [this](std::uint64_t block, const DataBlock& plain) {
+        return write_block(block, plain);
+      });
+  trace(TraceEvent::Kind::kByteWrite, verdict.status, verdict.block);
+  return verdict.status;
 }
 
 Status SecureMemory::read_bytes(std::uint64_t addr,
@@ -1423,26 +1302,10 @@ Status SecureMemory::read_bytes(std::uint64_t addr,
     throw std::out_of_range("SecureMemory::read_bytes: range exceeds region");
   metrics_.add(MetricId::kByteReads);
   metrics_.sample(EngineHistId::kByteReadBytes, out.size());
-  Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const ReadResult r = read_block(block);
-    folded = worse(folded, r.status);
-    if (!status_ok(r.status)) {
-      trace(TraceEvent::Kind::kByteRead, r.status, block);
-      return r.status;
-    }
-    std::memcpy(out.data() + done, r.data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
-  }
-  trace(TraceEvent::Kind::kByteRead, folded, addr / 64);
-  return folded;
+  const RangeVerdict verdict = *read_range(
+      addr, out, [this](std::uint64_t block) { return read_block(block); });
+  trace(TraceEvent::Kind::kByteRead, verdict.status, verdict.block);
+  return verdict.status;
 }
 
 EngineStats SecureMemory::stats() const noexcept {

@@ -25,6 +25,7 @@
 // shared read path — see a const cell and count with fetch_add.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -60,9 +61,11 @@ struct SecureMemoryConfig {
   /// Nonzero: override `scheme` with a GenericDeltaCounters of this delta
   /// width (2..16 bits) — the §4.2 design-space knob.
   unsigned generic_delta_bits = 0;
-  /// Record per-operation wall-time into the engine's latency histograms
-  /// (read_latency_ns / write_latency_ns). Off by default: two clock
-  /// reads per op are measurable on the hot path.
+  /// Record per-operation wall-time of single-block reads and writes
+  /// into the engine's latency histograms (read_latency_ns /
+  /// write_latency_ns). Batch calls always run batched and are not
+  /// sampled. Off by default: two clock reads per op are measurable on
+  /// the hot path.
   bool time_ops = false;
   /// Verified-frontier tree cache capacity in KB (tree/tree_cache.h) —
   /// the functional counterpart of the paper's 8 KB metadata cache. 0
@@ -216,8 +219,8 @@ class SecureMemory : public SecureMemoryLike {
   /// storage is rejected before a single block is served. (Replay of a
   /// complete, internally-consistent OLD image is accepted: image
   /// freshness requires a fresh root store, see SECURITY.md.)
-  /// On any failure the region re-initializes to zeros and restore
-  /// returns false.
+  /// A rejected image returns false and leaves the region exactly as it
+  /// was (restore is stage_image + commit_image, below).
   /// Both directions stream in bulk: ciphertext, ECC lanes, and counter
   /// storage are contiguous and byte-identical to the serialized layout,
   /// so they move through single large writes/reads; stored MACs convert
@@ -225,7 +228,9 @@ class SecureMemory : public SecureMemoryLike {
   /// rebuilds the tree level-by-level through the batched MAC kernel
   /// (BonsaiTree::rebuild_from_lines).
   [[nodiscard]] Status save(std::ostream& out) override;
-  [[nodiscard]] bool restore(std::istream& in) override;
+  [[nodiscard]] bool restore(std::istream& in) override {
+    return restore_image(in, /*accept_delta=*/false);
+  }
 
   /// ------------------------------------------------------------------
   /// Incremental (delta) persistence — see SecureMemoryLike for the
@@ -250,7 +255,9 @@ class SecureMemory : public SecureMemoryLike {
   /// rotate_master_key breaks the chain (fresh seal key), so the next
   /// save_delta falls back to a full image and re-bases it.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
-  [[nodiscard]] bool restore_delta(std::istream& in) override;
+  [[nodiscard]] bool restore_delta(std::istream& in) override {
+    return restore_image(in, /*accept_delta=*/true);
+  }
 
   /// Dirty-plane observability: granule size in blocks, granules touched
   /// since the last alignment point, the chain epoch, and whether a
@@ -278,6 +285,10 @@ class SecureMemory : public SecureMemoryLike {
   /// callers slicing a concatenated multi-engine image (the sharded
   /// container's parallel restore) size their cuts with this.
   std::uint64_t image_bytes() const noexcept;
+  /// Longest image save() or save_delta() can emit: the full image or a
+  /// delta with the longest command stream parse() accepts. The sharded
+  /// delta container caps each shard's slice with it.
+  std::uint64_t max_image_bytes() const noexcept;
 
   // Keep the base class's std::byte-span / buffer overloads visible next
   // to the overrides above.
@@ -288,73 +299,55 @@ class SecureMemory : public SecureMemoryLike {
   using SecureMemoryLike::save_delta;
   using SecureMemoryLike::write_bytes;
 
-  /// Two-phase restore, for containers that need all-or-nothing semantics
-  /// across several engines (ShardedSecureMemory stages every shard's
-  /// image before committing any). stage_restore() parses and fully
-  /// validates an image — including the sealed-root check — without
-  /// touching engine state; nullopt means the image is unusable and the
-  /// region is EXACTLY as it was. commit_restore() adopts a staged image;
-  /// it cannot fail. restore() above is stage + commit under the current
-  /// master, plus the single-engine wipe-to-zeros policy on failure.
+  /// Two-phase restore: restore() and restore_delta() are stage_image
+  /// then commit_image, and ShardedSecureMemory stages every shard
+  /// before committing any. stage_image() validates one image in full
+  /// without changing engine state — a full image up to its sealed root;
+  /// a delta through its command MAC, its base seal against the current
+  /// root and command-stream validation. nullopt means rejected and the
+  /// region is EXACTLY as it was. The magic picks the kind; the stream
+  /// form takes a delta only with `accept_delta`. A full image decodes
+  /// under `master_key` (normally the engine's own; ShardedSecureMemory
+  /// passes the region-derived one to recover a shard stranded on a
+  /// half-rotated key, and commit re-derives the working keys from it);
+  /// a delta only under the engine's current chain. A staged delta
+  /// borrows its bytes from the span, or from the arena's stream buffer
+  /// until the next stream stage.
   ///
-  /// `master_key` is the secret the image is interpreted under —
-  /// normally the engine's current one, but a caller that knows the
-  /// engine's key no longer matches the image (ShardedSecureMemory
-  /// recovering a shard stranded on a half-rotated key) passes the
-  /// master the image was saved with; commit then re-derives the
-  /// engine's working keys from it.
-  struct StagedRestore {
-    std::uint64_t master_key;  ///< master the image decodes under
+  /// commit_image() adopts a staged image; a full image cannot fail. A
+  /// delta's bool is a defense-in-depth verdict: the post-apply root is
+  /// re-checked against the MAC-covered trailer, and a mismatch (a
+  /// base-seal collision — cryptographically negligible) wipes the
+  /// region to zeros. discard_image() drops a staged image that will not
+  /// be committed, parking its storage for the next stage.
+  struct StagedImage {
+    /// Full image: sections in arena storage, the rebuilt tree (empty
+    /// for a delta) and the master they decode under.
+    std::uint64_t master_key = 0;
     std::vector<DataBlock> ciphertext;
     std::vector<EccLane> lanes;
     std::vector<std::uint64_t> macs;
     std::vector<std::uint8_t> counter_store;
-    BonsaiTree tree;
+    std::optional<BonsaiTree> tree;
+    /// Delta: the epoch it advances to, its borrowed command and
+    /// expected-root trailer bytes, and the parsed commands.
+    std::uint64_t new_epoch = 0;
+    std::span<const std::uint8_t> cmd;
+    std::span<const std::uint8_t> trailer;
+    std::vector<delta::Command> cmds;
   };
-  [[nodiscard]] std::optional<StagedRestore> stage_restore(
-      std::istream& in, std::uint64_t master_key) const;
-  void commit_restore(StagedRestore&& staged);
-  /// Drop a staged image that will not be committed (another shard of
-  /// an all-or-nothing restore was rejected), parking its storage for
-  /// the next stage_restore as commit_restore would. Engine state is
-  /// untouched.
-  void discard_restore(StagedRestore&& staged) const;
+  [[nodiscard]] std::optional<StagedImage> stage_image(
+      std::istream& in, std::uint64_t master_key, bool accept_delta);
+  [[nodiscard]] std::optional<StagedImage> stage_image(
+      std::span<const std::uint8_t> image, std::uint64_t master_key);
+  [[nodiscard]] bool commit_image(StagedImage&& staged);
+  void discard_image(StagedImage&& staged) const;
   /// Bytes of snapshot storage parked for reuse: the full-restore
   /// staging vectors plus the delta buffers (save_delta's command
-  /// output, stage_delta's stream buffer and parsed commands). Tests
-  /// check that rejected restores keep it and steady delta cycles
-  /// leave it constant.
+  /// output, the stream delta buffer and parsed commands). Tests check
+  /// that rejected restores keep it and steady delta cycles leave it
+  /// constant.
   std::uint64_t snapshot_arena_bytes() const noexcept;
-
-  /// Two-phase delta restore, mirroring stage_restore/commit_restore for
-  /// the sharded all-or-nothing path. stage_delta takes a whole delta
-  /// image (magic onward) and performs EVERY check — geometry,
-  /// command-section MAC (ct_equal), base seal against the engine's
-  /// current root, command-stream validation — in place, without
-  /// touching engine state; nullopt means rejected and the region is
-  /// exactly as it was. The staged delta borrows the image's command
-  /// and trailer bytes, so the image must outlive commit_delta.
-  /// commit_delta applies the commands in place, refreshes
-  /// scheme/tree/shadow state for the written granules, and advances
-  /// the chain. Its bool is a defense-in-depth verdict: the post-apply
-  /// root is re-checked against the image's MAC-covered trailer, and a
-  /// mismatch (a base-seal collision — cryptographically negligible)
-  /// wipes the region to zeros and returns false.
-  struct StagedDelta {
-    std::uint64_t new_epoch = 0;
-    std::span<const std::uint8_t> cmd;  ///< command-stream bytes (borrowed)
-    std::span<const std::uint8_t> trailer;  ///< expected post-apply root
-    std::vector<delta::Command> cmds;  ///< parsed + validated (arena storage)
-  };
-  [[nodiscard]] std::optional<StagedDelta> stage_delta(
-      std::span<const std::uint8_t> image);
-  /// Reads one delta image off `in` into the arena's stream buffer and
-  /// stages it there; commit before the next stream stage reuses it.
-  [[nodiscard]] std::optional<StagedDelta> stage_delta(std::istream& in);
-  [[nodiscard]] bool commit_delta(StagedDelta&& staged);
-  /// Drop a staged delta that will not be committed, parking its
-  /// command storage for the next stage_delta.
-  void discard_restore(StagedDelta&& staged) const;
 
   /// ------------------------------------------------------------------
   /// Observability.
@@ -473,23 +466,32 @@ class SecureMemory : public SecureMemoryLike {
   /// Refresh stored counter line `line` and its tree path (write-back:
   /// ancestor MAC propagation defers to the tree cache when enabled).
   void sync_counter_line(std::uint64_t line);
-  /// Re-initialize to encrypted zeros under fresh state — the
-  /// single-engine failure posture shared by restore() and a
-  /// commit_delta root mismatch.
+  /// Re-initialize to encrypted zeros under fresh state — the one
+  /// failure posture left: a commit_delta post-apply root mismatch.
   void wipe_to_zeros();
-  /// The restore() body after staging: commit a staged image, or wipe
-  /// to zeros and trace the rejection.
-  bool commit_or_wipe(std::optional<StagedRestore> staged);
-  /// stage_restore minus the magic bytes — restore_delta dispatches on
-  /// the magic itself and hands the stream tail here.
-  [[nodiscard]] std::optional<StagedRestore> stage_restore_tail(
-      std::istream& in, std::uint64_t master_key) const;
-  /// Read the rest of a delta image whose magic `in` already gave up
-  /// into the arena's stream buffer (magic included); an empty span
-  /// means the stream was short or the command length out of bounds.
-  std::span<const std::uint8_t> read_delta_image(std::istream& in);
-  /// Bytes of the root-level trailer a delta image closes with.
+  /// The one body of restore() and restore_delta(): stage, then commit.
+  /// A rejection traces one kRestore/kIntegrityViolation event (and
+  /// counts kDeltaRejects with `accept_delta`); the region stays as it
+  /// was.
+  bool restore_image(std::istream& in, bool accept_delta);
+  /// stage_image's and commit_image's halves. The stagers start past the
+  /// magic: a full image off `in`, a delta's header fields in place.
+  [[nodiscard]] std::optional<StagedImage> stage_restore_tail(
+      std::istream& in, std::uint64_t master_key);
+  [[nodiscard]] std::optional<StagedImage> stage_delta(
+      std::span<const std::uint8_t> image);
+  [[nodiscard]] bool commit_delta(StagedImage&& staged);
+  /// Image framing: the four geometry fields every image header opens
+  /// with — size, scheme, MAC placement, generic delta bits.
+  std::array<std::uint64_t, 4> image_geometry() const noexcept;
+  /// The root level of `tree` (the sealed on-chip snapshot) as one byte
+  /// string in scratch_.root_bytes — what a full image seals, a delta
+  /// trailer carries and root_seal() seals; verify_root_level compares
+  /// it with `expected` in constant time.
+  std::span<const std::uint8_t> root_level(const BonsaiTree& tree);
   std::uint64_t root_level_bytes() const noexcept;
+  [[nodiscard]] bool verify_root_level(const BonsaiTree& tree,
+                                       std::span<const std::uint8_t> expected);
   /// Authenticate stored counter line `line` through the verified
   /// frontier — the single tree-read entry point for read_block and the
   /// batch paths.
@@ -540,11 +542,8 @@ class SecureMemory : public SecureMemoryLike {
   void mark_all_dirty() noexcept;
   void clear_dirty() noexcept;
   delta::Geometry delta_geometry() const noexcept;
-  delta::ConstSections delta_sections() const noexcept;
-  /// Seal over a root-level byte string (the delta chain's base digest).
-  std::uint64_t seal_root_bytes(
-      std::span<const std::uint8_t> root_bytes) const noexcept;
-  /// Seal of the engine's CURRENT root level (flushes the tree cache).
+  /// Seal of the engine's CURRENT root level (flushes the tree cache) —
+  /// the delta chain's base digest.
   std::uint64_t root_seal();
   /// Establish the current state as the delta base: record its seal,
   /// clear the dirty bitmap. Every successful snapshot operation ends
@@ -611,15 +610,15 @@ class SecureMemory : public SecureMemoryLike {
     std::vector<std::uint8_t> root_bytes;
   };
   BatchScratch scratch_;
-  /// Staging-storage recycler for the restore path: commit_restore
+  /// Staging-storage recycler for the restore path: commit_image
   /// parks the replaced state vectors here (a rejected or discarded
-  /// staging parks its own) and the next stage_restore adopts them, so
+  /// staging parks its own) and the next full-image stage adopts them, so
   /// steady-state crash/restore loops allocate (and page-fault) nothing
   /// — the dominant cost of a large restore once the stream calls are
   /// chunked. The delta buffers recycle the same way: a steady delta
   /// chain reuses one command-output buffer, one stream buffer and one
   /// parsed-command vector, each sized by the largest delta seen.
-  /// Mutable because stage_restore is const by contract (it never
+  /// Mutable because discard_image is const by contract (it never
   /// changes engine *state*) yet runs only under the engine's exclusive
   /// synchronization, like every snapshot entry point.
   struct SnapshotArena {
@@ -628,8 +627,8 @@ class SecureMemory : public SecureMemoryLike {
     std::vector<std::uint64_t> macs;
     std::vector<std::uint8_t> counter_store;
     std::vector<std::uint8_t> delta_cmd;     ///< save_delta's command output
-    std::vector<std::uint8_t> delta_stream;  ///< stage_delta(istream&) input
-    std::vector<delta::Command> delta_cmds;  ///< adopted by StagedDelta
+    std::vector<std::uint8_t> delta_stream;  ///< stream-staged delta input
+    std::vector<delta::Command> delta_cmds;  ///< adopted by a staged delta
   };
   mutable SnapshotArena snap_arena_;
 
@@ -640,8 +639,8 @@ class SecureMemory : public SecureMemoryLike {
   std::uint64_t num_granules_ = 0;
   std::uint64_t dirty_word_count_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> dirty_words_;
-  /// Longest valid command stream: one header plus full payload per
-  /// granule. Bounds a delta's claimed command length before any read.
+  /// delta::max_stream_bytes of this engine's geometry: bounds a delta's
+  /// claimed command length before any read.
   std::uint64_t delta_cmd_bound_ = 0;
   /// Chain state: epoch counts alignment points; base_seal_ is the root
   /// seal at the last one; has_base_ false = no delta base (fresh

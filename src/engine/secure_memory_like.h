@@ -164,8 +164,9 @@ class SecureMemoryLike {
   /// full image was emitted and kRegionPoisoned from a fail-closed engine
   /// (nothing is written — a poisoned region must not serialize state
   /// that could be mistaken for a good snapshot). A false restore means
-  /// the image was rejected (tamper, truncation) — the region contents
-  /// are unspecified and the verdict must be consumed.
+  /// the image was rejected (tamper, truncation) before any byte
+  /// applied: the region is exactly as it was. The verdict must be
+  /// consumed.
   [[nodiscard]] virtual Status save(std::ostream& out) = 0;
   [[nodiscard]] virtual bool restore(std::istream& in) = 0;
 
@@ -181,12 +182,10 @@ class SecureMemoryLike {
   /// accepts. A caller that only wants full images calls save() and
   /// restore().
   ///
-  /// `restore_delta` accepts both image kinds, dispatching on the magic:
-  /// a full image takes the ordinary restore path (including its
-  /// wipe-on-failure posture, where the engine has one); a delta image
-  /// is verified *in full* — header/command-stream MAC, base seal,
-  /// command validation — before a single byte is applied, so a false
-  /// return for a delta leaves the region EXACTLY as it was (the
+  /// `restore_delta` accepts both image kinds, dispatching on the magic.
+  /// Either is verified *in full* — a delta through its header/command
+  /// MAC, base seal and command validation — before a single byte is
+  /// applied, so a false return leaves the region EXACTLY as it was (the
   /// crash/restore-loop contract: a failed restore of delta N never
   /// invalidates applying a clean delta N afterwards). See SECURITY.md.
   [[nodiscard]] virtual Status save_delta(std::ostream& out) = 0;

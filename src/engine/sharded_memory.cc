@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -13,6 +12,7 @@
 
 #include "common/bitops.h"
 #include "common/rng.h"
+#include "engine/byte_range.h"
 
 namespace secmem {
 
@@ -43,8 +43,8 @@ unsigned routing_granule_blocks(const SecureMemoryConfig& config) {
 
 constexpr char kShardMagic[8] = {'S', 'E', 'C', 'S', 'H', 'R', 'D', '1'};
 /// Delta-container magic: header + per-shard length table + per-shard
-/// payloads (each a SecureMemory full OR delta image, sniffed on its
-/// own magic below — a shard with a broken chain falls back to full).
+/// payloads (each a SecureMemory full OR delta image — a shard with a
+/// broken chain falls back to full).
 constexpr char kShardDeltaMagic[8] = {'S', 'E', 'C', 'S', 'H', 'D', 'L', '1'};
 using delta::is_magic;
 using delta::read_u64;
@@ -77,19 +77,6 @@ class VectorSink final : public std::streambuf {
   std::vector<char>& out_;
 };
 
-/// istream source over a borrowed byte slice — a full fallback image
-/// inside a delta container stages off its cut of the bulk-read payload
-/// without copying it.
-/// The const_cast is the std::streambuf get-area API's; the get area is
-/// never written through.
-class SpanSource final : public std::streambuf {
- public:
-  SpanSource(const char* data, std::size_t size) {
-    char* p = const_cast<char*>(data);
-    setg(p, p, p + size);
-  }
-};
-
 }  // namespace
 
 ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
@@ -117,11 +104,10 @@ ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
     shard_config.master_key = shard_master_key(config.master_key, s);
     shards_[s].engine = std::make_unique<SecureMemory>(shard_config);
   }
-  // Longest slice a delta container may claim for one shard: a full
-  // image plus the delta framing (header + worst-case all-ADD command
-  // stream). Fixed by geometry, so restore_delta reads it lock-free.
-  slice_cap_ = shards_[0].engine->image_bytes() +
-               25 * (num_blocks_ / num_shards) + 4096;
+  // Longest slice a delta container may claim for one shard: the
+  // largest image a shard engine can emit. Fixed by geometry, so
+  // restore_delta reads it lock-free.
+  slice_cap_ = shards_[0].engine->max_image_bytes();
   delta_slices_.resize(num_shards);
 }
 
@@ -332,58 +318,27 @@ Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
 
   const std::uint64_t first_block = addr / 64;
   const std::uint64_t last_block = (addr + bytes.size() - 1) / 64;
-  const auto involved = shards_in_range(first_block, last_block);
-  const auto locks = lock_in_order(mutexes_of(involved));
-  const std::uint16_t owner =
-      static_cast<std::uint16_t>(shard_of_block(first_block));
-  auto trace_result = [&](Status s) {
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kByteWrite, s, first_block, owner);
-    return s;
-  };
-
+  const auto locks =
+      lock_in_order(mutexes_of(shards_in_range(first_block, last_block)));
   // Same all-or-nothing protocol as SecureMemory::write_bytes, but with
-  // every touched shard held: pre-verify the partial edge blocks — the
-  // only reads this operation depends on — before mutating any shard.
-  const bool head_partial = addr % 64 != 0 || bytes.size() < 64;
-  const bool tail_partial = (addr + bytes.size()) % 64 != 0;
-  Status folded = Status::kOk;
-  DataBlock head_plain{};
-  DataBlock tail_plain{};
-  if (head_partial) {
-    const Route r = route(first_block);
-    const auto res = shards_[r.shard].engine->read_block(r.local_block);
-    folded = worse(folded, res.status);
-    if (!status_ok(res.status)) return trace_result(res.status);
-    head_plain = res.data;
-  }
-  if (tail_partial && last_block != first_block) {
-    const Route r = route(last_block);
-    const auto res = shards_[r.shard].engine->read_block(r.local_block);
-    folded = worse(folded, res.status);
-    if (!status_ok(res.status)) return trace_result(res.status);
-    tail_plain = res.data;
-  }
-
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, bytes.size() - done);
-    DataBlock plain{};
-    if (chunk != 64)
-      plain = block == first_block ? head_plain : tail_plain;
-    std::memcpy(plain.data() + offset, bytes.data() + done, chunk);
-    const Route r = route(block);
-    folded =
-        worse(folded, shards_[r.shard].engine->write_block(r.local_block,
-                                                           plain));
-    pos += chunk;
-    done += chunk;
-  }
-  return trace_result(folded);
+  // every touched shard held: the edge blocks are pre-verified before any
+  // shard is mutated.
+  const RangeVerdict verdict = write_range(
+      addr, bytes,
+      [this](std::uint64_t block) SECMEM_NO_THREAD_SAFETY_ANALYSIS {
+        const Route r = route(block);
+        return shards_[r.shard].engine->read_block(r.local_block);
+      },
+      [this](std::uint64_t block, const DataBlock& plain)
+          SECMEM_NO_THREAD_SAFETY_ANALYSIS {
+            const Route r = route(block);
+            return shards_[r.shard].engine->write_block(r.local_block,
+                                                         plain);
+          });
+  if (trace_)
+    trace_->record(TraceEvent::Kind::kByteWrite, verdict.status, first_block,
+                   static_cast<std::uint16_t>(shard_of_block(first_block)));
+  return verdict.status;
 }
 
 // Optimistic cross-shard snapshot read — the seqlock generation protocol
@@ -411,64 +366,35 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
     return true;
   };
 
-  const std::uint64_t first_block = addr / 64;
-  const std::uint16_t owner =
-      static_cast<std::uint16_t>(shard_of_block(first_block));
-  struct PendingAccount {
-    unsigned shard;
-    std::uint64_t local_block;
-    ReadResult result;
-  };
-  std::vector<PendingAccount> pending;
+  std::vector<std::pair<Route, ReadResult>> pending;
+  const std::optional<RangeVerdict> verdict =
+      read_range(addr, out, [&](std::uint64_t block) {
+        const Route r = route(block);
+        Shard& s = shards_[r.shard];
+        std::optional<ReadResult> res;
+        {
+          const SeqReadLock lock(s.mu);
+          res = s.engine->read_block_shared(r.local_block, /*account=*/false);
+        }
+        if (res) pending.emplace_back(r, *res);
+        return res;  // nullopt = declined: warm via the exclusive path
+      });
+  // A verdict — a failure above all — is only reportable if it belongs to
+  // a consistent instant: a writer racing this range could otherwise
+  // manufacture one out of a half-updated group.
+  if (!verdict || !unchanged()) return std::nullopt;
   // Under each shard's shared lock: account_read's atomic increments
   // must not interleave with an exclusive writer's single-writer stores
   // into the same cell.
-  const auto commit_accounting = [&] {
-    for (const PendingAccount& p : pending) {
-      Shard& s = shards_[p.shard];
-      const SeqReadLock lock(s.mu);
-      s.engine->account_read(p.result, p.local_block);
-    }
-  };
-
-  Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const Route r = route(block);
+  for (const auto& [r, result] : pending) {
     Shard& s = shards_[r.shard];
-    std::optional<ReadResult> res;
-    {
-      const SeqReadLock lock(s.mu);
-      res = s.engine->read_block_shared(r.local_block, /*account=*/false);
-    }
-    if (!res) return std::nullopt;  // declined: warm via exclusive path
-    pending.push_back({r.shard, r.local_block, *res});
-    if (!status_ok(res->status)) {
-      // A failure verdict is only reportable if it belongs to a
-      // consistent instant — a writer racing this range could otherwise
-      // manufacture one out of a half-updated group.
-      if (!unchanged()) return std::nullopt;
-      commit_accounting();
-      if (trace_)
-        trace_->record(TraceEvent::Kind::kByteRead, res->status, first_block,
-                       owner);
-      return res->status;
-    }
-    folded = worse(folded, res->status);
-    std::memcpy(out.data() + done, res->data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
+    const SeqReadLock lock(s.mu);
+    s.engine->account_read(result, r.local_block);
   }
-  if (!unchanged()) return std::nullopt;
-  commit_accounting();
   if (trace_)
-    trace_->record(TraceEvent::Kind::kByteRead, folded, first_block, owner);
-  return folded;
+    trace_->record(TraceEvent::Kind::kByteRead, verdict->status, addr / 64,
+                   static_cast<std::uint16_t>(shard_of_block(addr / 64)));
+  return verdict->status;
 }
 
 // See write_bytes: runtime-selected lock set, ordered acquisition,
@@ -500,31 +426,15 @@ Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
   }
 
   const auto locks = lock_in_order(mutexes_of(involved));
-  const std::uint16_t owner =
-      static_cast<std::uint16_t>(shard_of_block(first_block));
-  auto trace_result = [&](Status s) {
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kByteRead, s, first_block, owner);
-    return s;
-  };
-
-  Status folded = Status::kOk;
-  std::uint64_t pos = addr;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t block = pos / 64;
-    const std::size_t offset = pos % 64;
-    const std::size_t chunk =
-        std::min<std::size_t>(64 - offset, out.size() - done);
-    const Route r = route(block);
-    const auto res = shards_[r.shard].engine->read_block(r.local_block);
-    folded = worse(folded, res.status);
-    if (!status_ok(res.status)) return trace_result(res.status);
-    std::memcpy(out.data() + done, res.data.data() + offset, chunk);
-    pos += chunk;
-    done += chunk;
-  }
-  return trace_result(folded);
+  const RangeVerdict verdict = *read_range(
+      addr, out, [this](std::uint64_t block) SECMEM_NO_THREAD_SAFETY_ANALYSIS {
+        const Route r = route(block);
+        return shards_[r.shard].engine->read_block(r.local_block);
+      });
+  if (trace_)
+    trace_->record(TraceEvent::Kind::kByteRead, verdict.status, first_block,
+                   static_cast<std::uint16_t>(shard_of_block(first_block)));
+  return verdict.status;
 }
 
 SecureMemory::ScrubReport ShardedSecureMemory::scrub_all(bool deep) {
@@ -688,19 +598,6 @@ Status ShardedSecureMemory::save(std::ostream& out) {
   return folded;
 }
 
-bool ShardedSecureMemory::restore(std::istream& in) {
-  return restore_container(in, nullptr, /*accept_delta=*/false);
-}
-
-bool ShardedSecureMemory::restore_delta(std::istream& in) {
-  return restore_container(in, nullptr, /*accept_delta=*/true);
-}
-
-bool ShardedSecureMemory::restore_timed(std::istream& in,
-                                        SnapshotTiming& timing) {
-  return restore_container(in, &timing, /*accept_delta=*/true);
-}
-
 // Stage-then-commit, mirroring write_bytes' all-or-nothing protocol.
 // Staging fully validates every shard's image or delta — sealed-root
 // check, command MAC, base seal, command-stream validation — against
@@ -723,7 +620,7 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
   const bool delta = accept_delta && is_magic(magic, kShardDeltaMagic);
   if (!in || !(full || delta) || read_u64(in) != num_shards_ ||
       read_u64(in) != granule_blocks_)
-    return reject_restore({}, {}, 0);
+    return reject_restore({}, {}, 0, accept_delta);
 
   const MutexLock region(snapshot_mu_);
   std::vector<std::size_t> all(num_shards_);
@@ -747,11 +644,11 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
       if (!keep) std::vector<char>().swap(buffer);
     }
   } release{delta_payload_, keep_payload};
-  std::vector<StagedShard> staged(num_shards_);
+  std::vector<std::optional<SecureMemory::StagedImage>> staged(num_shards_);
   const std::optional<unsigned> bad =
       full ? stage_full_container(in, engines, staged)
            : stage_delta_container(in, engines, staged, keep_payload);
-  if (bad) return reject_restore(engines, staged, *bad);
+  if (bad) return reject_restore(engines, staged, *bad, accept_delta);
 
   // Commit touches only per-shard state (counter decode, tree leaves,
   // shadow counters, arena parking), so it runs shard-parallel — on
@@ -760,10 +657,7 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
   const auto t1 = std::chrono::steady_clock::now();
   std::vector<char> commit_failed(num_shards_, 0);
   pool_.run(num_shards_, [&engines, &staged, &commit_failed](unsigned s) {
-    if (staged[s].full)
-      engines[s]->commit_restore(std::move(*staged[s].full));
-    else if (!engines[s]->commit_delta(std::move(*staged[s].delta)))
-      commit_failed[s] = 1;
+    if (!engines[s]->commit_image(std::move(*staged[s]))) commit_failed[s] = 1;
   });
   if (std::find(commit_failed.begin(), commit_failed.end(), 1) !=
       commit_failed.end()) {
@@ -787,16 +681,14 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
 }
 
 bool ShardedSecureMemory::reject_restore(
-    std::span<SecureMemory* const> engines, std::span<StagedShard> staged,
-    unsigned shard) {
+    std::span<SecureMemory* const> engines,
+    std::span<std::optional<SecureMemory::StagedImage>> staged,
+    unsigned shard, bool accept_delta) {
   // Shards that did stage hand their storage back, so the next restore
   // neither re-allocates nor re-faults it.
-  for (std::size_t k = 0; k < staged.size(); ++k) {
-    if (staged[k].full)
-      engines[k]->discard_restore(std::move(*staged[k].full));
-    if (staged[k].delta)
-      engines[k]->discard_restore(std::move(*staged[k].delta));
-  }
+  for (std::size_t k = 0; k < staged.size(); ++k)
+    if (staged[k]) engines[k]->discard_image(std::move(*staged[k]));
+  if (accept_delta) metrics_.add(MetricId::kDeltaRejects);
   if (trace_)
     trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0,
                    static_cast<std::uint16_t>(shard));
@@ -808,15 +700,16 @@ bool ShardedSecureMemory::reject_restore(
 // whole-image copy. It stages under the master derived from the REGION
 // key, not the shard engine's current one: after a failed rollback a
 // shard can be stranded on a half-rotated key, and this is exactly how
-// restore() un-poisons it — commit_restore re-derives that shard's
+// restore() un-poisons it — commit_image re-derives that shard's
 // working keys from the image's master.
 std::optional<unsigned> ShardedSecureMemory::stage_full_container(
     std::istream& in, std::span<SecureMemory* const> engines,
-    std::span<StagedShard> staged) SECMEM_REQUIRES(snapshot_mu_) {
+    std::span<std::optional<SecureMemory::StagedImage>> staged)
+    SECMEM_REQUIRES(snapshot_mu_) {
   for (unsigned s = 0; s < num_shards_; ++s) {
-    staged[s].full = engines[s]->stage_restore(
-        in, shard_master_key(config_.master_key, s));
-    if (!staged[s].full) return s;
+    staged[s] = engines[s]->stage_image(
+        in, shard_master_key(config_.master_key, s), /*accept_delta=*/false);
+    if (!staged[s]) return s;
   }
   return std::nullopt;
 }
@@ -872,21 +765,10 @@ Status ShardedSecureMemory::save_delta(std::ostream& out) {
   return folded;
 }
 
-const char* ShardedSecureMemory::read_delta_payload(std::istream& in,
-                                                   std::uint64_t total)
-    SECMEM_REQUIRES(snapshot_mu_) {
-  // Grow-only, so reuse never re-zeroes bytes the read overwrites.
-  std::vector<char>& payload = delta_payload_;
-  if (payload.size() < total) payload.resize(static_cast<std::size_t>(total));
-  in.read(payload.data(), static_cast<std::streamsize>(total));
-  if (!in || static_cast<std::uint64_t>(in.gcount()) != total) return nullptr;
-  return payload.data();
-}
-
 std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
     std::istream& in, std::span<SecureMemory* const> engines,
-    std::span<StagedShard> staged, bool& keep_payload)
-    SECMEM_REQUIRES(snapshot_mu_) {
+    std::span<std::optional<SecureMemory::StagedImage>> staged,
+    bool& keep_payload) SECMEM_REQUIRES(snapshot_mu_) {
   // Length table. Each slice must at least hold a magic and can never
   // exceed slice_cap_ — a hostile table must not size the bulk read.
   std::vector<std::uint64_t> lengths(num_shards_);
@@ -910,8 +792,12 @@ std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
   // it like whole shard images, which the small deltas that follow
   // would leave parked.
   keep_payload = false;
-  const char* const payload = read_delta_payload(in, total);
-  if (payload == nullptr) return 0;
+  // Grow-only, so reuse never re-zeroes bytes the read overwrites.
+  if (delta_payload_.size() < total)
+    delta_payload_.resize(static_cast<std::size_t>(total));
+  in.read(delta_payload_.data(), static_cast<std::streamsize>(total));
+  if (!in || static_cast<std::uint64_t>(in.gcount()) != total) return 0;
+  const char* const payload = delta_payload_.data();
   std::vector<std::size_t> offsets(num_shards_, 0);
   for (unsigned s = 1; s < num_shards_; ++s)
     offsets[s] = offsets[s - 1] + static_cast<std::size_t>(lengths[s - 1]);
@@ -921,26 +807,19 @@ std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
       keep_payload = false;
   }
 
-  // Stage every slice — sniffing each on ITS magic: delta::kDeltaMagic
-  // is a delta against that shard's current chain, delta::kImageMagic a
+  // Stage every slice: a delta against that shard's current chain, or a
   // full fallback image (staged under the REGION-derived master, the
   // same un-poisoning rule as the full container).
   pool_.run(num_shards_, [this, payload, &offsets, &lengths, engines,
                           staged](unsigned s) {
-    const char* slice = payload + offsets[s];
-    const auto len = static_cast<std::size_t>(lengths[s]);
-    if (is_magic(slice, delta::kDeltaMagic)) {
-      staged[s].delta = engines[s]->stage_delta(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(slice), len));
-    } else if (is_magic(slice, delta::kImageMagic)) {
-      SpanSource source(slice, len);
-      std::istream shard_in(&source);
-      staged[s].full = engines[s]->stage_restore(
-          shard_in, shard_master_key(config_.master_key, s));
-    }
+    staged[s] = engines[s]->stage_image(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(payload + offsets[s]),
+            static_cast<std::size_t>(lengths[s])),
+        shard_master_key(config_.master_key, s));
   });
   for (unsigned s = 0; s < num_shards_; ++s)
-    if (!staged[s].full && !staged[s].delta) return s;
+    if (!staged[s]) return s;
   return std::nullopt;
 }
 

@@ -226,7 +226,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// the restore holds. A save that fails mid-stream breaks every
   /// shard's delta chain.
   [[nodiscard]] Status save(std::ostream& out) override;
-  [[nodiscard]] bool restore(std::istream& in) override;
+  [[nodiscard]] bool restore(std::istream& in) override {
+    return restore_container(in, nullptr, /*accept_delta=*/false);
+  }
 
   /// Delta persistence: a shard-count-tagged container of per-shard
   /// delta images (see SecureMemory::save_delta). Unlike the full
@@ -240,10 +242,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// restore_delta() accepts BOTH container kinds, dispatching on the
   /// magic: a full container (save()'s output) takes the full-restore
   /// path; a delta container bulk-reads the payload once, slices it by
-  /// the length table, and stages every shard's slice — itself sniffed
-  /// as a full image or a delta on ITS magic; a delta slice is verified
-  /// and parsed in place (SecureMemory::stage_delta over the span) —
-  /// with all shard locks held, then commits.
+  /// the length table, and stages every shard's slice — a full image or
+  /// a delta, verified and parsed in place by SecureMemory::stage_image
+  /// over the span — with all shard locks held, then commits.
   ///
   /// The slice buffers and the payload buffer belong to the container
   /// and are recycled across calls, so a steady delta chain allocates no
@@ -253,17 +254,22 @@ class ShardedSecureMemory : public SecureMemoryLike {
   ///
   /// Same all-or-nothing contract as restore(): any staging failure
   /// (container damage, one tampered shard, one stale base seal) returns
-  /// false with the region EXACTLY as it was. The one exception mirrors
-  /// SecureMemory::commit_delta's defense-in-depth verdict: a post-apply
+  /// false with the region EXACTLY as it was, and every rejected call
+  /// counts one snapshot.delta.rejects. The one exception mirrors
+  /// SecureMemory::commit_image's defense-in-depth verdict: a post-apply
   /// root mismatch on a shard (cryptographically negligible) wipes that
   /// shard and POISONS the region rather than serve a half-applied
   /// state.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
-  [[nodiscard]] bool restore_delta(std::istream& in) override;
+  [[nodiscard]] bool restore_delta(std::istream& in) override {
+    return restore_container(in, nullptr, /*accept_delta=*/true);
+  }
 
   /// restore_delta() plus a stage/commit wall-time split for the
   /// snapshot benchmark. Accepts both container kinds.
-  [[nodiscard]] bool restore_timed(std::istream& in, SnapshotTiming& timing);
+  [[nodiscard]] bool restore_timed(std::istream& in, SnapshotTiming& timing) {
+    return restore_container(in, &timing, /*accept_delta=*/true);
+  }
 
   /// Total dirty delta-granules across shards — a relaxed-atomic
   /// snapshot, lock-free like stats().
@@ -323,11 +329,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   std::optional<Status> try_read_bytes_optimistic(
       std::uint64_t addr, std::span<std::uint8_t> out,
       std::span<const std::size_t> involved);
-  /// One shard's staged restore: a full image or a delta.
-  struct StagedShard {
-    std::optional<SecureMemory::StagedRestore> full;
-    std::optional<SecureMemory::StagedDelta> delta;
-  };
   /// The one body behind restore(), restore_delta() and restore_timed():
   /// container magic and header, every lock, staging, then the
   /// shard-parallel commit (timed into `timing` when non-null). A delta
@@ -341,20 +342,20 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// buffer is worth recycling.
   std::optional<unsigned> stage_full_container(
       std::istream& in, std::span<SecureMemory* const> engines,
-      std::span<StagedShard> staged) SECMEM_REQUIRES(snapshot_mu_);
+      std::span<std::optional<SecureMemory::StagedImage>> staged)
+      SECMEM_REQUIRES(snapshot_mu_);
   std::optional<unsigned> stage_delta_container(
       std::istream& in, std::span<SecureMemory* const> engines,
-      std::span<StagedShard> staged, bool& keep_payload)
-      SECMEM_REQUIRES(snapshot_mu_);
-  /// Bulk-read `total` payload bytes of a delta container into the
-  /// recycled payload buffer; nullptr if the stream ran short.
-  const char* read_delta_payload(std::istream& in, std::uint64_t total)
-      SECMEM_REQUIRES(snapshot_mu_);
+      std::span<std::optional<SecureMemory::StagedImage>> staged,
+      bool& keep_payload) SECMEM_REQUIRES(snapshot_mu_);
   /// The one reject path of every restore: hand each staged shard its
   /// storage back, record one kRestore/kIntegrityViolation event
-  /// against `shard`, return false.
-  bool reject_restore(std::span<SecureMemory* const> engines,
-                      std::span<StagedShard> staged, unsigned shard);
+  /// against `shard` (plus kDeltaRejects with `accept_delta`), return
+  /// false.
+  bool reject_restore(
+      std::span<SecureMemory* const> engines,
+      std::span<std::optional<SecureMemory::StagedImage>> staged,
+      unsigned shard, bool accept_delta);
   /// Invalidate every shard's delta base (see SecureMemory::break_chain)
   /// after a container-level snapshot stream failure: the shards aligned
   /// on an image that never persisted, so the next save_delta must fall

@@ -20,7 +20,7 @@ class GoodEngine {
   }
 
   // Tainted return dominated by a verify_* call: clean.
-  Staged stage_restore(std::istream& in) {
+  Staged stage_image(std::istream& in) {
     Staged staged{std::move(arena_)};  // move ADOPTS the member, no alias
     in.read(reinterpret_cast<char*>(staged.cmd), 16);
     if (!verify_seal(staged)) return Staged{};

@@ -2,9 +2,9 @@
 // dirty-bitmap encoder round-tripping through parse + in-place apply
 // (fixed cases and random geometries), and the parser's rejection
 // contract — truncation, bad opcodes, bounds, double cover, incomplete
-// cover, and COPYs that do not stay in place. The engine-level
-// sealing/authentication sits on top of this codec and is covered by
-// test_delta_snapshot.cc.
+// cover, and COPYs that do not stay in place — plus the stream-length
+// bound max_stream_bytes. The engine-level sealing/authentication sits
+// on top of this codec and is covered by test_delta_snapshot.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,6 +150,24 @@ TEST(DeltaDirtyEncode, AllDirtyShipsWholeImage) {
   expect_roundtrip(geo, base, target, cmd);
 }
 
+TEST(DeltaDirtyEncode, AlternatingDirtyGranulesFitTheStreamBound) {
+  // Alternating dirty and clean granules give every granule its own
+  // command — the longest stream the encoder emits.
+  for (const bool macs : {false, true}) {
+    const Geometry geo = tail_geometry(macs);
+    const Image target = make_image(geo, 5);
+    for (const std::uint64_t bits : {0b10101ull, 0b01010ull}) {
+      std::vector<std::uint64_t> dirty(geo.dirty_words(), bits);
+      std::vector<std::uint8_t> cmd;
+      encode_from_dirty(geo, target.view(), dirty, cmd);
+      EXPECT_LE(cmd.size(), max_stream_bytes(geo));
+      std::vector<Command> cmds;
+      ASSERT_TRUE(parse(geo, cmd, cmds));
+      EXPECT_EQ(cmds.size(), geo.num_granules());
+    }
+  }
+}
+
 TEST(DeltaDirtyEncode, RandomizedRoundTrips) {
   Xoshiro256 rng(0xD17F);
   for (int trial = 0; trial < 40; ++trial) {
@@ -195,6 +213,22 @@ void put_copy(std::vector<std::uint8_t>& out, std::uint64_t dst,
   put_u64(out, dst);
   put_u64(out, n);
   put_u64(out, src);
+}
+
+TEST(DeltaParse, OneAddPerGranuleIsExactlyTheStreamBound) {
+  // The bound is tight: one single-granule ADD per granule parses and
+  // is exactly max_stream_bytes long.
+  const Geometry geo = tail_geometry(true);
+  std::vector<std::uint8_t> cmd;
+  for (std::uint64_t g = 0; g < geo.num_granules(); ++g) {
+    cmd.push_back(Command::kAdd);
+    put_u64(cmd, g);
+    put_u64(cmd, 1);
+    cmd.resize(cmd.size() + geo.payload_bytes(g), 0);
+  }
+  EXPECT_EQ(cmd.size(), max_stream_bytes(geo));
+  std::vector<Command> cmds;
+  EXPECT_TRUE(parse(geo, cmd, cmds));
 }
 
 TEST(DeltaParse, RejectsMalformedStreams) {

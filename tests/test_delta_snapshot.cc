@@ -22,6 +22,7 @@
 
 #include "common/bitops.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 
@@ -342,6 +343,23 @@ TEST(DeltaDirtyPlane, TracksWritesAndShrinksImages) {
   EXPECT_EQ(engine.dirty_granules(), 0u);
 }
 
+TEST(DeltaDirtyPlane, AlternatingGranulesFitTheLargestImage) {
+  SecureMemory source(small_config());
+  SecureMemory replica(small_config());
+  populate(source, 37);
+  ASSERT_TRUE(apply_delta(replica, delta_of(source)));
+  // Every other granule dirty: each gets its own command, the longest
+  // command stream save_delta emits.
+  for (std::uint64_t b = 0; b < source.num_blocks();
+       b += 2 * source.delta_granule_blocks())
+    ASSERT_EQ(source.write_block(b, pattern(0xA1)), Status::kOk);
+  const std::string delta = delta_of(source);
+  EXPECT_LE(delta.size(), source.max_image_bytes());
+  EXPECT_LE(source.image_bytes(), source.max_image_bytes());
+  ASSERT_TRUE(apply_delta(replica, delta));
+  EXPECT_EQ(image_of(source), image_of(replica));
+}
+
 TEST(DeltaSharded, AggregatesDirtyGranulesAndTimesRestores) {
   ShardedSecureMemory source(small_config(), 4);
   ShardedSecureMemory replica(small_config(), 4);
@@ -398,6 +416,9 @@ TEST(DeltaSharded, EveryRejectedContainerTracesOnce) {
     std::string image;
     bool delta_api;
   };
+  // The longest slice a shard may claim is its engine's largest image.
+  const std::uint64_t cap = replica.with_shard_exclusive(
+      0, [](SecureMemory& m) { return m.max_image_bytes(); });
   const std::vector<Case> cases = {
       {"full: magic", flipped(full, 0), false},
       {"full: short magic", full.substr(0, 5), false},
@@ -410,28 +431,37 @@ TEST(DeltaSharded, EveryRejectedContainerTracesOnce) {
       {"delta: granule", with_u64(delta, 16, 0), true},
       {"delta: slice shorter than a magic", with_u64(delta, 24, 7), true},
       {"delta: slice over the cap", with_u64(delta, 32, 1ull << 40), true},
+      {"delta: slice at cap + 1", with_u64(delta, 24, cap + 1), true},
       {"delta: short length table", delta.substr(0, 24 + 8 * 3 + 3), true},
       {"delta: short payload", delta.substr(0, delta.size() - 1), true},
   };
   replica.attach_trace(&ring);
-  const auto expect_one_reject = [&ring](const char* what) {
+  // Every rejected delta-accepting call also counts one delta reject.
+  std::uint64_t delta_rejects = 0;
+  const auto expect_one_reject = [&](const char* what, bool delta_api) {
     const std::vector<TraceEvent> events = ring.snapshot();
     ASSERT_EQ(events.size(), 1u) << what;
     EXPECT_EQ(events[0].kind, TraceEvent::Kind::kRestore) << what;
     EXPECT_EQ(events[0].outcome, Status::kIntegrityViolation) << what;
     ring.clear();
+    if (delta_api) ++delta_rejects;
+    StatRegistry registry;
+    replica.publish_metrics(registry, "engine");
+    EXPECT_EQ(registry.counter_value("engine.snapshot.delta.rejects"),
+              delta_rejects)
+        << what;
   };
   for (const Case& c : cases) {
     std::istringstream in(c.image);
     EXPECT_FALSE(c.delta_api ? replica.restore_delta(in)
                              : replica.restore(in))
         << c.what;
-    expect_one_reject(c.what);
+    expect_one_reject(c.what, c.delta_api);
   }
   SnapshotTiming timing;
   std::istringstream timed_in(flipped(delta, 0));
   EXPECT_FALSE(replica.restore_timed(timed_in, timing));
-  expect_one_reject("timed: magic");
+  expect_one_reject("timed: magic", true);
 
   // Every rejection left the region as it was: the clean delta applies.
   ASSERT_TRUE(apply_delta(replica, delta));
@@ -648,8 +678,8 @@ TEST(DeltaArena, EngineCountsAndRecyclesDeltaBuffers) {
 }
 
 TEST(DeltaArena, StreamStagingCommitsLikeRestoreDelta) {
-  // stage_delta(istream&) reads into the arena's stream buffer and
-  // stages there; the staged delta borrows it until commit_delta.
+  // stage_image(istream&) reads a delta into the arena's stream buffer
+  // and stages there; the staged delta borrows it until commit_image.
   SecureMemory source(small_config());
   SecureMemory replica(small_config());
   populate(source, 109);
@@ -663,12 +693,13 @@ TEST(DeltaArena, StreamStagingCommitsLikeRestoreDelta) {
   tampered.back() = static_cast<char>(tampered.back() ^ 0x01);  // trailer
   {
     std::istringstream in(tampered);
-    EXPECT_FALSE(replica.stage_delta(in).has_value());
+    EXPECT_FALSE(replica.stage_image(in, small_config().master_key, true)
+                     .has_value());
   }
   std::istringstream in(delta);
-  auto staged = replica.stage_delta(in);
+  auto staged = replica.stage_image(in, small_config().master_key, true);
   ASSERT_TRUE(staged.has_value());
-  ASSERT_TRUE(replica.commit_delta(std::move(*staged)));
+  ASSERT_TRUE(replica.commit_image(std::move(*staged)));
   EXPECT_EQ(image_of(source), image_of(replica));
 }
 

@@ -1,9 +1,9 @@
 // Streaming snapshot pipeline tests: round-trips and tamper fuzz across
 // all three engines, image equivalence with the per-element
 // ReferenceMemory (tests/reference_memory.h) in both directions,
-// rejection contracts (truncation, byte flips) leaving a usable region,
-// the sharded container layout, staging storage kept across rejected
-// restores, and restore under a stale hot tree cache.
+// rejection contracts (truncation, byte flips) leaving the region as it
+// was and usable, the sharded container layout, staging storage kept
+// across rejected restores, and restore under a stale hot tree cache.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -115,14 +115,23 @@ TEST_P(SnapshotPipeline, TruncatedImageRejectedRegionStaysUsable) {
 
   auto victim = make_engine(kind());
   populate(*victim, 13);
+  // What populate left in every block: its writes, last one wins.
+  std::vector<DataBlock> contents(victim->num_blocks(), DataBlock{});
+  for (const BlockWrite& w : populate_writes(victim->num_blocks(), 13))
+    contents[w.block] = w.data;
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{17}, image.size() / 2,
         image.size() - 1}) {
     std::istringstream truncated(image.substr(0, keep));
     EXPECT_FALSE(victim->restore(truncated)) << "kept " << keep;
+    // A rejected image leaves the region exactly as it was.
+    for (std::uint64_t b = 0; b < victim->num_blocks(); ++b) {
+      const auto r = victim->read_block(b);
+      ASSERT_EQ(r.status, ReadStatus::kOk) << "kept " << keep << " block " << b;
+      ASSERT_EQ(r.data, contents[b]) << "kept " << keep << " block " << b;
+    }
   }
-  // Whatever the engine's failure posture (plain resets to a zeroed
-  // region, sharded keeps the old state), the region must stay usable.
+  // And it stays usable.
   ASSERT_EQ(victim->write_block(5, pattern(0x55)), Status::kOk);
   EXPECT_EQ(victim->read_block(5).status, ReadStatus::kOk);
   EXPECT_EQ(victim->read_block(5).data, pattern(0x55));
