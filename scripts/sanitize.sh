@@ -6,10 +6,13 @@
 #
 # With no extra ctest args, tsan runs the concurrency suites — every test
 # whose name matches `Sharded|Concurrent`: the sharded engine's stress,
-# parallel-writer and contended-writer tests at one and many shards, and
-# the *Concurrent* metrics/trace tests — and asan runs everything. Extra
-# args are passed to ctest verbatim, e.g.:
+# parallel-writer and contended-writer tests at one and many shards, the
+# SeqLock reader-indicator tests (ConcurrentSeqLock.*), the per-thread
+# metrics stripes (ConcurrentMetricsCell.*) and the other *Concurrent*
+# metrics/trace tests — and asan runs everything. Extra args are passed
+# to ctest verbatim, e.g.:
 #   scripts/sanitize.sh tsan -R ShardedSecureMemoryStress
+#   scripts/sanitize.sh tsan -R ConcurrentSeqLock --repeat until-fail:20
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

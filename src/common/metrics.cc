@@ -66,10 +66,31 @@ std::size_t MetricsCell::log2_bucket(std::uint64_t v) noexcept {
   return std::min<std::size_t>(std::bit_width(v), kEngineHistBuckets - 1);
 }
 
+std::uint64_t MetricsCell::value(MetricId id) const noexcept {
+  const auto i = static_cast<std::size_t>(id);
+  std::uint64_t sum = owned_.counters[i].load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_)
+    sum += stripe.counters[i].load(std::memory_order_relaxed);
+  return sum;
+}
+
+std::uint64_t MetricsCell::hist_bucket(EngineHistId hist,
+                                       std::size_t bucket) const noexcept {
+  const auto h = static_cast<std::size_t>(hist);
+  std::uint64_t sum = owned_.hists[h][bucket].load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_)
+    sum += stripe.hists[h][bucket].load(std::memory_order_relaxed);
+  return sum;
+}
+
 void MetricsCell::reset() const noexcept {
-  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
-  for (auto& hist : hists_)
-    for (auto& bucket : hist) bucket.store(0, std::memory_order_relaxed);
+  const auto clear = [](Stripe& stripe) {
+    for (auto& c : stripe.counters) c.store(0, std::memory_order_relaxed);
+    for (auto& hist : stripe.hists)
+      for (auto& bucket : hist) bucket.store(0, std::memory_order_relaxed);
+  };
+  clear(owned_);
+  for (Stripe& stripe : stripes_) clear(stripe);
 }
 
 std::uint64_t MetricsSink::total(MetricId id) const noexcept {

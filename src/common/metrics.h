@@ -9,7 +9,8 @@
 //    event, no locks, no string hashing. The increment is chosen by the
 //    constness of the cell (see the class comment): a writer that owns
 //    the cell exclusively counts with plain loads and stores, a shared
-//    writer with fetch_add. Readable from any thread either way.
+//    writer with fetch_add into its own thread's stripe. Readable from
+//    any thread either way.
 //  - MetricsSink: N cells (one per shard or per thread) aggregated on
 //    read, so concurrent writers never share a cache line.
 //  - TraceRing: a bounded ring of recent events (kind, block, shard,
@@ -102,66 +103,68 @@ const char* engine_hist_name(EngineHistId id) noexcept;
 /// Increment by constness. add()/sample() on a NON-CONST cell are the
 /// single-writer form: a relaxed load plus a relaxed store, no lock
 /// prefix. Holding the cell non-const asserts that no other thread
-/// increments it meanwhile — its owner runs under an exclusive lock (a
-/// shard's SeqWriteLock) or owns it outright (a per-thread cell). On a
-/// CONST cell they are a relaxed fetch_add, safe against any number of
-/// concurrent incrementers. Owners pass the constness on: a const member
-/// function of the owner sees a const cell, so anything reachable from a
-/// shared (const) path counts atomically without being told to, and the
-/// cheap form cannot be reached from it. A cell written by concurrent
-/// non-const members (ShardedSecureMemory's region cell) is declared
-/// const. Mixing the forms on one cell is safe exactly when the
-/// single-writer increments are excluded from every concurrent one, as a
-/// reader/writer lock does; otherwise a racing store loses counts.
+/// increments it the same way meanwhile — its owner runs under an
+/// exclusive lock (a shard's SeqWriteLock) or owns it outright. On a
+/// CONST cell they are a relaxed fetch_add into the calling thread's
+/// stripe (one per thread_slot(), common/thread_annotations.h), safe
+/// against any number of concurrent incrementers, and concurrent shared
+/// readers write no line another reader writes. Owners pass the
+/// constness on: a const member function of the owner sees a const
+/// cell, so anything reachable from a shared (const) path counts
+/// atomically without being told to, and the cheap form cannot be
+/// reached from it. A cell written by concurrent non-const members
+/// (ShardedSecureMemory's region cell) is declared const. The two forms
+/// write disjoint words, so they may run at the same time.
 class MetricsCell {
  public:
   void add(MetricId id, std::uint64_t n = 1) noexcept {
-    bump(counters_[static_cast<std::size_t>(id)], n);
+    bump(owned_.counters[static_cast<std::size_t>(id)], n);
   }
   void add(MetricId id, std::uint64_t n = 1) const noexcept {
-    counters_[static_cast<std::size_t>(id)].fetch_add(
+    stripes_[thread_slot()].counters[static_cast<std::size_t>(id)].fetch_add(
         n, std::memory_order_relaxed);
   }
   void sample(EngineHistId hist, std::uint64_t v) noexcept {
-    bump(hists_[static_cast<std::size_t>(hist)][log2_bucket(v)], 1);
+    bump(owned_.hists[static_cast<std::size_t>(hist)][log2_bucket(v)], 1);
   }
   void sample(EngineHistId hist, std::uint64_t v) const noexcept {
-    hists_[static_cast<std::size_t>(hist)][log2_bucket(v)].fetch_add(
-        1, std::memory_order_relaxed);
+    stripes_[thread_slot()]
+        .hists[static_cast<std::size_t>(hist)][log2_bucket(v)]
+        .fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint64_t value(MetricId id) const noexcept {
-    return counters_[static_cast<std::size_t>(id)].load(
-        std::memory_order_relaxed);
-  }
+  /// The single-writer count plus every stripe's.
+  std::uint64_t value(MetricId id) const noexcept;
   std::uint64_t hist_bucket(EngineHistId hist,
-                            std::size_t bucket) const noexcept {
-    return hists_[static_cast<std::size_t>(hist)][bucket].load(
-        std::memory_order_relaxed);
-  }
+                            std::size_t bucket) const noexcept;
 
-  /// Zero every counter and bucket (relaxed stores; callers reset while
-  /// quiescent or accept losing concurrent increments). Const like the
-  /// atomic increments: it races nothing, so a const cell can be reset.
+  /// Zero every counter and bucket, stripes included (relaxed stores;
+  /// callers reset while quiescent or accept losing concurrent
+  /// increments). Const like the atomic increments: it races nothing,
+  /// so a const cell can be reset.
   void reset() const noexcept;
 
   static std::size_t log2_bucket(std::uint64_t v) noexcept;
 
  private:
+  /// One writer's counters and buckets, on cache lines of their own so
+  /// cells in a MetricsSink and stripes of one cell never false-share.
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, kMetricCount> counters{};
+    std::array<std::array<std::atomic<std::uint64_t>, kEngineHistBuckets>,
+               kEngineHistCount>
+        hists{};
+  };
+
   /// The single-writer increment: no read-modify-write instruction.
   static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
-  // 64-byte alignment keeps cells in a MetricsSink from false-sharing
-  // their first (hottest) counters across writer threads. Mutable: the
-  // const increments are the shared writers' form (class comment).
-  alignas(64) mutable std::array<std::atomic<std::uint64_t>, kMetricCount>
-      counters_{};
-  mutable std::array<
-      std::array<std::atomic<std::uint64_t>, kEngineHistBuckets>,
-      kEngineHistCount>
-      hists_{};
+  /// The non-const form's target. Mutable so the const reset() clears it.
+  mutable Stripe owned_;
+  /// The const forms' targets, indexed by thread_slot().
+  mutable std::array<Stripe, kThreadSlots> stripes_{};
 };
 
 /// A fixed set of MetricsCells — per shard or per worker thread —

@@ -25,10 +25,13 @@
 // with a comment saying why, and keep them covered by the TSan preset.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
+#include <thread>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -176,16 +179,73 @@ class SECMEM_SCOPED_CAPABILITY WriterMutexLock {
   SharedMutex& mu_;
 };
 
-/// Capability-annotated seqlock: a reader/writer mutex plus a published
-/// generation counter. This is the read-mostly tier of the lock
-/// vocabulary (engine/sharded_memory.h): readers take the shared side
-/// (so every data access is lock-synchronized — no racy textbook-seqlock
-/// reads, TSan- and standards-clean), writers take the exclusive side,
-/// and the generation gives lock-free *observers* a way to detect
-/// writer activity without touching the mutex at all:
+/// Per-thread slots shared by the reader indicator of every SeqLock and
+/// the const-increment stripes of every MetricsCell (common/metrics.h).
+/// More live threads than slots is correct, only slower: threads that
+/// share a slot share its cache lines again.
+inline constexpr std::size_t kThreadSlots = 16;
+
+namespace detail {
+/// Claim the lowest free slot for the calling thread, released again
+/// when the thread exits; with every slot taken, share one round-robin.
+inline std::size_t claim_thread_slot() noexcept {
+  static_assert(kThreadSlots <= 32, "one bit per slot in a 32-bit mask");
+  static std::atomic<std::uint32_t> taken{0};
+  static std::atomic<std::size_t> overflow{0};
+  struct Owner {
+    std::uint32_t bit = 0;
+    ~Owner() { taken.fetch_and(~bit, std::memory_order_relaxed); }
+  };
+  std::uint32_t mask = taken.load(std::memory_order_relaxed);
+  for (std::size_t slot = 0; slot < kThreadSlots;) {
+    const std::uint32_t bit = std::uint32_t{1} << slot;
+    if ((mask & bit) != 0) {
+      ++slot;
+    } else if (taken.compare_exchange_weak(mask, mask | bit,
+                                           std::memory_order_relaxed)) {
+      thread_local Owner owner;
+      owner.bit = bit;
+      return slot;
+    }
+  }
+  return overflow.fetch_add(1, std::memory_order_relaxed) % kThreadSlots;
+}
+}  // namespace detail
+
+/// The calling thread's slot in [0, kThreadSlots), fixed for the
+/// thread's lifetime: live threads get slots of their own while there
+/// are at most kThreadSlots of them.
+inline std::size_t thread_slot() noexcept {
+  thread_local std::size_t slot = kThreadSlots;  // not yet claimed
+  if (slot == kThreadSlots) [[unlikely]]
+    slot = detail::claim_thread_slot();
+  return slot;
+}
+
+/// Capability-annotated seqlock: a reader/writer lock with a per-thread
+/// reader indicator, plus a published generation counter. This is the
+/// read-mostly tier of the lock vocabulary (engine/sharded_memory.h).
+///
+/// Readers write only their own thread's slot. A reader increments its
+/// slot (seq_cst), then checks `writer_`; while no writer is active that
+/// is the whole acquisition, and the release decrements the same slot. A
+/// reader that finds a writer active backs its increment out and takes
+/// the mutex's shared side instead, so it waits for the writer and then
+/// sees the write. A writer takes the mutex exclusively, sets `writer_`
+/// (seq_cst), and waits until every slot drains before it touches
+/// anything: the store-then-load pairs on both sides guarantee that
+/// either the reader sees `writer_` or the writer sees the reader's
+/// count. Every data access therefore stays lock-synchronized — no racy
+/// textbook-seqlock reads, TSan- and standards-clean. This is the
+/// visible-readers scheme of BRAVO (Dice & Kogan, USENIX ATC 2019) with
+/// one fixed table per lock.
+///
+/// The generation gives lock-free *observers* a way to detect writer
+/// activity without touching the lock at all:
 ///
 ///  - generation() is odd while a writer holds the lock (bumped to odd
-///    on acquire, even on release), so write_in_progress(g) is `g & 1`.
+///    once the readers drained, even on release), so
+///    write_in_progress(g) is `g & 1`.
 ///  - Two equal, even generations bracket a span with no completed or
 ///    in-flight write — the optimistic-snapshot validation the
 ///    cross-shard read path uses: snapshot each shard's generation,
@@ -194,30 +254,50 @@ class SECMEM_SCOPED_CAPABILITY WriterMutexLock {
 ///
 /// Satisfies BasicLockable on its exclusive side, so the ordered
 /// multi-lock machinery (std::unique_lock via engine/lock_table.h)
-/// bumps generations exactly like a SeqWriteLock does.
+/// bumps generations exactly like a SeqWriteLock does. The shared side
+/// hands the reader a ticket to give back, so take it through
+/// SeqReadLock.
 class SECMEM_CAPABILITY("seqlock") SeqLock {
+  struct alignas(64) ReaderSlot {
+    std::atomic<std::uint64_t> count{0};
+  };
+
  public:
+  /// What a reader holds: the slot it counted into, or nullptr when it
+  /// holds the mutex's shared side.
+  using ReadTicket = ReaderSlot*;
+
   SeqLock() = default;
   SeqLock(const SeqLock&) = delete;
   SeqLock& operator=(const SeqLock&) = delete;
 
   void lock() SECMEM_ACQUIRE() {
     mu_.lock();
-    bump();  // odd: write in progress
+    exclude_readers();
   }
   void unlock() SECMEM_RELEASE() {
     bump();  // even: quiescent
+    writer_.store(false, std::memory_order_release);
     mu_.unlock();
   }
   bool try_lock() SECMEM_TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    bump();
+    exclude_readers();
     return true;
   }
-  void lock_shared() SECMEM_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() SECMEM_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() SECMEM_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
+  [[nodiscard]] ReadTicket lock_shared() SECMEM_ACQUIRE_SHARED() {
+    ReaderSlot& slot = readers_[thread_slot()];
+    slot.count.fetch_add(1, std::memory_order_seq_cst);
+    if (!writer_.load(std::memory_order_seq_cst)) return &slot;
+    slot.count.fetch_sub(1, std::memory_order_release);
+    mu_.lock_shared();
+    return nullptr;
+  }
+  void unlock_shared(ReadTicket ticket) SECMEM_RELEASE_SHARED() {
+    if (ticket != nullptr)
+      ticket->count.fetch_sub(1, std::memory_order_release);
+    else
+      mu_.unlock_shared();
   }
 
   /// Lock-free probe of writer activity; pairs with the release store in
@@ -231,30 +311,60 @@ class SECMEM_CAPABILITY("seqlock") SeqLock {
   }
 
  private:
+  /// Pause iterations per slot before the drain wait starts yielding: a
+  /// reader holds its slot for one verified read, well under this.
+  static constexpr unsigned kSpinsBeforeYield = 64;
+
+  /// With the mutex held: turn new readers away, wait out the ones in
+  /// flight, then publish the odd generation.
+  void exclude_readers() noexcept {
+    writer_.store(true, std::memory_order_seq_cst);
+    for (const ReaderSlot& slot : readers_) {
+      for (unsigned spins = 0;
+           slot.count.load(std::memory_order_seq_cst) != 0; ++spins) {
+        if (spins < kSpinsBeforeYield)
+          cpu_relax();
+        else
+          std::this_thread::yield();
+      }
+    }
+    bump();  // odd: write in progress
+  }
   void bump() noexcept {
     // Only ever called with the exclusive side held, so the load cannot
     // race another bump; the release publishes the writer's mutations.
     gen_.store(gen_.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);
   }
+  static void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
 
   std::shared_mutex mu_;
   std::atomic<std::uint64_t> gen_{0};
+  std::atomic<bool> writer_{false};
+  /// Each on its own line: a reader writes no line another reader writes.
+  std::array<ReaderSlot, kThreadSlots> readers_{};
 };
 
 /// RAII shared (reader) lock over a SeqLock — the checked fast path for
-/// read-mostly data.
+/// read-mostly data. Remembers which side it entered by.
 class SECMEM_SCOPED_CAPABILITY SeqReadLock {
  public:
   explicit SeqReadLock(SeqLock& mu) SECMEM_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
+    ticket_ = mu_.lock_shared();
   }
-  ~SeqReadLock() SECMEM_RELEASE() { mu_.unlock_shared(); }
+  ~SeqReadLock() SECMEM_RELEASE() { mu_.unlock_shared(ticket_); }
   SeqReadLock(const SeqReadLock&) = delete;
   SeqReadLock& operator=(const SeqReadLock&) = delete;
 
  private:
   SeqLock& mu_;
+  SeqLock::ReadTicket ticket_;
 };
 
 /// RAII exclusive (writer) lock over a SeqLock; bumps the generation on

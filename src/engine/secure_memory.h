@@ -130,9 +130,10 @@ class SecureMemory : public SecureMemoryLike {
   /// ------------------------------------------------------------------
   /// A verified read identical in verdict and plaintext to read_block(),
   /// but const: counter authentication goes through the tree cache's
-  /// read-side probe() (no fills, no LRU reordering beyond the relaxed
-  /// touch), and the only engine state touched is the relaxed-atomic
-  /// metrics cell. The sharded engine calls this under a SHARED shard
+  /// read-side probe() (no fills, no clock advance, recency restamped
+  /// only when stale), and the only engine state written is the calling
+  /// thread's stripe of the metrics cell, plus the promotion pulse on a
+  /// cold line. The sharded engine calls this under a SHARED shard
   /// lock, so any number of readers proceed in parallel.
   ///
   /// Returns nullopt when the read *declines*: the counter line was not
@@ -160,9 +161,8 @@ class SecureMemory : public SecureMemoryLike {
   /// Metrics/trace bookkeeping for one read outcome. Public and const so
   /// callers running deferred-accounting shared reads (account=false)
   /// can commit the books once the whole operation is known to stick;
-  /// being const, it counts atomically, so callers need at least the
-  /// shard's shared lock (an exclusive writer's single-writer stores
-  /// must not interleave with it).
+  /// being const, it counts into the calling thread's stripe of the
+  /// cell (common/metrics.h), so it needs no lock.
   void account_read(const ReadResult& result, std::uint64_t block)
       const noexcept;
 
@@ -579,16 +579,18 @@ class SecureMemory : public SecureMemoryLike {
   std::vector<std::uint64_t> macs_;          ///< separate-MAC mode
   std::vector<std::uint8_t> counter_store_;  ///< serialized counter lines
   std::vector<std::uint64_t> shadow_ctr_;    ///< current counter per block
+  TraceRing* trace_ = nullptr;
+  std::uint16_t trace_shard_ = 0;
   /// Not mutable: const members (the shared read path) see a const cell
-  /// and count with fetch_add; non-const members, which hold the engine
-  /// exclusively, count with single-writer stores (common/metrics.h).
+  /// and count with fetch_add into their thread's stripe; non-const
+  /// members, which hold the engine exclusively, count with single-writer
+  /// stores (common/metrics.h).
   MetricsCell metrics_;
   /// Promotion pulse for read_block_shared: a relaxed counter of
   /// non-resident shared reads; every kSharedProbePulse-th one declines
-  /// so the exclusive retry warms the verified frontier.
-  mutable std::atomic<std::uint64_t> shared_cold_reads_{0};
-  TraceRing* trace_ = nullptr;
-  std::uint16_t trace_shard_ = 0;
+  /// so the exclusive retry warms the verified frontier. The one word
+  /// every shared reader of a cold line writes, so it gets its own line.
+  alignas(64) mutable std::atomic<std::uint64_t> shared_cold_reads_{0};
   /// Batch-path scratch, reused across calls so a group drain performs
   /// no heap allocation in steady state (capacity sticks at the group
   /// size after the first overflow). Guarded by the engine's external

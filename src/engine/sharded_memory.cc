@@ -383,14 +383,11 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
   // a consistent instant: a writer racing this range could otherwise
   // manufacture one out of a half-updated group.
   if (!verdict || !unchanged()) return std::nullopt;
-  // Under each shard's shared lock: account_read's atomic increments
-  // must not interleave with an exclusive writer's single-writer stores
-  // into the same cell.
-  for (const auto& [r, result] : pending) {
-    Shard& s = shards_[r.shard];
-    const SeqReadLock lock(s.mu);
-    s.engine->account_read(result, r.local_block);
-  }
+  // No shard lock: account_read is const, so it counts into this
+  // thread's stripe of each shard's cell, never into the words an
+  // exclusive writer stores to (common/metrics.h).
+  for (const auto& [r, result] : pending)
+    shards_[r.shard].engine->account_read(result, r.local_block);
   if (trace_)
     trace_->record(TraceEvent::Kind::kByteRead, verdict->status, addr / 64,
                    static_cast<std::uint16_t>(shard_of_block(addr / 64)));

@@ -17,7 +17,8 @@
 // SECMEM_GUARDED_BY that lock, so touching an engine without holding it
 // is a *build error*. Writers and every mutating maintenance operation
 // take the exclusive side (SeqWriteLock); verified reads take the shared
-// side (SeqReadLock) and run through SecureMemory's const
+// side (SeqReadLock, which on the fast path writes only the reading
+// thread's own slot) and run through SecureMemory's const
 // read_block_shared() fast path, so a read-mostly workload is limited by
 // crypto throughput, not lock convoys — with N readers on one hot shard
 // the old per-shard std::mutex serialized them all. Cross-shard paths
@@ -49,9 +50,10 @@
 // operations. stats()/publish_metrics() aggregate the cells without
 // taking any shard lock, so observability never stalls the datapath.
 // A shard's exclusive-path increments are single-writer stores (the
-// SeqWriteLock excludes every other writer of that cell), so anything
-// that counts into a shard's cell from outside its exclusive lock holds
-// the shard's shared lock (see try_read_bytes_optimistic).
+// SeqWriteLock excludes every other writer of those words); every const
+// path counts into the calling thread's stripe of the cell, so counting
+// needs no lock at all (the deferred accounting of
+// try_read_bytes_optimistic commits with none).
 #pragma once
 
 #include <atomic>
@@ -200,7 +202,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
 
   /// The shared ring receives every shard's events, tagged with the shard
   /// index; region-level byte operations record under the owning shard of
-  /// their first block.
+  /// their first block. A setup call: byte-level operations read the
+  /// ring pointers without shard locks, so attach or detach while no
+  /// other thread uses the engine.
   void attach_trace(TraceRing* ring) override;
 
   /// Persistence: a shard-count-tagged container of per-shard images.

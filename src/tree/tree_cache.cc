@@ -173,8 +173,8 @@ bool VerifiedTreeCache::probe(std::uint64_t line,
   }
 
   if (const Entry* leaf = find(0, line)) {
-    // Same verdict as verify()'s resident hit; the LRU touch is the sole
-    // mutation (relaxed atomic, see Entry::lru).
+    // Same verdict as verify()'s resident hit; restamping stale recency
+    // is the sole mutation (relaxed atomic, see touch()).
     touch(*leaf);
     count(MetricId::kTreeCacheProbeHits);
     resident = true;

@@ -39,15 +39,18 @@
 // owning shard lock (engine/sharded_memory.h), so under clang
 // -Wthread-safety an unlocked path to them does not compile. `probe()`
 // is the one concurrent entry point: a const read-side verify that any
-// number of shared-lock holders may run at once — it never fills, never
-// reorders, and its only cache mutation is the relaxed-atomic LRU touch
+// number of shared-lock holders may run at once — it never fills and
+// never reorders. Its only cache mutation is restamping an entry's
+// recency, and only once the entry
+// has fallen more than kProbeStaleStamps behind the writers' LRU clock
 // (so residency decisions still see read-path recency once a writer
-// takes over). Metrics go to an optional MetricsCell (relaxed atomics),
-// so the observability plane reads them without touching any lock.
-// Recency stamps and metric counts follow the cell's constness rule
-// (common/metrics.h): the non-const members own the cache exclusively
-// and advance the LRU clock and their counters with single-writer
-// stores; probe() takes the atomic fetch_add forms.
+// takes over, while a probe of a fresh entry stores nothing). Metrics
+// go to an optional MetricsCell (relaxed atomics), so the observability
+// plane reads them without touching any lock. Recency stamps and metric
+// counts follow the cell's constness rule (common/metrics.h): the
+// non-const members own the cache exclusively and advance the LRU clock
+// and their counters with single-writer stores; probe() never advances
+// the clock and counts into its thread's stripe of the cell.
 #pragma once
 
 #include <array>
@@ -89,7 +92,7 @@ class VerifiedTreeCache {
 
   /// Read-side verify: the identical accept/reject verdict to verify(),
   /// but const — no fills, no path installation, no dirty-state changes;
-  /// the only cache mutation is the relaxed-atomic LRU touch. Safe to
+  /// the only cache mutation is restamping stale recency. Safe to
   /// call from any number of threads holding the owning lock SHARED
   /// (engines' seqlock read fast path). `resident` reports whether a
   /// verified level-0 copy answered the probe (true) or the walk had to
@@ -123,10 +126,10 @@ class VerifiedTreeCache {
   struct Entry {
     std::uint64_t key = 0;  ///< (level << 48) | node
     /// Higher = more recently used. Atomic (relaxed) because probe()
-    /// touches recency from shared-lock readers while no writer can run;
-    /// every other field is written under the owner's exclusive lock
-    /// only. Mutable: recency is metadata, not cached content — touching
-    /// it is the one mutation the const read path performs.
+    /// restamps stale recency from shared-lock readers while no writer
+    /// can run; every other field is written under the owner's exclusive
+    /// lock only. Mutable: recency is metadata, not cached content —
+    /// restamping it is the one mutation the const read path performs.
     mutable std::atomic<std::uint64_t> lru{0};
     bool valid = false;
     bool dirty = false;  ///< ancestor MACs (and possibly backing) stale
@@ -146,6 +149,11 @@ class VerifiedTreeCache {
   std::size_t set_of(std::uint64_t key) const noexcept;
   const Entry* find(unsigned level, std::uint64_t node) const noexcept;
   Entry* find(unsigned level, std::uint64_t node) noexcept;
+  /// How far (in writer stamps) a probed entry may lag before the
+  /// read-side touch restamps it: small, so read-hot entries still look
+  /// recent to the writers' victim choice (mt_mixed keeps
+  /// tree.probe_hit_ratio at 0.9998 with 8).
+  static constexpr std::uint64_t kProbeStaleStamps = 8;
   /// Recency and metrics, chosen by constness like MetricsCell::add: the
   /// non-const forms run under the owner's exclusive lock (no lock
   /// prefix), the const ones from probe()'s concurrent readers.
@@ -154,9 +162,14 @@ class VerifiedTreeCache {
     next_lru_.store(stamp + 1, std::memory_order_relaxed);
     e.lru.store(stamp, std::memory_order_relaxed);
   }
+  /// The read-side touch advances no clock: it restamps the entry with
+  /// the writers' current stamp, and only once the entry has fallen more
+  /// than kProbeStaleStamps behind it, so a probe of a fresh entry
+  /// writes nothing.
   void touch(const Entry& e) const noexcept {
-    e.lru.store(next_lru_.fetch_add(1, std::memory_order_relaxed),
-                std::memory_order_relaxed);
+    const std::uint64_t now = next_lru_.load(std::memory_order_relaxed);
+    if (now - e.lru.load(std::memory_order_relaxed) > kProbeStaleStamps)
+      e.lru.store(now, std::memory_order_relaxed);
   }
   void count(MetricId id) noexcept {
     if (metrics_) metrics_->add(id);
@@ -184,9 +197,9 @@ class VerifiedTreeCache {
   MetricsCell* metrics_;
   std::size_t sets_ = 0;
   unsigned ways_ = 0;
-  /// Atomic for the same reason as Entry::lru: probe() advances recency
-  /// from concurrent shared-lock readers.
-  mutable std::atomic<std::uint64_t> next_lru_{1};
+  /// The recency clock, advanced only by the exclusive members; atomic
+  /// because probe() reads it from concurrent shared-lock readers.
+  std::atomic<std::uint64_t> next_lru_{1};
   /// sets_ x ways_, row-major. A raw array (not std::vector): entries
   /// hold atomics and are neither movable nor copyable.
   std::unique_ptr<Entry[]> entries_;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -290,6 +291,66 @@ TEST(ConcurrentMetricsSinkTest, ParallelRecordingIsRaceFree) {
   reader.join();
 
   EXPECT_EQ(kThreads * kEvents, sink.total(MetricId::kReads));
+}
+
+// Const adds land in the calling thread's stripe. Twice as many threads
+// as stripes, all alive at once, so every stripe is written and some are
+// shared; the cell's owner counts with single-writer stores meanwhile.
+TEST(ConcurrentMetricsCell, ConstAddsFromManyThreadsSumExactly) {
+  constexpr unsigned kThreads = 2 * kThreadSlots;
+  constexpr std::uint64_t kEvents = 2000;
+  constexpr std::uint64_t kOwnerEvents = 5000;
+  MetricsCell cell;
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const MetricsCell& shared = cell;
+      shared.add(MetricId::kSharedReads);
+      shared.sample(EngineHistId::kReadLatencyNs, 100);  // bucket 7
+      // Hold this thread's slot until every thread has one.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 1; i < kEvents; ++i) {
+        shared.add(MetricId::kSharedReads);
+        shared.sample(EngineHistId::kReadLatencyNs, 100);
+      }
+    });
+  }
+  for (std::uint64_t i = 0; i < kOwnerEvents; ++i)
+    cell.add(MetricId::kSharedReads);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(kThreads * kEvents + kOwnerEvents,
+            cell.value(MetricId::kSharedReads));
+  EXPECT_EQ(kThreads * kEvents,
+            cell.hist_bucket(EngineHistId::kReadLatencyNs, 7));
+}
+
+TEST(ConcurrentMetricsCell, ResetClearsEveryStripe) {
+  constexpr unsigned kThreads = kThreadSlots;
+  MetricsCell cell;
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::as_const(cell).add(MetricId::kReads, 3);
+      std::as_const(cell).sample(EngineHistId::kByteReadBytes, 100);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  cell.add(MetricId::kReads);
+  ASSERT_EQ(3u * kThreads + 1, cell.value(MetricId::kReads));
+  ASSERT_EQ(kThreads, cell.hist_bucket(EngineHistId::kByteReadBytes, 7));
+
+  cell.reset();
+  EXPECT_EQ(0u, cell.value(MetricId::kReads));
+  EXPECT_EQ(0u, cell.hist_bucket(EngineHistId::kByteReadBytes, 7));
+  std::as_const(cell).add(MetricId::kReads);
+  EXPECT_EQ(1u, cell.value(MetricId::kReads));
 }
 
 // ------------------------------------------------------------ TraceRing
