@@ -57,13 +57,16 @@ if [ "$fast" -eq 0 ]; then
 
   echo "=== TSan (concurrency suites) ==="
   # The SeqLock reader-indicator tests race a writer's slot drain against
-  # readers on purpose; one lucky pass proves little, so they rerun until
-  # the first failure, 20 times.
+  # readers on purpose, and the live trace-attach test races attach_trace
+  # against byte operations; one lucky pass proves little, so they rerun
+  # until the first failure, 20 times.
   TSAN_OPTIONS="halt_on_error=1" \
     bash -c 'cmake --preset tsan &&
              cmake --build --preset tsan -j "$(nproc)" &&
              ctest --preset tsan -j "$(nproc)" &&
              ctest --preset tsan -R ConcurrentSeqLock \
+               --repeat until-fail:20 &&
+             ctest --preset tsan -R LiveTraceAttachDetachDuringByteOps \
                --repeat until-fail:20'
 
   # Clang-only legs, gated on availability: containers that ship only gcc

@@ -7,12 +7,17 @@
 # With no extra ctest args, tsan runs the concurrency suites — every test
 # whose name matches `Sharded|Concurrent`: the sharded engine's stress,
 # parallel-writer and contended-writer tests at one and many shards, the
-# SeqLock reader-indicator tests (ConcurrentSeqLock.*), the per-thread
-# metrics stripes (ConcurrentMetricsCell.*) and the other *Concurrent*
+# live trace attach/detach under cross-shard byte operations
+# (ShardedSecureMemoryStress.LiveTraceAttachDetachDuringByteOps), the
+# per-shard tree caches under threads
+# (TreeCacheEngine.ShardedStressWithPerShardCaches), the SeqLock
+# reader-indicator tests (ConcurrentSeqLock.*), the per-thread metrics
+# stripes (ConcurrentMetricsCell.*) and the other *Concurrent*
 # metrics/trace tests — and asan runs everything. Extra args are passed
 # to ctest verbatim, e.g.:
 #   scripts/sanitize.sh tsan -R ShardedSecureMemoryStress
 #   scripts/sanitize.sh tsan -R ConcurrentSeqLock --repeat until-fail:20
+#   scripts/sanitize.sh tsan -R LiveTraceAttach --repeat until-fail:20
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

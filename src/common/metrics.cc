@@ -27,6 +27,8 @@ const char* metric_name(MetricId id) noexcept {
     case MetricId::kTreeCacheHits: return "tree_cache.hits";
     case MetricId::kTreeCacheMisses: return "tree_cache.misses";
     case MetricId::kTreeCacheFills: return "tree_cache.fills";
+    case MetricId::kTreeCacheAdmitDeclines:
+      return "tree_cache.admit_declines";
     case MetricId::kTreeCacheWritebacks: return "tree_cache.writebacks";
     case MetricId::kTreeCacheFlushes: return "tree_cache.flushes";
     case MetricId::kTreeCacheProbeHits: return "tree_cache.probe_hits";

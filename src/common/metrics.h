@@ -58,6 +58,7 @@ enum class MetricId : unsigned {
   kTreeCacheHits,        ///< tree walks truncated by the verified frontier
   kTreeCacheMisses,      ///< tree walks that reached the on-chip root
   kTreeCacheFills,       ///< nodes installed into the verified frontier
+  kTreeCacheAdmitDeclines,  ///< verified-path fills the admission filter declined
   kTreeCacheWritebacks,  ///< dirty nodes written back (evict or flush)
   kTreeCacheFlushes,     ///< explicit flush barriers
   kTreeCacheProbeHits,   ///< read-side probes answered by a resident line

@@ -366,9 +366,11 @@ class SecureMemory : public SecureMemoryLike {
   void attach_trace(TraceRing* ring) override { attach_trace(ring, 0); }
   /// Shard-aware attachment: events record with `shard` so a ring shared
   /// across a sharded region stays attributable.
+  /// Safe while shared readers run: the shard tag is stored first and the
+  /// ring published with release. The ring must outlive its use.
   void attach_trace(TraceRing* ring, std::uint16_t shard) noexcept {
-    trace_ = ring;
-    trace_shard_ = shard;
+    trace_shard_.store(shard, std::memory_order_relaxed);
+    trace_.store(ring, std::memory_order_release);
   }
 
   /// ------------------------------------------------------------------
@@ -496,6 +498,12 @@ class SecureMemory : public SecureMemoryLike {
   /// frontier — the single tree-read entry point for read_block and the
   /// batch paths.
   [[nodiscard]] bool verify_counter_line(std::uint64_t line);
+  /// Software prefetch of `block`'s off-chip state — both cache lines its
+  /// ciphertext can span, its lane, its separate-region MAC and its
+  /// serialized counter line `line` — issued at read entry so those
+  /// memory fetches overlap the tree walk, as the paper's single access
+  /// does. A hint with no semantic effect.
+  void prefetch_block(std::uint64_t block, std::uint64_t line) const noexcept;
   /// Steps 2-4 of every verified read, once the counter line is
   /// authentic: unpack the MAC lane (SEC-DED decode on the separate-MAC
   /// path), verify the MAC under `pad`, run flip-and-check on a
@@ -519,7 +527,9 @@ class SecureMemory : public SecureMemoryLike {
   bool pulse_declines(bool resident) const noexcept;
   void trace(TraceEvent::Kind kind, Status outcome,
              std::uint64_t block) const noexcept {
-    if (trace_) trace_->record(kind, outcome, block, trace_shard_);
+    if (TraceRing* ring = trace_.load(std::memory_order_acquire))
+      ring->record(kind, outcome, block,
+                   trace_shard_.load(std::memory_order_relaxed));
   }
 
   /// ------------------------------------------------------------------
@@ -579,8 +589,10 @@ class SecureMemory : public SecureMemoryLike {
   std::vector<std::uint64_t> macs_;          ///< separate-MAC mode
   std::vector<std::uint8_t> counter_store_;  ///< serialized counter lines
   std::vector<std::uint64_t> shadow_ctr_;    ///< current counter per block
-  TraceRing* trace_ = nullptr;
-  std::uint16_t trace_shard_ = 0;
+  /// Atomic: the lock-free byte-read commit traces through account_read
+  /// while attach_trace may run under the shard's write lock.
+  std::atomic<TraceRing*> trace_{nullptr};
+  std::atomic<std::uint16_t> trace_shard_{0};
   /// Not mutable: const members (the shared read path) see a const cell
   /// and count with fetch_add into their thread's stripe; non-const
   /// members, which hold the engine exclusively, count with single-writer

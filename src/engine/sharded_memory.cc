@@ -139,9 +139,8 @@ Status ShardedSecureMemory::poisoned_mutation(
   // accept state) and leave a trace event, but — unlike the pre-Status
   // surface — they REPORT instead of throw.
   metrics_.add(MetricId::kIntegrityViolations);
-  if (trace_)
-    trace_->record(TraceEvent::Kind::kWrite, Status::kRegionPoisoned, block,
-                   static_cast<std::uint16_t>(shard_of_block(block)));
+  trace(TraceEvent::Kind::kWrite, Status::kRegionPoisoned, block,
+        shard_of_block(block));
   return Status::kRegionPoisoned;
 }
 
@@ -335,9 +334,8 @@ Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
             return shards_[r.shard].engine->write_block(r.local_block,
                                                          plain);
           });
-  if (trace_)
-    trace_->record(TraceEvent::Kind::kByteWrite, verdict.status, first_block,
-                   static_cast<std::uint16_t>(shard_of_block(first_block)));
+  trace(TraceEvent::Kind::kByteWrite, verdict.status, first_block,
+        shard_of_block(first_block));
   return verdict.status;
 }
 
@@ -388,9 +386,8 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
   // exclusive writer stores to (common/metrics.h).
   for (const auto& [r, result] : pending)
     shards_[r.shard].engine->account_read(result, r.local_block);
-  if (trace_)
-    trace_->record(TraceEvent::Kind::kByteRead, verdict->status, addr / 64,
-                   static_cast<std::uint16_t>(shard_of_block(addr / 64)));
+  trace(TraceEvent::Kind::kByteRead, verdict->status, addr / 64,
+        shard_of_block(addr / 64));
   return verdict->status;
 }
 
@@ -428,9 +425,8 @@ Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
         const Route r = route(block);
         return shards_[r.shard].engine->read_block(r.local_block);
       });
-  if (trace_)
-    trace_->record(TraceEvent::Kind::kByteRead, verdict.status, first_block,
-                   static_cast<std::uint16_t>(shard_of_block(first_block)));
+  trace(TraceEvent::Kind::kByteRead, verdict.status, first_block,
+        shard_of_block(first_block));
   return verdict.status;
 }
 
@@ -508,10 +504,7 @@ bool ShardedSecureMemory::rotate_master_key(std::uint64_t new_master) {
     if (rolled_back[s]) continue;
     rollback_ok = false;
     metrics_.add(MetricId::kRotateRollbackFailures);
-    if (trace_)
-      trace_->record(TraceEvent::Kind::kKeyRotation,
-                     Status::kIntegrityViolation, 0,
-                     static_cast<std::uint16_t>(s));
+    trace(TraceEvent::Kind::kKeyRotation, Status::kIntegrityViolation, 0, s);
   }
   if (!rollback_ok) poisoned_.store(true, std::memory_order_release);
   return false;
@@ -554,7 +547,7 @@ void ShardedSecureMemory::publish_metrics(StatRegistry& registry,
 }
 
 void ShardedSecureMemory::attach_trace(TraceRing* ring) {
-  trace_ = ring;
+  trace_.store(ring, std::memory_order_release);
   for (unsigned s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
     const SeqWriteLock lock(shard.mu);
@@ -686,9 +679,7 @@ bool ShardedSecureMemory::reject_restore(
   for (std::size_t k = 0; k < staged.size(); ++k)
     if (staged[k]) engines[k]->discard_image(std::move(*staged[k]));
   if (accept_delta) metrics_.add(MetricId::kDeltaRejects);
-  if (trace_)
-    trace_->record(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0,
-                   static_cast<std::uint16_t>(shard));
+  trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0, shard);
   return false;
 }
 

@@ -202,9 +202,10 @@ class ShardedSecureMemory : public SecureMemoryLike {
 
   /// The shared ring receives every shard's events, tagged with the shard
   /// index; region-level byte operations record under the owning shard of
-  /// their first block. A setup call: byte-level operations read the
-  /// ring pointers without shard locks, so attach or detach while no
-  /// other thread uses the engine.
+  /// their first block. Safe to call while other threads use the engine
+  /// (every ring pointer is an atomic, published with release); the ring
+  /// must outlive its use — an operation that loaded it just before a
+  /// detach may still record into it.
   void attach_trace(TraceRing* ring) override;
 
   /// Persistence: a shard-count-tagged container of per-shard images.
@@ -370,6 +371,12 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// Account + trace one refused mutation on a poisoned region; returns
   /// Status::kRegionPoisoned for the caller to propagate.
   Status poisoned_mutation(std::uint64_t block) const noexcept;
+  /// Records a region-level event into the attached ring, if any.
+  void trace(TraceEvent::Kind kind, Status outcome, std::uint64_t block,
+             unsigned shard) const noexcept {
+    if (TraceRing* ring = trace_.load(std::memory_order_acquire))
+      ring->record(kind, outcome, block, static_cast<std::uint16_t>(shard));
+  }
 
   /// Region-level config (total size). Its master_key is the region key:
   /// written by rotate_master_key and read by the restores, all under
@@ -401,7 +408,8 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// concurrently without a common lock, so every increment must take
   /// the cell's atomic form (common/metrics.h).
   const MetricsCell metrics_;
-  TraceRing* trace_ = nullptr;
+  /// Loaded with acquire by every region-level event; see attach_trace.
+  std::atomic<TraceRing*> trace_{nullptr};
 };
 
 }  // namespace secmem

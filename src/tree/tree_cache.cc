@@ -16,93 +16,89 @@ VerifiedTreeCache::VerifiedTreeCache(BonsaiTree& tree,
       static_cast<std::size_t>(config.capacity_kb) * 1024 /
       BonsaiTree::kLineBytes;
   if (total == 0) return;  // disabled: eager delegation
-  ways_ = config.ways ? config.ways : 1;
-  if (ways_ > total) ways_ = static_cast<unsigned>(total);
   // Power-of-two sets so set_of() is a mask; round down, never below 1.
   sets_ = 1;
-  while (sets_ * 2 * ways_ <= total) sets_ *= 2;
-  entry_count_ = sets_ * ways_;
-  entries_ = std::make_unique<Entry[]>(entry_count_);
+  while (sets_ * 2 * kWays <= total) sets_ *= 2;
+  tag_lines_ = std::make_unique<TagLine[]>(sets_);
+  lru_lines_ = std::make_unique<LruLine[]>(sets_);
+  dirty_ = std::make_unique<bool[]>(sets_ * kWays);
+  lines_ = std::make_unique<Line[]>(sets_ * kWays);
   path_.reserve(tree_.geometry().total_levels());
-}
-
-std::size_t VerifiedTreeCache::set_of(std::uint64_t key) const noexcept {
-  // Fibonacci multiplicative hash; (level, node) keys are near-sequential,
-  // this spreads them across sets.
-  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) &
-         (sets_ - 1);
-}
-
-const VerifiedTreeCache::Entry* VerifiedTreeCache::find(
-    unsigned level, std::uint64_t node) const noexcept {
-  const std::uint64_t key = key_of(level, node);
-  const Entry* row = entries_.get() + set_of(key) * ways_;
-  for (unsigned w = 0; w < ways_; ++w)
-    if (row[w].valid && row[w].key == key) return &row[w];
-  return nullptr;
-}
-
-VerifiedTreeCache::Entry* VerifiedTreeCache::find(
-    unsigned level, std::uint64_t node) noexcept {
-  return const_cast<Entry*>(std::as_const(*this).find(level, node));
 }
 
 std::size_t VerifiedTreeCache::occupied() const noexcept {
   std::size_t n = 0;
-  for (const Entry& e : entries()) n += e.valid;
+  for (std::size_t i = 0; i < sets_ * kWays; ++i) n += valid(i);
   return n;
 }
 
-void VerifiedTreeCache::install(unsigned level, std::uint64_t node,
-                                const std::uint8_t* content, bool dirty) {
-  const std::uint64_t key = key_of(level, node);
-  Entry* row = entries_.get() + set_of(key) * ways_;
-  // One relaxed load per way: the victim's stamp is carried in a local
-  // instead of re-read per comparison (fills sit on the uniform-read miss
-  // path, where the extra atomic traffic was measurable).
-  Entry* victim = &row[0];
-  std::uint64_t victim_lru = victim->lru.load(std::memory_order_relaxed);
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (!row[w].valid) {
-      victim = &row[w];
-      break;
-    }
-    const std::uint64_t w_lru = row[w].lru.load(std::memory_order_relaxed);
-    if (w_lru < victim_lru) {
-      victim = &row[w];
-      victim_lru = w_lru;
-    }
+std::size_t VerifiedTreeCache::lru_way(std::size_t row) const noexcept {
+  // One relaxed load per way, and a select rather than a branch per
+  // comparison: recency order is random on a uniform stream, so a
+  // branchy minimum mispredicts on most ways.
+  std::size_t victim = row;
+  std::uint64_t victim_lru = lru(row).load(std::memory_order_relaxed);
+  for (std::size_t i = row + 1; i < row + kWays; ++i) {
+    const std::uint64_t i_lru = lru(i).load(std::memory_order_relaxed);
+    const bool older = i_lru < victim_lru;
+    victim = older ? i : victim;
+    victim_lru = older ? i_lru : victim_lru;
   }
-  if (victim->valid && victim->dirty) {
-    write_back(*victim);
+  return victim;
+}
+
+void VerifiedTreeCache::fill(std::size_t i, std::uint64_t key,
+                             const std::uint8_t* bytes, bool dirty) {
+  if (valid(i) && dirty_[i]) {
+    write_back(i);
     count(MetricId::kTreeCacheWritebacks);
   }
-  victim->key = key;
-  victim->valid = true;
-  victim->dirty = dirty;
-  std::memcpy(victim->content.data(), content, BonsaiTree::kLineBytes);
-  touch(*victim);
+  way_tag(i) = key + 1;
+  dirty_[i] = dirty;
+  std::memcpy(content(i), bytes, BonsaiTree::kLineBytes);
+  touch(i);
   count(MetricId::kTreeCacheFills);
 }
 
-void VerifiedTreeCache::write_back(const Entry& e) {
-  const unsigned level = level_of(e.key);
-  const std::uint64_t node = node_of(e.key);
+void VerifiedTreeCache::admit(Lookup at, const std::uint8_t* bytes) {
+  // An earlier fill of the same walk may have taken the set's free way.
+  if (at.free != kNone && valid(at.free)) at = lookup(at.key);
+  std::size_t way = at.free;
+  if (way == kNone) {
+    // A full set evicts only for a node declined once within the ghost
+    // window: a second miss is the evidence of re-use that a first-touch
+    // line of a uniform stream never shows.
+    std::uint64_t& ghost = ghost_[ghost_slot(at.key)];
+    if (ghost != at.key + 1) {
+      ghost = at.key + 1;
+      count(MetricId::kTreeCacheAdmitDeclines);
+      return;
+    }
+    ghost = 0;
+    way = lru_way(at.row);
+  }
+  fill(way, at.key, bytes, /*dirty=*/false);
+}
+
+void VerifiedTreeCache::write_back(std::size_t i) {
+  const std::uint64_t key = key_at(i);
+  const unsigned level = level_of(key);
+  const std::uint64_t node = node_of(key);
   if (level > 0)
-    std::memcpy(tree_.node_span(level, node).data(), e.content.data(),
+    std::memcpy(tree_.node_span(level, node).data(), content(i),
                 BonsaiTree::kLineBytes);
   // Level 0 (counter lines) is the engine's storage and never goes stale
   // here — `update` requires content already serialized — so only the tag
   // needs propagating.
-  const std::uint64_t tag = tree_.mac_of(
-      level, node, BonsaiTree::LineView(e.content.data(),
-                                        BonsaiTree::kLineBytes));
-  tree_.walk_from(level, node, tag,
+  const std::uint64_t node_tag = tree_.mac_of(
+      level, node, BonsaiTree::LineView(content(i), BonsaiTree::kLineBytes));
+  tree_.walk_from(level, node, node_tag,
                   [this](unsigned lvl, std::uint64_t n, unsigned slot,
                          std::uint64_t t) {
-                    if (Entry* anc = find(lvl, n)) {
-                      store_le64(anc->content.data() + 8 * slot, t);
-                      anc->dirty = true;
+                    if (const std::size_t anc = lookup(key_of(lvl, n)).hit;
+                        anc != kNone) {
+                      store_le64(content(anc) + 8 * slot, t);
+                      dirty_[anc] = true;
                       return BonsaiTree::StepAction::kStopOk;
                     }
                     store_le64(tree_.node_span(lvl, n).data() + 8 * slot, t);
@@ -114,14 +110,15 @@ bool VerifiedTreeCache::verify(std::uint64_t line,
                                BonsaiTree::LineView content) {
   if (!enabled()) return tree_.verify_leaf(line, content);
 
-  if (Entry* leaf = find(0, line)) {
+  const Lookup leaf = lookup(key_of(0, line));
+  if (leaf.hit != kNone) {
     // The resident copy was authenticated on fill and tracks every
     // update, so a byte compare IS the verification — zero MACs. It is
     // still an accept/reject decision over attacker-influenced bytes, so
     // it gets the constant-time compare like every other verification.
-    touch(*leaf);
+    touch(leaf.hit);
     count(MetricId::kTreeCacheHits);
-    return ct_equal(leaf->content.data(), content.data(),
+    return ct_equal(this->content(leaf.hit), content.data(),
                     BonsaiTree::kLineBytes);
   }
 
@@ -132,15 +129,16 @@ bool VerifiedTreeCache::verify(std::uint64_t line,
       0, line, tree_.mac_of(0, line, content),
       [&](unsigned lvl, std::uint64_t node, unsigned slot, std::uint64_t tag) {
         if (lvl < top) {
-          if (Entry* anc = find(lvl, node)) {
-            touch(*anc);
+          const Lookup at = lookup(key_of(lvl, node));
+          if (at.hit != kNone) {
+            touch(at.hit);
             truncated = true;
-            return ct_equal_u64(load_le64(anc->content.data() + 8 * slot),
+            return ct_equal_u64(load_le64(this->content(at.hit) + 8 * slot),
                                 tag)
                        ? BonsaiTree::StepAction::kStopOk
                        : BonsaiTree::StepAction::kStopFail;
           }
-          path_.emplace_back(lvl, node);
+          path_.push_back(at);
         }
         return ct_equal_u64(
                    load_le64(tree_.node_span(lvl, node).data() + 8 * slot),
@@ -151,16 +149,18 @@ bool VerifiedTreeCache::verify(std::uint64_t line,
   count(truncated ? MetricId::kTreeCacheHits : MetricId::kTreeCacheMisses);
   if (!ok) return false;
 
-  // The whole path authenticated — it is now frontier. Copy from live
-  // backing at install time, not walk time: an eviction write-back during
-  // an earlier install may have refreshed a slot since the walk read it.
-  // No pre-install find() needed: every queued (lvl, node) MISSED during
-  // the walk, and install() only ever (re)fills the keys it is given — a
-  // preceding install cannot create one of the remaining path keys, and
-  // the leaf key (0, line) missed at the top of this function.
-  for (const auto& [lvl, node] : path_)
-    install(lvl, node, tree_.node_span(lvl, node).data(), /*dirty=*/false);
-  install(0, line, content.data(), /*dirty=*/false);
+  // The whole path authenticated — each node may now join the frontier,
+  // if admit() takes it. Copy from live backing at fill time, not walk
+  // time: an eviction write-back during an earlier fill may have
+  // refreshed a slot since the walk read it. No pre-fill lookup needed:
+  // every queued (lvl, node) MISSED during the walk, and a fill only ever
+  // (re)fills the key it is given — a preceding fill cannot create one of
+  // the remaining path keys, and the leaf key (0, line) missed at the top
+  // of this function. A declined node just means the next walk through
+  // it reads backing again.
+  for (const Lookup& at : path_)
+    admit(at, tree_.node_span(level_of(at.key), node_of(at.key)).data());
+  admit(leaf, content.data());
   return true;
 }
 
@@ -172,13 +172,13 @@ bool VerifiedTreeCache::probe(std::uint64_t line,
     return tree_.verify_leaf(line, content);
   }
 
-  if (const Entry* leaf = find(0, line)) {
+  if (const std::size_t leaf = lookup(key_of(0, line)).hit; leaf != kNone) {
     // Same verdict as verify()'s resident hit; restamping stale recency
     // is the sole mutation (relaxed atomic, see touch()).
-    touch(*leaf);
+    touch(leaf);
     count(MetricId::kTreeCacheProbeHits);
     resident = true;
-    return ct_equal(leaf->content.data(), content.data(),
+    return ct_equal(this->content(leaf), content.data(),
                     BonsaiTree::kLineBytes);
   }
 
@@ -192,9 +192,10 @@ bool VerifiedTreeCache::probe(std::uint64_t line,
       0, line, tree_.mac_of(0, line, content),
       [&](unsigned lvl, std::uint64_t node, unsigned slot, std::uint64_t tag) {
         if (lvl < top) {
-          if (const Entry* anc = find(lvl, node)) {
-            touch(*anc);
-            return ct_equal_u64(load_le64(anc->content.data() + 8 * slot),
+          if (const std::size_t anc = lookup(key_of(lvl, node)).hit;
+              anc != kNone) {
+            touch(anc);
+            return ct_equal_u64(load_le64(this->content(anc) + 8 * slot),
                                 tag)
                        ? BonsaiTree::StepAction::kStopOk
                        : BonsaiTree::StepAction::kStopFail;
@@ -219,9 +220,9 @@ void VerifiedTreeCache::update(std::uint64_t line,
 
   // Track the new leaf bytes (never dirty: engines serialize into counter
   // storage before calling, so backing already matches).
-  if (Entry* leaf = find(0, line)) {
-    std::memcpy(leaf->content.data(), content.data(), BonsaiTree::kLineBytes);
-    touch(*leaf);
+  if (const std::size_t leaf = lookup(key_of(0, line)).hit; leaf != kNone) {
+    std::memcpy(this->content(leaf), content.data(), BonsaiTree::kLineBytes);
+    touch(leaf);
   } else {
     install(0, line, content.data(), /*dirty=*/false);
   }
@@ -235,10 +236,10 @@ void VerifiedTreeCache::update(std::uint64_t line,
     count(MetricId::kTreeCacheHits);
     return;
   }
-  if (Entry* anc = find(1, parent)) {
-    store_le64(anc->content.data() + 8 * slot, tag);
-    anc->dirty = true;
-    touch(*anc);
+  if (const std::size_t anc = lookup(key_of(1, parent)).hit; anc != kNone) {
+    store_le64(this->content(anc) + 8 * slot, tag);
+    dirty_[anc] = true;
+    touch(anc);
     count(MetricId::kTreeCacheHits);
     return;
   }
@@ -261,10 +262,10 @@ void VerifiedTreeCache::flush() {
   // ancestor at L+1, which a later pass then picks up.
   const unsigned top = tree_.top_level();
   for (unsigned lvl = 0; lvl < top; ++lvl) {
-    for (Entry& e : entries()) {
-      if (e.valid && e.dirty && level_of(e.key) == lvl) {
-        write_back(e);
-        e.dirty = false;
+    for (std::size_t i = 0; i < sets_ * kWays; ++i) {
+      if (dirty_[i] && level_of(key_at(i)) == lvl) {
+        write_back(i);
+        dirty_[i] = false;
         count(MetricId::kTreeCacheWritebacks);
       }
     }
@@ -273,9 +274,9 @@ void VerifiedTreeCache::flush() {
 }
 
 void VerifiedTreeCache::invalidate_all() noexcept {
-  for (Entry& e : entries()) {
-    e.valid = false;
-    e.dirty = false;
+  for (std::size_t i = 0; i < sets_ * kWays; ++i) {
+    way_tag(i) = 0;
+    dirty_[i] = false;
   }
 }
 

@@ -770,6 +770,53 @@ TEST(ShardedSecureMemoryStress, ConcurrentByteReadAccountingIsExact) {
   EXPECT_EQ(registry.counter_value("engine.scrubbed_blocks"), scrubs.load());
 }
 
+TEST(ShardedSecureMemoryStress, LiveTraceAttachDetachDuringByteOps) {
+  // attach_trace publishes the ring through atomic pointers, so it may
+  // run while cross-shard byte operations are in flight: their
+  // region-level events and the lock-free byte-read commit load those
+  // pointers without shard locks. The ring outlives every use.
+  ShardedSecureMemory memory(region_config(256 * 1024), 8);
+  const std::uint64_t granule = memory.granule_blocks();
+  TraceRing ring(128);
+  const unsigned clients = count_clients();
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(9300 + t);
+      // Each client straddles its own pair of adjacent shards.
+      const std::uint64_t edge = (t + 1) * granule * kBlockBytes;
+      std::array<std::uint8_t, 64> buffer{};
+      for (unsigned op = 0; op < 300 || !stop.load(); ++op) {
+        if (rng.chance(0.5)) {
+          if (!status_ok(memory.read_bytes(edge - 32, buffer))) ++failures;
+        } else {
+          buffer.fill(static_cast<std::uint8_t>(op));
+          if (memory.write_bytes(edge - 32, buffer) != Status::kOk)
+            ++failures;
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 400; ++round) {
+    memory.attach_trace(&ring);
+    std::this_thread::yield();
+    memory.attach_trace(nullptr);
+  }
+  stop = true;
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Attached once more, the ring records the next byte operation.
+  memory.attach_trace(&ring);
+  const std::uint64_t before = ring.recorded();
+  std::array<std::uint8_t, 64> buffer{};
+  EXPECT_TRUE(status_ok(memory.read_bytes(granule * kBlockBytes - 32, buffer)));
+  EXPECT_GT(ring.recorded(), before);
+  memory.attach_trace(nullptr);
+}
+
 TEST(ShardedSecureMemoryStress, ContendedShardPoolNeverDeadlocks) {
   // Every fan-out operation at once on one 8-shard engine: scrub_all,
   // rotate_master_key, full restore and delta replication each want the

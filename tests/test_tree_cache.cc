@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 #include "tree/bonsai_tree.h"
@@ -39,7 +40,7 @@ class TreeCacheTwin : public ::testing::Test {
              Aes128::Key{0x0f, 0xed, 0xcb, 0xa9, 0x87, 0x65, 0x43, 0x21}},
         eager_tree_(geometry_, key_),
         cached_tree_(geometry_, key_),
-        cache_(cached_tree_, TreeCacheConfig{8, 8}, &metrics_),
+        cache_(cached_tree_, TreeCacheConfig{8}, &metrics_),
         leaves_(kLines * BonsaiTree::kLineBytes, 0) {}
 
   BonsaiTree::LineView line(std::uint64_t i) const {
@@ -150,11 +151,11 @@ TEST_F(TreeCacheTwin, CorruptedCounterLineCaughtByResidentCompare) {
 }
 
 TEST_F(TreeCacheTwin, CorruptionUnderResidencyDetectedAfterEviction) {
-  // A deliberately tiny direct-mapped cache (16 entries) so ordinary
-  // traffic recycles every slot: corruption under residency must be
-  // detected once capacity pressure evicts the entry — clean evictions
+  // A deliberately tiny cache (1 KB: 16 entries in two 8-way sets) so
+  // ordinary traffic recycles every slot: corruption under residency must
+  // be detected once capacity pressure evicts the entry — clean evictions
   // never write the on-chip copy back over the corrupted backing bytes.
-  VerifiedTreeCache tiny(cached_tree_, TreeCacheConfig{1, 1});
+  VerifiedTreeCache tiny(cached_tree_, TreeCacheConfig{1});
   Xoshiro256 rng(0xe71c);
   set_line(100, rng);
   eager_tree_.update_leaf(100, line(100));
@@ -162,8 +163,9 @@ TEST_F(TreeCacheTwin, CorruptionUnderResidencyDetectedAfterEviction) {
   ASSERT_TRUE(tiny.verify(100, line(100)));
   cached_tree_.corrupt_node(1, BonsaiGeometry::parent_of(100), 7);
   ASSERT_TRUE(tiny.verify(100, line(100)));  // masked while resident
-  // 512 distinct lines spread over the tree: hundreds of fills through
-  // 16 slots recycle the (0,100) and (1,12) entries many times over.
+  // 512 distinct lines spread over the tree: each level-2 node is walked
+  // four times, so about 128 of them pass admission on their second miss
+  // and evict through 16 slots, recycling (0,100) and (1,12).
   for (std::uint64_t i = 0; i < kLines; i += 16)
     ASSERT_TRUE(tiny.verify(i, line(i)));
   EXPECT_FALSE(tiny.verify(100, line(100)));
@@ -187,7 +189,7 @@ TEST_F(TreeCacheTwin, WriteBackCoalescesAncestorMacWork) {
 }
 
 TEST_F(TreeCacheTwin, DisabledCacheDelegatesEagerly) {
-  VerifiedTreeCache off(cached_tree_, TreeCacheConfig{0, 8});
+  VerifiedTreeCache off(cached_tree_, TreeCacheConfig{0});
   EXPECT_FALSE(off.enabled());
   Xoshiro256 rng(0x0ff);
   set_line(5, rng);
@@ -197,6 +199,112 @@ TEST_F(TreeCacheTwin, DisabledCacheDelegatesEagerly) {
   EXPECT_EQ(off.occupied(), 0u);
   expect_trees_identical("disabled cache");
   off.flush();  // no-op, must not crash
+}
+
+/// ------------------------------------------------------------------
+/// Admission: a full cache takes a verified node only on evidence of
+/// re-use (a second miss within the ghost window), so a uniform stream of
+/// first-touch lines cannot wash out the frontier.
+/// ------------------------------------------------------------------
+
+class TreeCacheAdmission : public TreeCacheTwin {
+ protected:
+  /// Verify lines [0, 1024) — every set fills through its free ways.
+  /// They all sit under level-2 nodes 0..15; lines from 1024 on share no
+  /// path node with them.
+  void fill_to_capacity() {
+    for (std::uint64_t i = 0; i < 1024; ++i)
+      ASSERT_TRUE(cache_.verify(i, line(i)));
+    ASSERT_EQ(cache_.occupied(), 128u);  // 8 KB of 64-byte entries
+  }
+  bool resident(std::uint64_t i) const {
+    bool level0 = false;
+    EXPECT_TRUE(cache_.probe(i, line(i), level0));
+    return level0;
+  }
+  std::uint64_t metric(MetricId id) const { return metrics_.value(id); }
+};
+
+TEST_F(TreeCacheAdmission, FullCacheDeclinesFirstTouchLinesAndKeepsHotLine) {
+  fill_to_capacity();
+  const std::uint64_t hot = 1000;
+  for (int tries = 0; tries < 4 && !resident(hot); ++tries)
+    ASSERT_TRUE(cache_.verify(hot, line(hot)));
+  ASSERT_TRUE(resident(hot)) << "a re-missed line must be admitted";
+
+  // One first-touch line under each of level-2 nodes 64..127: its leaf,
+  // level-1 and level-2 nodes all miss for the first time, so each walk
+  // declines all three and installs nothing.
+  const std::uint64_t fills = metric(MetricId::kTreeCacheFills);
+  const std::uint64_t declines = metric(MetricId::kTreeCacheAdmitDeclines);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    const std::uint64_t cold = 4096 + 64 * k;
+    ASSERT_TRUE(cache_.verify(cold, line(cold)));
+    ASSERT_TRUE(cache_.verify(hot, line(hot)));
+    ASSERT_TRUE(resident(hot)) << "stream evicted the hot line at " << k;
+  }
+  EXPECT_EQ(metric(MetricId::kTreeCacheFills), fills);
+  EXPECT_EQ(metric(MetricId::kTreeCacheAdmitDeclines), declines + 64 * 3);
+  EXPECT_EQ(cache_.occupied(), 128u);
+}
+
+TEST_F(TreeCacheAdmission, NodeMissedTwiceInGhostWindowIsAdmitted) {
+  fill_to_capacity();
+  const std::uint64_t fresh = 5000;  // level-1 node 625, level-2 node 78
+  const std::uint64_t fills = metric(MetricId::kTreeCacheFills);
+  ASSERT_TRUE(cache_.verify(fresh, line(fresh)));  // first miss: declined
+  EXPECT_FALSE(resident(fresh));
+  EXPECT_EQ(metric(MetricId::kTreeCacheFills), fills);
+
+  ASSERT_TRUE(cache_.verify(fresh, line(fresh)));  // second miss: admitted
+  EXPECT_EQ(metric(MetricId::kTreeCacheFills), fills + 3)
+      << "the leaf and both interior path nodes";
+  EXPECT_TRUE(resident(fresh)) << "answered by the level-0 copy: zero MACs";
+  const std::uint64_t hits = metric(MetricId::kTreeCacheHits);
+  ASSERT_TRUE(cache_.verify(fresh, line(fresh)));
+  EXPECT_EQ(metric(MetricId::kTreeCacheHits), hits + 1);
+  EXPECT_EQ(cache_.occupied(), 128u);
+}
+
+TEST_F(TreeCacheAdmission, HotUniformFuzzWithStaleLinesMatchesEager) {
+  // 70% of ops on 24 hot lines, 30% uniform; updates, verifies of the
+  // true bytes, and verifies of each line's previous (stale) bytes — a
+  // replay both trees must reject. Every verdict matches the eager walk.
+  Xoshiro256 rng(0xad317);
+  std::vector<std::vector<std::uint8_t>> previous(kLines);
+  std::uint64_t stale_checks = 0;
+  for (int op = 0; op < 12000; ++op) {
+    const std::uint64_t i =
+        rng.chance(0.7) ? 37 * rng.next_below(24) : rng.next_below(kLines);
+    const std::uint64_t kind = rng.next_below(10);
+    if (kind < 3) {
+      previous[i].assign(line(i).begin(), line(i).end());
+      set_line(i, rng);
+      update_both(i);
+    } else if (kind < 5 && !previous[i].empty()) {
+      const BonsaiTree::LineView stale(previous[i].data(),
+                                       BonsaiTree::kLineBytes);
+      const bool eager_ok = eager_tree_.verify_leaf(i, stale);
+      ASSERT_FALSE(eager_ok) << "op " << op << " line " << i;
+      ASSERT_EQ(cache_.verify(i, stale), eager_ok)
+          << "op " << op << " line " << i;
+      ++stale_checks;
+    } else {
+      const bool eager_ok = eager_tree_.verify_leaf(i, line(i));
+      ASSERT_TRUE(eager_ok) << "op " << op;
+      ASSERT_EQ(cache_.verify(i, line(i)), eager_ok)
+          << "op " << op << " line " << i;
+    }
+    if (op % 3000 == 2999) {
+      cache_.flush();
+      expect_trees_identical("admission fuzz flush");
+    }
+  }
+  cache_.flush();
+  expect_trees_identical("admission fuzz final flush");
+  EXPECT_GT(stale_checks, 500u);
+  EXPECT_GT(metric(MetricId::kTreeCacheAdmitDeclines), 0u);
+  EXPECT_GT(metric(MetricId::kTreeCacheHits), 0u);
 }
 
 /// ------------------------------------------------------------------
@@ -309,6 +417,23 @@ TEST(TreeCacheEngine, ScrubRotateRestoreStayEquivalent) {
   EXPECT_EQ(revived.save(revived_img), Status::kOk);
   EXPECT_EQ(eager_revived_img.str(), want_img.str());
   EXPECT_EQ(revived_img.str(), want_img.str());
+}
+
+TEST(TreeCacheEngine, UniformReadsIntoFullCacheCountAdmitDeclines) {
+  // 1024 counter lines against a 128-entry frontier: uniform reads fill
+  // it within a few hundred ops, after which most first-touch path nodes
+  // are declined, and the engine publishes the count.
+  SecureMemory mem(engine_config(8));
+  Xoshiro256 rng(0xdec1);
+  for (int op = 0; op < 3000; ++op)
+    ASSERT_EQ(mem.read_block(rng.next_below(mem.num_blocks())).status,
+              ReadStatus::kOk);
+  StatRegistry registry;
+  mem.publish_metrics(registry);
+  const std::uint64_t declines =
+      registry.counter_value("engine.tree_cache.admit_declines");
+  EXPECT_GT(declines, 1000u);
+  EXPECT_LT(registry.counter_value("engine.tree_cache.fills"), declines);
 }
 
 TEST(TreeCacheEngine, TamperDetectionMatchesEagerThroughFlushBarrier) {
