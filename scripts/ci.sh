@@ -59,7 +59,10 @@ if [ "$fast" -eq 0 ]; then
   # The SeqLock reader-indicator tests race a writer's slot drain against
   # readers on purpose, and the live trace-attach test races attach_trace
   # against byte operations; one lucky pass proves little, so they rerun
-  # until the first failure, 20 times.
+  # until the first failure, 20 times. The contended shard-pool test
+  # races rotation and the restores — each fanning out on the pool while
+  # holding every shard lock — against scrubs and reads; it is slower,
+  # so it reruns 10 times.
   TSAN_OPTIONS="halt_on_error=1" \
     bash -c 'cmake --preset tsan &&
              cmake --build --preset tsan -j "$(nproc)" &&
@@ -67,7 +70,9 @@ if [ "$fast" -eq 0 ]; then
              ctest --preset tsan -R ConcurrentSeqLock \
                --repeat until-fail:20 &&
              ctest --preset tsan -R LiveTraceAttachDetachDuringByteOps \
-               --repeat until-fail:20'
+               --repeat until-fail:20 &&
+             ctest --preset tsan -R ContendedShardPoolNeverDeadlocks \
+               --repeat until-fail:10'
 
   # Clang-only legs, gated on availability: containers that ship only gcc
   # still pass tier 1; machines with clang get the full static analysis.

@@ -8,7 +8,10 @@
 # whose name matches `Sharded|Concurrent`: the sharded engine's stress,
 # parallel-writer and contended-writer tests at one and many shards, the
 # live trace attach/detach under cross-shard byte operations
-# (ShardedSecureMemoryStress.LiveTraceAttachDetachDuringByteOps), the
+# (ShardedSecureMemoryStress.LiveTraceAttachDetachDuringByteOps), every
+# pool fan-out at once — rotation and the restores under every shard
+# lock, against scrubs and reads
+# (ShardedSecureMemoryStress.ContendedShardPoolNeverDeadlocks), the
 # per-shard tree caches under threads
 # (TreeCacheEngine.ShardedStressWithPerShardCaches), the SeqLock
 # reader-indicator tests (ConcurrentSeqLock.*), the per-thread metrics
@@ -18,6 +21,7 @@
 #   scripts/sanitize.sh tsan -R ShardedSecureMemoryStress
 #   scripts/sanitize.sh tsan -R ConcurrentSeqLock --repeat until-fail:20
 #   scripts/sanitize.sh tsan -R LiveTraceAttach --repeat until-fail:20
+#   scripts/sanitize.sh tsan -R ContendedShardPool --repeat until-fail:10
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -35,8 +35,6 @@ const char* metric_name(MetricId id) noexcept {
     case MetricId::kTreeCacheProbeMisses: return "tree_cache.probe_misses";
     case MetricId::kSharedReads: return "shared_reads";
     case MetricId::kSharedReadDeclines: return "shared_read_declines";
-    case MetricId::kRotateRollbackFailures:
-      return "rotate_rollback_failures";
     case MetricId::kDeltaSaves: return "snapshot.delta.saves";
     case MetricId::kDeltaSaveFallbacks:
       return "snapshot.delta.save_fallbacks";

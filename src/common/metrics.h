@@ -65,7 +65,6 @@ enum class MetricId : unsigned {
   kTreeCacheProbeMisses, ///< read-side probes that walked to the root
   kSharedReads,          ///< reads served on the seqlock shared fast path
   kSharedReadDeclines,   ///< shared-path reads bounced to the writer lock
-  kRotateRollbackFailures,  ///< failed rollback of a failed key rotation
   kDeltaSaves,           ///< incremental (COPY/ADD) snapshot images emitted
   kDeltaSaveFallbacks,   ///< save_delta calls that emitted a full image
   kDeltaRestores,        ///< delta images verified and applied in place

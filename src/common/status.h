@@ -1,11 +1,13 @@
 // Unified outcome vocabulary for secure-memory operations.
 //
-// Every data-path entry point (block reads, byte-level I/O, scrubbing)
-// reports one of these values instead of a bare bool or a per-class enum.
-// The enumerators are severity-ordered: kOk < corrected states < failure
-// states, so `worse()` can fold the outcome of a multi-block operation
-// into the single most severe status, and `status_ok()` is a simple
-// threshold compare.
+// Every data-path entry point (block reads and writes, byte-level I/O,
+// scrubbing, saves) reports one of these values instead of a bare bool
+// or a per-class enum. Reads report the verdict of the checks they ran;
+// block writes cannot fail and report kOk; a save reports kOk or
+// kSnapshotIoError. The enumerators are severity-ordered: kOk <
+// corrected states < failure states, so `worse()` can fold the outcome
+// of a multi-block operation into the single most severe status, and
+// `status_ok()` is a simple threshold compare.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +23,6 @@ enum class [[nodiscard]] Status : std::uint8_t {
   kSnapshotIoError,     ///< snapshot stream write failed; the chain did
                         ///< not advance — retry or fall back to save()
   kCounterTampered,     ///< counter storage failed tree authentication
-  kRegionPoisoned,      ///< engine fail-closed (e.g. rotation rollback
-                        ///< failure left shards split-keyed); restore()
-                        ///< from a good image is the only way out
 };
 
 constexpr const char* to_string(Status status) noexcept {
@@ -35,7 +34,6 @@ constexpr const char* to_string(Status status) noexcept {
     case Status::kIntegrityViolation: return "integrity-violation";
     case Status::kSnapshotIoError: return "snapshot-io-error";
     case Status::kCounterTampered: return "counter-tampered";
-    case Status::kRegionPoisoned: return "region-poisoned";
   }
   return "?";
 }

@@ -420,7 +420,6 @@ void SecureMemory::count_read(Self& self, const ReadResult& result,
     case ReadStatus::kCounterTampered:
       metrics.add(MetricId::kCounterTampers);
       break;
-    case ReadStatus::kRegionPoisoned:
     case ReadStatus::kSnapshotIoError:  // never a read outcome; fail closed
       metrics.add(MetricId::kIntegrityViolations);
       break;
@@ -666,7 +665,6 @@ ScrubStatus SecureMemory::scrub_block(std::uint64_t block, bool deep) {
       scrubbed = ScrubStatus::kCounterTampered;
       break;
     case ReadStatus::kIntegrityViolation:
-    case ReadStatus::kRegionPoisoned:
     case ReadStatus::kSnapshotIoError:  // never a read outcome; fail closed
       scrubbed = ScrubStatus::kUncorrectable;
       break;
@@ -692,7 +690,6 @@ ScrubReport SecureMemory::scrub_all(bool deep) {
       case ScrubStatus::kRepairedData: ++report.repaired_data; break;
       case ScrubStatus::kUncorrectable: ++report.uncorrectable; break;
       case ScrubStatus::kCounterTampered: ++report.counter_tampered; break;
-      case ScrubStatus::kRegionPoisoned: report.region_poisoned = true; break;
     }
   }
   return report;
@@ -830,8 +827,7 @@ Status SecureMemory::save(std::ostream& out) {
 }
 
 bool SecureMemory::restore_image(std::istream& in, bool accept_delta) {
-  std::optional<StagedImage> staged =
-      stage_image(in, config_.master_key, accept_delta);
+  std::optional<StagedImage> staged = stage_image(in, accept_delta);
   if (!staged) {
     if (accept_delta) metrics_.add(MetricId::kDeltaRejects);
     trace(TraceEvent::Kind::kRestore, Status::kIntegrityViolation, 0);
@@ -841,11 +837,11 @@ bool SecureMemory::restore_image(std::istream& in, bool accept_delta) {
 }
 
 std::optional<SecureMemory::StagedImage> SecureMemory::stage_image(
-    std::istream& in, std::uint64_t master_key, bool accept_delta) {
+    std::istream& in, bool accept_delta) {
   char magic[8] = {};
   in.read(magic, sizeof(magic));
   if (!in) return std::nullopt;
-  if (is_magic(magic, kImageMagic)) return stage_restore_tail(in, master_key);
+  if (is_magic(magic, kImageMagic)) return stage_restore_tail(in);
   if (!accept_delta || !is_magic(magic, kDeltaMagic)) return std::nullopt;
   // A delta is read into the arena's stream buffer and staged there. The
   // buffer only grows: shrinking and regrowing would re-zero reused bytes
@@ -867,18 +863,18 @@ std::optional<SecureMemory::StagedImage> SecureMemory::stage_image(
 }
 
 std::optional<SecureMemory::StagedImage> SecureMemory::stage_image(
-    std::span<const std::uint8_t> image, std::uint64_t master_key) {
+    std::span<const std::uint8_t> image) {
   if (image.size() < sizeof(kImageMagic)) return std::nullopt;
   const auto tail = image.subspan(sizeof(kImageMagic));
   if (is_magic(image.data(), kDeltaMagic)) return stage_delta(tail);
   if (!is_magic(image.data(), kImageMagic)) return std::nullopt;
   SpanSource source(tail);
   std::istream tail_in(&source);
-  return stage_restore_tail(tail_in, master_key);
+  return stage_restore_tail(tail_in);
 }
 
 std::optional<SecureMemory::StagedImage> SecureMemory::stage_restore_tail(
-    std::istream& in, std::uint64_t master_key) {
+    std::istream& in) {
   for (const std::uint64_t field : image_geometry())
     if (read_u64(in) != field) return std::nullopt;
 
@@ -889,12 +885,12 @@ std::optional<SecureMemory::StagedImage> SecureMemory::stage_restore_tail(
   // leak into a staged image. The tree's zero-leaf build is deferred:
   // rebuild_from_lines overwrites every slot the image's leaves reach.
   StagedImage staged;
-  staged.master_key = master_key;
   staged.ciphertext = std::move(snap_arena_.ciphertext);
   staged.lanes = std::move(snap_arena_.lanes);
   staged.macs = std::move(snap_arena_.macs);
   staged.counter_store = std::move(snap_arena_.counter_store);
-  staged.tree.emplace(layout_.tree(), derive_keys(master_key).tree_key,
+  staged.tree.emplace(layout_.tree(),
+                      derive_keys(config_.master_key).tree_key,
                       BonsaiTree::DeferredBuild{});
   staged.ciphertext.resize(layout_.num_blocks());
   staged.lanes.resize(layout_.num_blocks());
@@ -959,16 +955,6 @@ std::uint64_t SecureMemory::snapshot_arena_bytes() const noexcept {
 
 bool SecureMemory::commit_image(StagedImage&& staged) {
   if (!staged.tree) return commit_delta(std::move(staged));
-  if (staged.master_key != config_.master_key) {
-    // The image was staged under a different master (a shard stranded
-    // mid-rotation being recovered): adopt it and re-derive the working
-    // keys the ciphertext/MACs/tree in the image were produced with.
-    config_.master_key = staged.master_key;
-    const DerivedKeys keys = derive_keys(staged.master_key);
-    keystream_ = CtrKeystream(keys.data_key);
-    mac_ = CwMac(keys.mac_key);
-    seal_mac_ = CwMac(keys.seal_key);
-  }
   // Swap rather than move-assign: the replaced state vectors survive in
   // `staged` and are parked in the arena below, so the next stage
   // reuses their (right-sized, already-faulted) pages.
@@ -1176,7 +1162,10 @@ std::optional<SecureMemory::StagedImage> SecureMemory::stage_delta(
   // root — a delta only applies on the exact state it was diffed
   // against (a stale or cross-chain delta dies here, region intact);
   // (3) structural validation of the command stream, parsed into the
-  // arena's recycled command vector.
+  // arena's recycled command vector; (4) tree authentication of every
+  // counter line an ADD rewrites — the commit folds those lines' off-chip
+  // paths into the tree, so a tampered node on one must reject here,
+  // region intact, not surface after the apply.
   if (!ct_equal_u64(
           delta_cmd_mac(base_epoch, new_epoch, base_seal, cmd, trailer), mac))
     return std::nullopt;
@@ -1186,7 +1175,19 @@ std::optional<SecureMemory::StagedImage> SecureMemory::stage_delta(
   staged.cmd = cmd;
   staged.trailer = trailer;
   staged.cmds = std::move(snap_arena_.delta_cmds);
-  if (!delta::parse(delta_geometry(), cmd, staged.cmds)) {
+  const delta::Geometry geo = delta_geometry();
+  const auto paths_authentic = [&] {
+    for (const delta::Command& c : staged.cmds) {
+      if (c.op == delta::Command::kCopy) continue;
+      // A run of granules covers one contiguous run of counter lines.
+      const std::uint64_t end =
+          std::min(geo.line_start(c.dst + c.n), geo.num_lines);
+      for (std::uint64_t line = geo.line_start(c.dst); line < end; ++line)
+        if (!verify_counter_line(line)) return false;
+    }
+    return true;
+  };
+  if (!delta::parse(geo, cmd, staged.cmds) || !paths_authentic()) {
     discard_image(std::move(staged));
     return std::nullopt;
   }
@@ -1206,7 +1207,9 @@ bool SecureMemory::commit_delta(StagedImage&& staged) {
   // counter-scheme registers from the new line bytes, tree leaves
   // through the verified-frontier update path (O(dirty x depth), not a
   // full rebuild — the in-place payoff on restore), and the per-block
-  // shadow counters.
+  // shadow counters. update() folds each line's off-chip path into the
+  // tree as it finds it; stage_delta authenticated every one of those
+  // paths, so only authentic nodes are folded in.
   for (const delta::Command& cmd : staged.cmds) {
     if (cmd.op == delta::Command::kCopy) continue;
     for (std::uint64_t g = cmd.dst; g < cmd.dst + cmd.n; ++g) {
@@ -1225,8 +1228,9 @@ bool SecureMemory::commit_delta(StagedImage&& staged) {
   }
 
   // Defense-in-depth: the MAC-covered trailer pins the post-apply root.
-  // A mismatch can only mean the base seal collided (negligible), but
-  // serving data off a mismatched tree is never acceptable — wipe.
+  // With every touched path authenticated at stage, a mismatch can only
+  // mean the base seal collided (negligible), but serving data off a
+  // mismatched tree is never acceptable — wipe.
   tree_cache_.flush();
   const bool root_ok = verify_root_level(tree_, staged.trailer);
   const std::uint64_t new_epoch = staged.new_epoch;
@@ -1246,41 +1250,49 @@ bool SecureMemory::commit_delta(StagedImage&& staged) {
 }
 
 bool SecureMemory::rotate_master_key(std::uint64_t new_master) {
-  // Flush barrier: phase 1 must authenticate against off-chip truth so a
-  // rotation cannot launder state the eager path would have rejected.
+  const std::optional<std::vector<DataBlock>> plaintexts = stage_rotation();
+  if (!plaintexts) return false;
+  commit_rotation(*plaintexts, new_master);
+  return true;
+}
+
+std::optional<std::vector<DataBlock>> SecureMemory::stage_rotation() {
+  // Flush barrier: the reads must authenticate against off-chip truth so
+  // a rotation cannot launder state the eager path would have rejected.
   tree_cache_.flush();
-  // Phase 1: recover every plaintext under the current keys. Any
-  // verification failure aborts with the region untouched — re-keying
-  // must never launder tampered data into a freshly-authenticated state.
+  // Recover every plaintext under the current keys. Any verification
+  // failure aborts with the region untouched — re-keying must never
+  // launder tampered data into a freshly-authenticated state.
   std::vector<DataBlock> plaintexts(layout_.num_blocks());
-  {
-    constexpr std::uint64_t kChunk = 128;
-    std::array<std::uint64_t, kChunk> chunk_blocks;
-    for (std::uint64_t base = 0; base < layout_.num_blocks();
-         base += kChunk) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kChunk, layout_.num_blocks() - base));
-      for (std::size_t i = 0; i < n; ++i) chunk_blocks[i] = base + i;
-      const auto results = read_blocks({chunk_blocks.data(), n});
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!status_ok(results[i].status)) {
-          trace(TraceEvent::Kind::kKeyRotation, results[i].status, base + i);
-          return false;
-        }
-        plaintexts[base + i] = results[i].data;
+  constexpr std::uint64_t kChunk = 128;
+  std::array<std::uint64_t, kChunk> chunk_blocks;
+  for (std::uint64_t base = 0; base < layout_.num_blocks(); base += kChunk) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kChunk, layout_.num_blocks() - base));
+    for (std::size_t i = 0; i < n; ++i) chunk_blocks[i] = base + i;
+    const auto results = read_blocks({chunk_blocks.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!status_ok(results[i].status)) {
+        trace(TraceEvent::Kind::kKeyRotation, results[i].status, base + i);
+        return std::nullopt;
       }
+      plaintexts[base + i] = results[i].data;
     }
   }
+  return plaintexts;
+}
 
-  // Phase 2: rebuild the cryptographic state. Fresh keys make every
-  // (addr, counter) pair fresh again, so counters restart at zero.
+void SecureMemory::commit_rotation(std::span<const DataBlock> plaintexts,
+                                   std::uint64_t new_master) {
+  // Rebuild the cryptographic state. Fresh keys make every (addr,
+  // counter) pair fresh again, so counters restart at zero.
   config_.master_key = new_master;
   const DerivedKeys keys = derive_keys(new_master);
   keystream_ = CtrKeystream(keys.data_key);
   mac_ = CwMac(keys.mac_key);
   seal_mac_ = CwMac(keys.seal_key);
   tree_ = BonsaiTree(layout_.tree(), keys.tree_key);
-  tree_cache_.invalidate_all();  // phase-1 reads refilled it; old tree
+  tree_cache_.invalidate_all();  // the staging reads refilled it; old tree
   scheme_ = make_scheme(config_);
   std::fill(shadow_ctr_.begin(), shadow_ctr_.end(), 0);
   // The rotation breaks the snapshot chain: every byte re-encrypts and
@@ -1290,11 +1302,10 @@ bool SecureMemory::rotate_master_key(std::uint64_t new_master) {
   has_base_ = false;
   mark_all_dirty();
 
-  // Phase 3: re-encrypt everything and re-authenticate counter storage.
+  // Re-encrypt everything and re-authenticate counter storage.
   reset_all_blocks(plaintexts, 0);
   metrics_.add(MetricId::kKeyRotations);
   trace(TraceEvent::Kind::kKeyRotation, Status::kOk, 0);
-  return true;
 }
 
 Status SecureMemory::write_bytes(std::uint64_t addr,

@@ -99,9 +99,8 @@ class SecureMemory : public SecureMemoryLike {
   const SecureRegionLayout& layout() const noexcept { return layout_; }
   const CounterScheme& counters() const noexcept { return *scheme_; }
 
-  /// Write one 64-byte block of plaintext. Always kOk here — the plain
-  /// engine has no fail-closed state — but callers consume the Status so
-  /// they behave identically against the poisoning-capable sharded engine.
+  /// Write one 64-byte block of plaintext. Always kOk (see
+  /// SecureMemoryLike::write_block).
   ///
   /// When a write overflows its delta group, the whole group re-encrypts
   /// through one batched pass: one crypt_batch decrypt of the stale
@@ -202,7 +201,18 @@ class SecureMemory : public SecureMemoryLike {
   /// makes every (addr, counter) nonce fresh again), and all data is
   /// re-encrypted. Returns false — leaving the region untouched — if any
   /// block fails verification under the old keys.
+  ///
+  /// rotate_master_key is stage_rotation then commit_rotation, and
+  /// ShardedSecureMemory stages every shard before committing any.
+  /// stage_rotation() verifies the whole region under the current keys
+  /// without changing it and returns every plaintext, or nullopt after
+  /// tracing the first block that failed. commit_rotation()
+  /// re-keys under `new_master` and re-encrypts `plaintexts` (one block
+  /// each); it cannot fail.
   [[nodiscard]] bool rotate_master_key(std::uint64_t new_master) override;
+  [[nodiscard]] std::optional<std::vector<DataBlock>> stage_rotation();
+  void commit_rotation(std::span<const DataBlock> plaintexts,
+                       std::uint64_t new_master);
 
   /// ------------------------------------------------------------------
   /// Persistence (NVMM / hibernate model).
@@ -290,40 +300,31 @@ class SecureMemory : public SecureMemoryLike {
   /// delta container caps each shard's slice with it.
   std::uint64_t max_image_bytes() const noexcept;
 
-  // Keep the base class's std::byte-span / buffer overloads visible next
-  // to the overrides above.
-  using SecureMemoryLike::read_bytes;
-  using SecureMemoryLike::restore;
-  using SecureMemoryLike::restore_delta;
-  using SecureMemoryLike::save;
-  using SecureMemoryLike::save_delta;
-  using SecureMemoryLike::write_bytes;
-
   /// Two-phase restore: restore() and restore_delta() are stage_image
   /// then commit_image, and ShardedSecureMemory stages every shard
   /// before committing any. stage_image() validates one image in full
   /// without changing engine state — a full image up to its sealed root;
   /// a delta through its command MAC, its base seal against the current
-  /// root and command-stream validation. nullopt means rejected and the
-  /// region is EXACTLY as it was. The magic picks the kind; the stream
-  /// form takes a delta only with `accept_delta`. A full image decodes
-  /// under `master_key` (normally the engine's own; ShardedSecureMemory
-  /// passes the region-derived one to recover a shard stranded on a
-  /// half-rotated key, and commit re-derives the working keys from it);
-  /// a delta only under the engine's current chain. A staged delta
-  /// borrows its bytes from the span, or from the arena's stream buffer
-  /// until the next stream stage.
+  /// root, command-stream validation, and tree authentication of every
+  /// counter line an ADD command rewrites (the commit folds those lines'
+  /// off-chip tree paths into the tree, so they must be authentic before
+  /// any byte applies). nullopt means rejected and the region is EXACTLY
+  /// as it was. The magic picks the kind; the stream
+  /// form takes a delta only with `accept_delta`. Both kinds decode under
+  /// the engine's current keys, a delta only on its current chain. A
+  /// staged delta borrows its bytes from the span, or from the arena's
+  /// stream buffer until the next stream stage.
   ///
   /// commit_image() adopts a staged image; a full image cannot fail. A
   /// delta's bool is a defense-in-depth verdict: the post-apply root is
   /// re-checked against the MAC-covered trailer, and a mismatch (a
   /// base-seal collision — cryptographically negligible) wipes the
-  /// region to zeros. discard_image() drops a staged image that will not
-  /// be committed, parking its storage for the next stage.
+  /// region to zeros (ShardedSecureMemory then wipes every shard).
+  /// discard_image() drops a staged image that will not be committed,
+  /// parking its storage for the next stage.
   struct StagedImage {
-    /// Full image: sections in arena storage, the rebuilt tree (empty
-    /// for a delta) and the master they decode under.
-    std::uint64_t master_key = 0;
+    /// Full image: sections in arena storage and the rebuilt tree
+    /// (empty for a delta).
     std::vector<DataBlock> ciphertext;
     std::vector<EccLane> lanes;
     std::vector<std::uint64_t> macs;
@@ -336,12 +337,17 @@ class SecureMemory : public SecureMemoryLike {
     std::span<const std::uint8_t> trailer;
     std::vector<delta::Command> cmds;
   };
+  [[nodiscard]] std::optional<StagedImage> stage_image(std::istream& in,
+                                                       bool accept_delta);
   [[nodiscard]] std::optional<StagedImage> stage_image(
-      std::istream& in, std::uint64_t master_key, bool accept_delta);
-  [[nodiscard]] std::optional<StagedImage> stage_image(
-      std::span<const std::uint8_t> image, std::uint64_t master_key);
+      std::span<const std::uint8_t> image);
   [[nodiscard]] bool commit_image(StagedImage&& staged);
   void discard_image(StagedImage&& staged) const;
+  /// Re-initialize to encrypted zeros under the current keys, with a
+  /// broken delta chain — the one failure posture left: a post-apply
+  /// root mismatch in commit_delta, on this engine or (sharded) on any
+  /// shard of the region.
+  void wipe_to_zeros();
   /// Bytes of snapshot storage parked for reuse: the full-restore
   /// staging vectors plus the delta buffers (save_delta's command
   /// output, the stream delta buffer and parsed commands). Tests check
@@ -468,9 +474,6 @@ class SecureMemory : public SecureMemoryLike {
   /// Refresh stored counter line `line` and its tree path (write-back:
   /// ancestor MAC propagation defers to the tree cache when enabled).
   void sync_counter_line(std::uint64_t line);
-  /// Re-initialize to encrypted zeros under fresh state — the one
-  /// failure posture left: a commit_delta post-apply root mismatch.
-  void wipe_to_zeros();
   /// The one body of restore() and restore_delta(): stage, then commit.
   /// A rejection traces one kRestore/kIntegrityViolation event (and
   /// counts kDeltaRejects with `accept_delta`); the region stays as it
@@ -479,7 +482,7 @@ class SecureMemory : public SecureMemoryLike {
   /// stage_image's and commit_image's halves. The stagers start past the
   /// magic: a full image off `in`, a delta's header fields in place.
   [[nodiscard]] std::optional<StagedImage> stage_restore_tail(
-      std::istream& in, std::uint64_t master_key);
+      std::istream& in);
   [[nodiscard]] std::optional<StagedImage> stage_delta(
       std::span<const std::uint8_t> image);
   [[nodiscard]] bool commit_delta(StagedImage&& staged);

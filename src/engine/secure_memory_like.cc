@@ -1,8 +1,5 @@
 #include "engine/secure_memory_like.h"
 
-#include <cstring>
-#include <sstream>
-
 #include "engine/secure_memory.h"
 #include "engine/sharded_memory.h"
 
@@ -12,44 +9,6 @@ const char* read_status_name(ReadStatus status) noexcept {
   return to_string(status);
 }
 
-Status SecureMemoryLike::save(std::vector<std::byte>& image) {
-  std::ostringstream out(std::ios::binary);
-  const Status status = save(out);
-  image.clear();
-  if (status_ok(status)) {
-    const std::string bytes = std::move(out).str();
-    image.resize(bytes.size());
-    std::memcpy(image.data(), bytes.data(), bytes.size());
-  }
-  return status;
-}
-
-bool SecureMemoryLike::restore(std::span<const std::byte> image) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(image.data()), image.size()),
-      std::ios::binary);
-  return restore(in);
-}
-
-Status SecureMemoryLike::save_delta(std::vector<std::byte>& image) {
-  std::ostringstream out(std::ios::binary);
-  const Status status = save_delta(out);
-  image.clear();
-  if (status_ok(status)) {
-    const std::string bytes = std::move(out).str();
-    image.resize(bytes.size());
-    std::memcpy(image.data(), bytes.data(), bytes.size());
-  }
-  return status;
-}
-
-bool SecureMemoryLike::restore_delta(std::span<const std::byte> image) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(image.data()), image.size()),
-      std::ios::binary);
-  return restore_delta(in);
-}
-
 const char* scrub_status_name(ScrubStatus status) noexcept {
   switch (status) {
     case ScrubStatus::kClean: return "clean";
@@ -57,7 +16,6 @@ const char* scrub_status_name(ScrubStatus status) noexcept {
     case ScrubStatus::kRepairedData: return "repaired-data";
     case ScrubStatus::kUncorrectable: return "uncorrectable";
     case ScrubStatus::kCounterTampered: return "counter-tampered";
-    case ScrubStatus::kRegionPoisoned: return "region-poisoned";
   }
   return "?";
 }
@@ -69,7 +27,6 @@ Status to_status(ScrubStatus status) noexcept {
     case ScrubStatus::kRepairedData: return Status::kCorrectedData;
     case ScrubStatus::kUncorrectable: return Status::kIntegrityViolation;
     case ScrubStatus::kCounterTampered: return Status::kCounterTampered;
-    case ScrubStatus::kRegionPoisoned: return Status::kRegionPoisoned;
   }
   return Status::kIntegrityViolation;
 }

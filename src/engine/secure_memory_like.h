@@ -11,7 +11,6 @@
 // aliases (SecureMemory::ReadResult, ...) for source compatibility.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -49,7 +48,6 @@ enum class [[nodiscard]] ScrubStatus : std::uint8_t {
   kRepairedData,     ///< 1-2 bit data fault healed
   kUncorrectable,    ///< fault beyond correction; data NOT healed
   kCounterTampered,  ///< counter storage failed tree authentication
-  kRegionPoisoned,   ///< engine fail-closed; nothing was scanned
 };
 
 const char* scrub_status_name(ScrubStatus status) noexcept;
@@ -62,7 +60,6 @@ struct ScrubReport {
   std::uint64_t repaired_data = 0;
   std::uint64_t uncorrectable = 0;
   std::uint64_t counter_tampered = 0;
-  bool region_poisoned = false;    ///< engine was fail-closed; no sweep ran
 };
 
 /// Aggregate operational counters — a point-in-time copy assembled from
@@ -93,10 +90,10 @@ class SecureMemoryLike {
   virtual std::uint64_t size_bytes() const noexcept = 0;
   virtual std::uint64_t num_blocks() const noexcept = 0;
 
-  /// Write one 64-byte block of plaintext. Returns the outcome: kOk from
-  /// a healthy engine; kRegionPoisoned from a fail-closed one (the write
-  /// did not happen). No mutation path throws on engine state — only
-  /// argument errors (out-of-range blocks) do.
+  /// Write one 64-byte block of plaintext. A block write cannot fail and
+  /// returns kOk; callers still consume the Status, the one outcome type
+  /// of every entry point. No mutation path throws on engine state —
+  /// only argument errors (out-of-range blocks) do.
   [[nodiscard]] virtual Status write_block(std::uint64_t block,
                                            const DataBlock& plaintext) = 0;
   /// Verified read of one 64-byte block.
@@ -113,25 +110,6 @@ class SecureMemoryLike {
   virtual Status read_bytes(std::uint64_t addr,
                             std::span<std::uint8_t> out) = 0;
 
-  /// std::byte spans are the preferred signature for new callers — byte
-  /// buffers in application code are std::byte/char, and the uint8_t
-  /// overloads above remain as the implementation surface. Non-virtual:
-  /// they forward after a reinterpret, so every engine gets them for
-  /// free. (Derived classes re-expose the full overload set with
-  /// `using SecureMemoryLike::write_bytes;` etc.)
-  Status write_bytes(std::uint64_t addr, std::span<const std::byte> bytes) {
-    return write_bytes(
-        addr, std::span<const std::uint8_t>(
-                  reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                  bytes.size()));
-  }
-  Status read_bytes(std::uint64_t addr, std::span<std::byte> out) {
-    return read_bytes(addr,
-                      std::span<std::uint8_t>(
-                          reinterpret_cast<std::uint8_t*>(out.data()),
-                          out.size()));
-  }
-
   /// ------------------------------------------------------------------
   /// Batch block I/O.
   /// ------------------------------------------------------------------
@@ -144,8 +122,8 @@ class SecureMemoryLike {
   /// is thrown before anything is mutated.
   [[nodiscard]] virtual std::vector<ReadResult> read_blocks(
       std::span<const std::uint64_t> blocks) = 0;
-  /// Returns the most severe per-write outcome (kOk, or kRegionPoisoned
-  /// from a fail-closed engine, in which case nothing was written).
+  /// Returns the most severe per-write outcome (kOk: block writes cannot
+  /// fail).
   [[nodiscard]] virtual Status write_blocks(
       std::span<const BlockWrite> writes) = 0;
 
@@ -161,12 +139,10 @@ class SecureMemoryLike {
 
   /// Persistence (NVMM / hibernate model); see SecureMemory for the
   /// image-format and threat-model contract. `save` returns kOk when the
-  /// full image was emitted and kRegionPoisoned from a fail-closed engine
-  /// (nothing is written — a poisoned region must not serialize state
-  /// that could be mistaken for a good snapshot). A false restore means
-  /// the image was rejected (tamper, truncation) before any byte
-  /// applied: the region is exactly as it was. The verdict must be
-  /// consumed.
+  /// full image was emitted and kSnapshotIoError when the stream failed.
+  /// A false restore means the image was rejected (tamper, truncation)
+  /// before any byte applied: the region is exactly as it was. The
+  /// verdict must be consumed.
   [[nodiscard]] virtual Status save(std::ostream& out) = 0;
   [[nodiscard]] virtual bool restore(std::istream& in) = 0;
 
@@ -190,13 +166,6 @@ class SecureMemoryLike {
   /// invalidates applying a clean delta N afterwards). See SECURITY.md.
   [[nodiscard]] virtual Status save_delta(std::ostream& out) = 0;
   [[nodiscard]] virtual bool restore_delta(std::istream& in) = 0;
-
-  /// Buffer-based persistence conveniences over the stream virtuals:
-  /// save() fills `image` (cleared first), restore() consumes a span.
-  [[nodiscard]] Status save(std::vector<std::byte>& image);
-  [[nodiscard]] bool restore(std::span<const std::byte> image);
-  [[nodiscard]] Status save_delta(std::vector<std::byte>& image);
-  [[nodiscard]] bool restore_delta(std::span<const std::byte> image);
 
   /// ------------------------------------------------------------------
   /// Observability.

@@ -81,7 +81,7 @@ class VectorSink final : public std::streambuf {
 
 ShardedSecureMemory::ShardedSecureMemory(const SecureMemoryConfig& config,
                                          unsigned num_shards)
-    : config_(config),
+    : size_bytes_(config.size_bytes),
       num_shards_(num_shards),
       granule_blocks_(routing_granule_blocks(config)),
       num_blocks_(config.size_bytes / 64),
@@ -125,29 +125,9 @@ ShardedSecureMemory::Route ShardedSecureMemory::route(
       (granule / num_shards_) * granule_blocks_ + block % granule_blocks_};
 }
 
-SecureMemory::ReadResult ShardedSecureMemory::poisoned_read()
-    const noexcept {
-  // Fail closed: a split-keyed region must not decrypt anything — half
-  // of it would be served under keys the caller meant to retire.
-  metrics_.add(MetricId::kIntegrityViolations);
-  return ReadResult{Status::kRegionPoisoned, {}, 0};
-}
-
-Status ShardedSecureMemory::poisoned_mutation(
-    std::uint64_t block) const noexcept {
-  // Refused mutations count as integrity violations (the region cannot
-  // accept state) and leave a trace event, but — unlike the pre-Status
-  // surface — they REPORT instead of throw.
-  metrics_.add(MetricId::kIntegrityViolations);
-  trace(TraceEvent::Kind::kWrite, Status::kRegionPoisoned, block,
-        shard_of_block(block));
-  return Status::kRegionPoisoned;
-}
-
 Status ShardedSecureMemory::write_block(std::uint64_t block,
                                         const DataBlock& plaintext) {
   check_block(block);
-  if (poisoned()) return poisoned_mutation(block);
   const Route r = route(block);
   Shard& s = shards_[r.shard];
   const SeqWriteLock lock(s.mu);
@@ -157,7 +137,6 @@ Status ShardedSecureMemory::write_block(std::uint64_t block,
 SecureMemory::ReadResult ShardedSecureMemory::read_block(
     std::uint64_t block) {
   check_block(block);
-  if (poisoned()) return poisoned_read();
   const Route r = route(block);
   Shard& s = shards_[r.shard];
   {
@@ -176,10 +155,6 @@ SecureMemory::ReadResult ShardedSecureMemory::read_block(
 SecureMemory::ScrubStatus ShardedSecureMemory::scrub_block(
     std::uint64_t block, bool deep) {
   check_block(block);
-  if (poisoned()) {
-    (void)poisoned_mutation(block);
-    return ScrubStatus::kRegionPoisoned;
-  }
   const Route r = route(block);
   Shard& s = shards_[r.shard];
   const SeqWriteLock lock(s.mu);
@@ -189,11 +164,6 @@ SecureMemory::ScrubStatus ShardedSecureMemory::scrub_block(
 std::vector<SecureMemory::ReadResult> ShardedSecureMemory::read_blocks(
     std::span<const std::uint64_t> blocks) {
   for (const std::uint64_t block : blocks) check_block(block);
-  if (poisoned()) {
-    std::vector<SecureMemory::ReadResult> results(blocks.size());
-    for (auto& r : results) r = poisoned_read();
-    return results;
-  }
 
   // Visit requests grouped by shard so each shard lock is taken once per
   // batch. Shard ids are small and dense, so a two-pass counting sort
@@ -243,8 +213,6 @@ std::vector<SecureMemory::ReadResult> ShardedSecureMemory::read_blocks(
 
 Status ShardedSecureMemory::write_blocks(std::span<const BlockWrite> writes) {
   for (const BlockWrite& w : writes) check_block(w.block);
-  if (poisoned())
-    return poisoned_mutation(writes.empty() ? 0 : writes.front().block);
 
   // Same counting-sort grouping as read_blocks (stable, O(n + shards)).
   std::vector<std::uint32_t> order(writes.size());
@@ -304,15 +272,11 @@ std::vector<SeqLock*> ShardedSecureMemory::mutexes_of(
 Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
                                         std::span<const std::uint8_t> bytes)
     SECMEM_NO_THREAD_SAFETY_ANALYSIS {
-  if (addr > config_.size_bytes || bytes.size() > config_.size_bytes - addr)
+  if (addr > size_bytes_ || bytes.size() > size_bytes_ - addr)
     throw std::out_of_range(
         "ShardedSecureMemory::write_bytes: range exceeds region");
   metrics_.add(MetricId::kByteWrites);
   metrics_.sample(EngineHistId::kByteWriteBytes, bytes.size());
-  if (poisoned()) {
-    metrics_.add(MetricId::kIntegrityViolations);
-    return Status::kRegionPoisoned;
-  }
   if (bytes.empty()) return Status::kOk;
 
   const std::uint64_t first_block = addr / 64;
@@ -396,15 +360,11 @@ std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
 Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
                                        std::span<std::uint8_t> out)
     SECMEM_NO_THREAD_SAFETY_ANALYSIS {
-  if (addr > config_.size_bytes || out.size() > config_.size_bytes - addr)
+  if (addr > size_bytes_ || out.size() > size_bytes_ - addr)
     throw std::out_of_range(
         "ShardedSecureMemory::read_bytes: range exceeds region");
   metrics_.add(MetricId::kByteReads);
   metrics_.sample(EngineHistId::kByteReadBytes, out.size());
-  if (poisoned()) {
-    metrics_.add(MetricId::kIntegrityViolations);
-    return Status::kRegionPoisoned;
-  }
   if (out.empty()) return Status::kOk;
 
   const std::uint64_t first_block = addr / 64;
@@ -431,12 +391,6 @@ Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
 }
 
 SecureMemory::ScrubReport ShardedSecureMemory::scrub_all(bool deep) {
-  if (poisoned()) {
-    (void)poisoned_mutation(0);
-    SecureMemory::ScrubReport refused;
-    refused.region_poisoned = true;
-    return refused;
-  }
   std::vector<SecureMemory::ScrubReport> reports(num_shards_);
   pool_.run(num_shards_, [this, deep, &reports](unsigned s) {
     Shard& shard = shards_[s];
@@ -456,58 +410,38 @@ SecureMemory::ScrubReport ShardedSecureMemory::scrub_all(bool deep) {
   return total;
 }
 
+ShardedSecureMemory::AllShards ShardedSecureMemory::lock_all_shards()
+    SECMEM_NO_THREAD_SAFETY_ANALYSIS {
+  std::vector<std::size_t> all(num_shards_);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  AllShards held{lock_in_order(mutexes_of(all)), {}};
+  held.engines.reserve(num_shards_);
+  for (unsigned s = 0; s < num_shards_; ++s)
+    held.engines.push_back(shards_[s].engine.get());
+  return held;
+}
+
+// Stage-then-commit, the restores' protocol: every shard verifies and
+// decrypts under its current keys before any shard is re-keyed, so a
+// refusal returns with nothing changed, and the commit cannot fail.
+// snapshot_mu_ first, then every shard lock (see lock_all_shards); both
+// halves run shard-parallel — on this thread alone if another job holds
+// the pool, since that job may be waiting for one of the locks held here.
 bool ShardedSecureMemory::rotate_master_key(std::uint64_t new_master) {
-  if (poisoned()) return false;  // split-keyed state: nothing to rotate from
-  // The region key is snapshot_mu_'s: a restore staging under it must
-  // not interleave with a rotation that is halfway through the shards.
   const MutexLock region(snapshot_mu_);
-  const std::uint64_t old_master = config_.master_key;
-
-  std::vector<char> rotated(num_shards_, 0);
-  pool_.run(num_shards_, [this, new_master, &rotated](unsigned s) {
-    Shard& shard = shards_[s];
-    const SeqWriteLock lock(shard.mu);
-    rotated[s] =
-        shard.engine->rotate_master_key(shard_master_key(new_master, s)) ? 1
-                                                                         : 0;
+  const AllShards all = lock_all_shards();
+  std::vector<std::optional<std::vector<DataBlock>>> plaintexts(num_shards_);
+  pool_.run(num_shards_, [&all, &plaintexts](unsigned s) {
+    plaintexts[s] = all.engines[s]->stage_rotation();
   });
-  if (std::all_of(rotated.begin(), rotated.end(),
-                  [](char ok) { return ok != 0; })) {
-    config_.master_key = new_master;
-    return true;
-  }
-
-  // Partial failure: a shard refused (verification failed under its old
-  // keys) and is untouched. Roll the shards that DID rotate back to the
-  // old master so the region stays uniformly keyed.
-  if (rotate_rollback_fault_hook_) rotate_rollback_fault_hook_();
-  std::vector<char> rolled_back(num_shards_, 1);
-  pool_.run(num_shards_, [this, old_master, &rotated,
-                          &rolled_back](unsigned s) {
-    if (!rotated[s]) return;
-    Shard& shard = shards_[s];
-    const SeqWriteLock lock(shard.mu);
-    rolled_back[s] =
-        shard.engine->rotate_master_key(shard_master_key(old_master, s)) ? 1
-                                                                         : 0;
+  // A refusing shard traced its first bad block.
+  for (const auto& shard_plaintexts : plaintexts)
+    if (!shard_plaintexts) return false;
+  pool_.run(num_shards_, [&all, &plaintexts, new_master](unsigned s) {
+    all.engines[s]->commit_rotation(*plaintexts[s],
+                                    shard_master_key(new_master, s));
   });
-
-  // Rolling back re-reads data this very call just re-encrypted, so it
-  // normally succeeds — but "normally" is not a guarantee: a fault or
-  // tamper landing inside the rollback window makes a shard refuse, and
-  // ignoring that verdict (the old behavior) silently left the region
-  // split-keyed while reporting a clean abort. Check every shard, put
-  // the failure on the record, and poison the region so nothing serves
-  // from a half-rotated key set.
-  bool rollback_ok = true;
-  for (unsigned s = 0; s < num_shards_; ++s) {
-    if (rolled_back[s]) continue;
-    rollback_ok = false;
-    metrics_.add(MetricId::kRotateRollbackFailures);
-    trace(TraceEvent::Kind::kKeyRotation, Status::kIntegrityViolation, 0, s);
-  }
-  if (!rollback_ok) poisoned_.store(true, std::memory_order_release);
-  return false;
+  return true;
 }
 
 // Lock-free by contract: MetricsCells are relaxed atomics, readable while
@@ -564,9 +498,6 @@ void ShardedSecureMemory::break_shard_chains() {
 }
 
 Status ShardedSecureMemory::save(std::ostream& out) {
-  // A poisoned region writes NOTHING: a partial or split-keyed image
-  // must never be mistakable for a good snapshot.
-  if (poisoned()) return poisoned_mutation(0);
   out.write(kShardMagic, sizeof(kShardMagic));
   write_u64(out, num_shards_);
   write_u64(out, granule_blocks_);
@@ -590,15 +521,15 @@ Status ShardedSecureMemory::save(std::ostream& out) {
 
 // Stage-then-commit, mirroring write_bytes' all-or-nothing protocol.
 // Staging fully validates every shard's image or delta — sealed-root
-// check, command MAC, base seal, command-stream validation — against
-// staging storage; the first bad shard aborts with the region EXACTLY
-// as it was. Commit cannot fail, bar commit_delta's defense-in-depth
-// verdict.
+// check, command MAC, base seal, command-stream validation, the tree
+// paths a delta rewrites — against staging storage; the first bad shard
+// aborts with the region EXACTLY as it was. Commit cannot fail, bar
+// commit_delta's defense-in-depth verdict.
 //
-// The region key and the delta payload buffer (snapshot_mu_) first,
-// then every shard lock in table order, all held to the last commit
-// (runtime lock set — outside static analysis, TSan-covered): a restore
-// must be atomic against every concurrent operation.
+// snapshot_mu_ (the delta payload buffer) first, then every shard lock
+// in table order, all held to the last commit (runtime lock set —
+// outside static analysis, TSan-covered): a restore must be atomic
+// against every concurrent operation.
 bool ShardedSecureMemory::restore_container(std::istream& in,
                                             SnapshotTiming* timing,
                                             bool accept_delta)
@@ -613,16 +544,8 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
     return reject_restore({}, {}, 0, accept_delta);
 
   const MutexLock region(snapshot_mu_);
-  std::vector<std::size_t> all(num_shards_);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto locks = lock_in_order(mutexes_of(all));
-  // The stage and commit workers receive raw engine pointers gathered
-  // here, where the analysis already knows this runtime lock set is
-  // beyond it: every shard lock is held for the whole function, and
-  // each worker touches only its own shard's engine.
-  std::vector<SecureMemory*> engines(num_shards_);
-  for (unsigned s = 0; s < num_shards_; ++s)
-    engines[s] = shards_[s].engine.get();
+  const AllShards all = lock_all_shards();
+  const std::span<SecureMemory* const> engines = all.engines;
 
   // Staged deltas point into the payload buffer, so it outlives the
   // last commit; the delta stager decides whether it is recycled.
@@ -653,20 +576,18 @@ bool ShardedSecureMemory::restore_container(std::istream& in,
       commit_failed.end()) {
     // commit_delta's defense-in-depth verdict fired (a base-seal
     // collision — cryptographically negligible): that shard wiped
-    // itself and traced the rejection, so the region is part old, part
-    // zeroed. Poison it; the way out is a full-image restore, as with a
-    // rollback failure.
-    poisoned_.store(true, std::memory_order_release);
+    // itself and traced the rejection, so the region is part new, part
+    // zeroed. Wipe the rest as well, as the plain engine wipes its
+    // whole region: all zeros, never a half-applied state.
+    pool_.run(num_shards_, [&engines, &commit_failed](unsigned s) {
+      if (!commit_failed[s]) engines[s]->wipe_to_zeros();
+    });
     return false;
   }
   if (timing) {
     timing->stage_s = seconds_between(t0, t1);
     timing->commit_s = seconds_between(t1, std::chrono::steady_clock::now());
   }
-  // Every shard was re-keyed from the region master (full images) or
-  // proved it sits on the region-keyed chain (deltas) — uniformly keyed
-  // again.
-  poisoned_.store(false, std::memory_order_release);
   return true;
 }
 
@@ -685,27 +606,18 @@ bool ShardedSecureMemory::reject_restore(
 
 // Each shard's image stages straight off the caller's stream into that
 // engine's recycled staging storage: a bulk read first would only add a
-// whole-image copy. It stages under the master derived from the REGION
-// key, not the shard engine's current one: after a failed rollback a
-// shard can be stranded on a half-rotated key, and this is exactly how
-// restore() un-poisons it — commit_image re-derives that shard's
-// working keys from the image's master.
+// whole-image copy.
 std::optional<unsigned> ShardedSecureMemory::stage_full_container(
     std::istream& in, std::span<SecureMemory* const> engines,
-    std::span<std::optional<SecureMemory::StagedImage>> staged)
-    SECMEM_REQUIRES(snapshot_mu_) {
+    std::span<std::optional<SecureMemory::StagedImage>> staged) {
   for (unsigned s = 0; s < num_shards_; ++s) {
-    staged[s] = engines[s]->stage_image(
-        in, shard_master_key(config_.master_key, s), /*accept_delta=*/false);
+    staged[s] = engines[s]->stage_image(in, /*accept_delta=*/false);
     if (!staged[s]) return s;
   }
   return std::nullopt;
 }
 
 Status ShardedSecureMemory::save_delta(std::ostream& out) {
-  // Same posture as save(): a poisoned region writes nothing.
-  if (poisoned()) return poisoned_mutation(0);
-
   // Per-shard deltas are variable-sized (and a broken-chain shard falls
   // back to its full image), so the container needs a length table
   // ahead of the payloads — every shard therefore serializes into its
@@ -796,16 +708,13 @@ std::optional<unsigned> ShardedSecureMemory::stage_delta_container(
   }
 
   // Stage every slice: a delta against that shard's current chain, or a
-  // full fallback image (staged under the REGION-derived master, the
-  // same un-poisoning rule as the full container).
-  pool_.run(num_shards_, [this, payload, &offsets, &lengths, engines,
-                          staged](unsigned s) {
-    staged[s] = engines[s]->stage_image(
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(payload + offsets[s]),
-            static_cast<std::size_t>(lengths[s])),
-        shard_master_key(config_.master_key, s));
-  });
+  // full fallback image.
+  pool_.run(num_shards_,
+            [payload, &offsets, &lengths, engines, staged](unsigned s) {
+              staged[s] = engines[s]->stage_image(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(payload + offsets[s]),
+                  static_cast<std::size_t>(lengths[s])));
+            });
   for (unsigned s = 0; s < num_shards_; ++s)
     if (!staged[s]) return s;
   return std::nullopt;

@@ -58,7 +58,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -91,9 +90,7 @@ class ShardedSecureMemory : public SecureMemoryLike {
   ShardedSecureMemory(const SecureMemoryConfig& config, unsigned num_shards);
 
   unsigned num_shards() const noexcept { return num_shards_; }
-  std::uint64_t size_bytes() const noexcept override {
-    return config_.size_bytes;
-  }
+  std::uint64_t size_bytes() const noexcept override { return size_bytes_; }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
   /// Blocks per routing granule (= one block-group, ≥ one counter line).
   unsigned granule_blocks() const noexcept { return granule_blocks_; }
@@ -152,43 +149,16 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// ------------------------------------------------------------------
   ScrubReport scrub_all(bool deep = false) override;
 
-  /// Re-key every shard (in parallel) under secrets derived from
-  /// `new_master`. Serialized against restore() and restore_delta(),
-  /// which stage under the region key. All-or-nothing across shards: if
-  /// any shard fails verification, already-rotated shards are rotated
-  /// back to the old master and false is returned with the region's
-  /// contents intact.
-  ///
-  /// The rollback itself re-reads freshly re-encrypted data, so it
-  /// *normally* cannot fail — but a fault or active tamper landing in
-  /// the rollback window can still make a shard refuse, leaving the
-  /// region split-keyed (some shards under the old master, some under
-  /// the new). That outcome is checked, not assumed: each failed
-  /// rollback records kRotateRollbackFailures plus a key-rotation trace
-  /// event against the shard, and the region is *poisoned* — see
-  /// poisoned() — so split-keyed state can never be silently served.
+  /// Re-key every shard under secrets derived from `new_master`, with
+  /// the restores' protocol: every shard lock in table order, every
+  /// shard staged (SecureMemory::stage_rotation verifies and decrypts it
+  /// under its current keys) in parallel on the pool, and only then
+  /// every shard committed (commit_rotation cannot fail). If any shard
+  /// refuses, false is returned before any shard changed — the region is
+  /// never split-keyed, and the refusing shard traces its bad block. The
+  /// price: the call blocks every shard for its whole duration and holds
+  /// one region's worth of plaintext at once.
   [[nodiscard]] bool rotate_master_key(std::uint64_t new_master) override;
-
-  /// True after a key-rotation rollback failure left shards under
-  /// different masters. While poisoned, every operation reports
-  /// Status::kRegionPoisoned — verified reads fail closed rather than
-  /// decrypt half the region with retired keys, byte I/O and every
-  /// mutation path (write_block/write_blocks/write_bytes/save) return
-  /// the status without touching any shard, scrubs report
-  /// ScrubStatus::kRegionPoisoned, and rotate_master_key refuses. No
-  /// path throws on poisoning. The only way out is a successful
-  /// restore() of a known-good image, which clears the flag.
-  bool poisoned() const noexcept {
-    return poisoned_.load(std::memory_order_acquire);
-  }
-
-  /// Test-only fault injection: invoked (with no shard locks held)
-  /// between a failed forward rotation pass and the rollback pass — the
-  /// window in which tests tamper a rotated shard so its rollback
-  /// verification fails. Never used in production paths.
-  void set_rotate_rollback_fault_hook(std::function<void()> hook) {
-    rotate_rollback_fault_hook_ = std::move(hook);
-  }
 
   /// Aggregated operational statistics across all shards — lock-free:
   /// sums the shards' relaxed-atomic cells without touching the locks.
@@ -213,9 +183,9 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// staged and fully validated (sealed-root check included) while all
   /// shard locks are held, and only then are the shards committed —
   /// mirroring write_bytes' pre-verify-then-mutate protocol. A false
-  /// return means the region is EXACTLY as it was, including a poisoned
-  /// flag; a true return restores every shard and clears poisoning.
-  /// Every rejection, container damage included, records one
+  /// return means the region is EXACTLY as it was; a true return
+  /// restores every shard. Every shard stages under its own current
+  /// keys. Every rejection, container damage included, records one
   /// kRestore/kIntegrityViolation trace event, tagged with the shard
   /// that failed to stage (shard 0 for the container itself).
   ///
@@ -258,13 +228,14 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// shard image, and the deltas after it are a few percent of that.
   ///
   /// Same all-or-nothing contract as restore(): any staging failure
-  /// (container damage, one tampered shard, one stale base seal) returns
-  /// false with the region EXACTLY as it was, and every rejected call
-  /// counts one snapshot.delta.rejects. The one exception mirrors
+  /// (container damage, one tampered shard, one stale base seal, one
+  /// tampered tree path under a line the delta rewrites) returns false
+  /// with the region EXACTLY as it was, and every rejected call counts
+  /// one snapshot.delta.rejects. The one exception mirrors
   /// SecureMemory::commit_image's defense-in-depth verdict: a post-apply
-  /// root mismatch on a shard (cryptographically negligible) wipes that
-  /// shard and POISONS the region rather than serve a half-applied
-  /// state.
+  /// root mismatch on a shard (cryptographically negligible) wipes every
+  /// shard to zeros, as the plain engine wipes its region, rather than
+  /// serve a half-applied state.
   [[nodiscard]] Status save_delta(std::ostream& out) override;
   [[nodiscard]] bool restore_delta(std::istream& in) override {
     return restore_container(in, nullptr, /*accept_delta=*/true);
@@ -284,14 +255,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// per-shard slice buffers plus the payload buffer (each shard's own
   /// arena is SecureMemory::snapshot_arena_bytes).
   std::uint64_t delta_buffer_bytes() const;
-
-  // Re-expose the base class's std::byte-span / buffer overloads.
-  using SecureMemoryLike::read_bytes;
-  using SecureMemoryLike::restore;
-  using SecureMemoryLike::restore_delta;
-  using SecureMemoryLike::save;
-  using SecureMemoryLike::save_delta;
-  using SecureMemoryLike::write_bytes;
 
   /// Run `fn(SecureMemory&)` against one shard under its exclusive lock
   /// — for tests and attacker simulation (the untrusted view is per
@@ -327,6 +290,16 @@ class ShardedSecureMemory : public SecureMemoryLike {
                                            std::uint64_t last_block) const;
   /// Mutexes of `shards` (table order preserved) for lock_in_order.
   std::vector<SeqLock*> mutexes_of(std::span<const std::size_t> shards) const;
+  /// Every shard lock, taken in table order, and the engines they guard
+  /// — the prologue of every region-wide change (rotation and the
+  /// restores), held until the last commit. The pool workers get raw
+  /// engine pointers: each touches only its own shard's engine, under a
+  /// lock the caller holds.
+  struct AllShards {
+    std::vector<std::unique_lock<SeqLock>> locks;
+    std::vector<SecureMemory*> engines;
+  };
+  AllShards lock_all_shards();
   /// Every cell backing this region: each shard's, then the region's own.
   std::vector<const MetricsCell*> all_cells() const;
   /// One optimistic generation-validated attempt at a cross-shard byte
@@ -347,8 +320,7 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// buffer is worth recycling.
   std::optional<unsigned> stage_full_container(
       std::istream& in, std::span<SecureMemory* const> engines,
-      std::span<std::optional<SecureMemory::StagedImage>> staged)
-      SECMEM_REQUIRES(snapshot_mu_);
+      std::span<std::optional<SecureMemory::StagedImage>> staged);
   std::optional<unsigned> stage_delta_container(
       std::istream& in, std::span<SecureMemory* const> engines,
       std::span<std::optional<SecureMemory::StagedImage>> staged,
@@ -366,11 +338,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   /// on an image that never persisted, so the next save_delta must fall
   /// back to a full image.
   void break_shard_chains();
-  /// Fail-closed verified-read outcome while poisoned.
-  ReadResult poisoned_read() const noexcept;
-  /// Account + trace one refused mutation on a poisoned region; returns
-  /// Status::kRegionPoisoned for the caller to propagate.
-  Status poisoned_mutation(std::uint64_t block) const noexcept;
   /// Records a region-level event into the attached ring, if any.
   void trace(TraceEvent::Kind kind, Status outcome, std::uint64_t block,
              unsigned shard) const noexcept {
@@ -378,10 +345,8 @@ class ShardedSecureMemory : public SecureMemoryLike {
       ring->record(kind, outcome, block, static_cast<std::uint16_t>(shard));
   }
 
-  /// Region-level config (total size). Its master_key is the region key:
-  /// written by rotate_master_key and read by the restores, all under
-  /// snapshot_mu_.
-  SecureMemoryConfig config_;
+  /// Total region size; the keys live in the shard engines.
+  std::uint64_t size_bytes_;
   unsigned num_shards_;
   unsigned granule_blocks_;
   std::uint64_t num_blocks_;
@@ -390,8 +355,8 @@ class ShardedSecureMemory : public SecureMemoryLike {
   std::uint64_t slice_cap_ = 0;
   /// Fixed-size at construction; Shard is neither movable nor copyable.
   std::unique_ptr<Shard[]> shards_;
-  /// Region snapshot lock: serializes rotation and the restores over the
-  /// region key, and guards the recycled delta-replication buffers.
+  /// Region snapshot lock: serializes rotation, the restores and
+  /// save_delta, and guards the recycled delta-replication buffers.
   /// Always taken BEFORE any shard lock.
   mutable Mutex snapshot_mu_;
   /// save_delta's per-shard slice buffers and restore_delta's bulk
@@ -399,11 +364,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   std::vector<std::vector<char>> delta_slices_ SECMEM_GUARDED_BY(snapshot_mu_);
   std::vector<char> delta_payload_ SECMEM_GUARDED_BY(snapshot_mu_);
   ShardPool pool_;
-  /// Set on key-rotation rollback failure; cleared by successful
-  /// restore(). Acquire/release so the thread observing the flag also
-  /// observes the trace/metric records that explain it.
-  std::atomic<bool> poisoned_{false};
-  std::function<void()> rotate_rollback_fault_hook_;  ///< test-only seam
   /// Region-level (byte-op) counters. Const: the container's members run
   /// concurrently without a common lock, so every increment must take
   /// the cell's atomic form (common/metrics.h).

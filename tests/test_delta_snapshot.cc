@@ -18,6 +18,7 @@
 #include <streambuf>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
@@ -76,8 +77,8 @@ bool apply_delta(SecureMemoryLike& engine, const std::string& image) {
 /// one-shard ShardedSecureMemory) and Sharded (four shards).
 enum class EngineKind { kPlain, kOneShard, kSharded };
 
-std::unique_ptr<SecureMemoryLike> make_engine(EngineKind kind) {
-  const SecureMemoryConfig config = small_config();
+std::unique_ptr<SecureMemoryLike> make_engine(
+    EngineKind kind, const SecureMemoryConfig& config = small_config()) {
   switch (kind) {
     case EngineKind::kPlain: return std::make_unique<SecureMemory>(config);
     case EngineKind::kOneShard:
@@ -299,6 +300,70 @@ TEST_P(DeltaTamper, EveryByteFlipRejectsBeforeApply) {
   ASSERT_TRUE(apply_delta(*replica, delta));
   EXPECT_EQ(replica->read_block(2).data, pattern(0x22));
   EXPECT_EQ(image_of(*source), image_of(*replica));
+}
+
+/// Runs `fn` on shard 0's engine (a plain engine is its own shard 0).
+template <typename Fn>
+void with_shard0(SecureMemoryLike& engine, Fn&& fn) {
+  if (auto* sharded = dynamic_cast<ShardedSecureMemory*>(&engine))
+    sharded->with_shard_exclusive(0, std::forward<Fn>(fn));
+  else
+    fn(dynamic_cast<SecureMemory&>(engine));
+}
+
+/// Region block of shard 0's local block `local`.
+std::uint64_t shard0_block(const SecureMemoryLike& engine,
+                           std::uint64_t local) {
+  const auto* sharded = dynamic_cast<const ShardedSecureMemory*>(&engine);
+  if (sharded == nullptr) return local;
+  const std::uint64_t granule = sharded->granule_blocks();
+  return (local / granule) * sharded->num_shards() * granule +
+         local % granule;
+}
+
+/// The commit folds the off-chip tree path of every counter line a delta
+/// rewrites into the tree, so staging authenticates those paths: a
+/// tampered node on one rejects the delta with the region untouched.
+TEST_P(DeltaTamper, TreeTamperOnRewrittenPathRejectsAtStage) {
+  SecureMemoryConfig config;
+  config.size_bytes = 1024 * 1024;
+  config.onchip_bytes = 64;  // only the root level on chip
+  auto source = make_engine(GetParam(), config);
+  auto replica = make_engine(GetParam(), config);
+  populate(*source, 23);
+  ASSERT_TRUE(apply_delta(*replica, delta_of(*source)));
+  ASSERT_EQ(source->write_block(0, pattern(0x0A)), Status::kOk);
+  const std::string delta = delta_of(*source);
+
+  // Flip a sibling slot of the off-chip level-1 node above block 0's
+  // counter line: the line's own slot still matches, the node's MAC
+  // does not. The sibling line is one the delta leaves alone.
+  std::uint64_t sibling_block = 0;
+  with_shard0(*replica, [&sibling_block](SecureMemory& engine) {
+    ASSERT_GE(engine.layout().tree().offchip_levels(), 2u);
+    const std::uint64_t line = engine.counters().storage_line_of(0);
+    const std::uint64_t sibling = line ^ 1;
+    const std::uint64_t node = BonsaiGeometry::parent_of(line);
+    ASSERT_EQ(BonsaiGeometry::parent_of(sibling), node);
+    engine.untrusted().tree().corrupt_node(
+        1, node, 64 * BonsaiGeometry::slot_in_parent(sibling) + 5);
+    sibling_block = sibling * engine.counters().blocks_per_storage_line();
+  });
+  sibling_block = shard0_block(*replica, sibling_block);
+
+  const std::string before = image_of(*replica);
+  EXPECT_FALSE(apply_delta(*replica, delta));
+  EXPECT_EQ(image_of(*replica), before);
+  // Blocks off the tampered path still read their old data...
+  for (std::uint64_t b = replica->num_blocks() / 2; b < replica->num_blocks();
+       b += 97) {
+    const auto got = replica->read_block(b);
+    EXPECT_EQ(got.status, ReadStatus::kOk) << "block " << b;
+    EXPECT_EQ(got.data, source->read_block(b).data) << "block " << b;
+  }
+  // ...and the tamper is still reported, not wiped or folded in.
+  EXPECT_EQ(replica->read_block(sibling_block).status,
+            ReadStatus::kCounterTampered);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, DeltaTamper,
@@ -693,11 +758,10 @@ TEST(DeltaArena, StreamStagingCommitsLikeRestoreDelta) {
   tampered.back() = static_cast<char>(tampered.back() ^ 0x01);  // trailer
   {
     std::istringstream in(tampered);
-    EXPECT_FALSE(replica.stage_image(in, small_config().master_key, true)
-                     .has_value());
+    EXPECT_FALSE(replica.stage_image(in, true).has_value());
   }
   std::istringstream in(delta);
-  auto staged = replica.stage_image(in, small_config().master_key, true);
+  auto staged = replica.stage_image(in, true);
   ASSERT_TRUE(staged.has_value());
   ASSERT_TRUE(replica.commit_image(std::move(*staged)));
   EXPECT_EQ(image_of(source), image_of(replica));

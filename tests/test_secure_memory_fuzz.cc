@@ -106,9 +106,6 @@ TEST_P(SecureMemoryFuzz, NoSilentCorruptionUnderRandomTampering) {
       case ReadStatus::kCounterTampered:
         ++violations;
         break;
-      case ReadStatus::kRegionPoisoned:
-        FAIL() << "single engines never poison (sharded-only state)";
-        break;
       case ReadStatus::kSnapshotIoError:
         FAIL() << "reads never report a snapshot stream error";
         break;

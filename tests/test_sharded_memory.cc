@@ -197,6 +197,8 @@ TEST(ShardedSecureMemory, RotateMasterKeyIsAllOrNothingAcrossShards) {
     shard.untrusted().flip_ciphertext_bit(0, 2);
     shard.untrusted().flip_ciphertext_bit(0, 3);
   });
+  std::stringstream before;  // also aligns every shard's delta chain
+  ASSERT_EQ(memory.save(before), Status::kOk);
   EXPECT_FALSE(memory.rotate_master_key(0xdeadbeef));
   // The region is still uniformly under the OLD master: clean shards
   // read back fine, and the tampered block is still flagged (not
@@ -205,77 +207,18 @@ TEST(ShardedSecureMemory, RotateMasterKeyIsAllOrNothingAcrossShards) {
   EXPECT_EQ(memory.read_block(0).data, pattern(1));
   EXPECT_EQ(memory.read_block(2 * granule).status,
             ReadStatus::kIntegrityViolation);
-  // The rollback succeeded, so the clean abort must NOT poison.
-  EXPECT_FALSE(memory.poisoned());
+  // No shard was re-encrypted, not even transiently: every delta chain
+  // still stands, so the next save_delta ships no full fallback, and a
+  // full image is byte-for-byte the one taken before the call.
+  std::stringstream delta;
+  ASSERT_EQ(memory.save_delta(delta), Status::kOk);
   StatRegistry registry;
   memory.publish_metrics(registry);
-  EXPECT_EQ(registry.counter_value("engine.rotate_rollback_failures"), 0u);
-}
-
-TEST(ShardedSecureMemory, RotateRollbackFailurePoisonsRegion) {
-  // Regression: rotate_master_key collected per-shard rollback verdicts
-  // into rolled_back[] and never read them — a rollback failure left the
-  // region split-keyed (some shards old master, some new) while the call
-  // reported a clean abort. Now the verdict is checked: the failure is
-  // recorded and the region poisons, failing closed until restored.
-  ShardedSecureMemory memory(region_config(256 * 1024), 4);
-  const unsigned granule = memory.granule_blocks();
-  EXPECT_EQ(memory.write_block(0, pattern(1)), Status::kOk);         // shard 0
-  EXPECT_EQ(memory.write_block(granule, pattern(2)), Status::kOk);   // shard 1
-  std::stringstream image;
-  EXPECT_EQ(memory.save(image), Status::kOk);  // known-good image, taken before the damage
-
-  // Shard 1 carries an uncorrectable fault: the forward rotation pass
-  // fails there and the region must roll the other shards back...
-  memory.with_shard_exclusive(1, [](SecureMemory& shard) {
-    shard.untrusted().flip_ciphertext_bit(0, 1);
-    shard.untrusted().flip_ciphertext_bit(0, 2);
-    shard.untrusted().flip_ciphertext_bit(0, 3);
-  });
-  // ...and a tamper landing inside the rollback window (injected via the
-  // test-only hook, which runs between the failed forward pass and the
-  // rollback pass) makes shard 0 — already re-keyed forward — refuse to
-  // rotate back. The region is now split-keyed.
-  memory.set_rotate_rollback_fault_hook([&memory] {
-    memory.with_shard_exclusive(0, [](SecureMemory& shard) {
-      shard.untrusted().flip_ciphertext_bit(0, 1);
-      shard.untrusted().flip_ciphertext_bit(0, 2);
-      shard.untrusted().flip_ciphertext_bit(0, 3);
-    });
-  });
-  EXPECT_FALSE(memory.rotate_master_key(0xdeadbeef));
-
-  // The failure is on the record, not silently swallowed...
-  EXPECT_TRUE(memory.poisoned());
-  StatRegistry registry;
-  memory.publish_metrics(registry);
-  EXPECT_EQ(registry.counter_value("engine.rotate_rollback_failures"), 1u);
-
-  // ...and the split-keyed region fails closed in every direction: every
-  // entry point REPORTS kRegionPoisoned instead of throwing (the Status
-  // contract — no engine path throws on poisoning).
-  EXPECT_EQ(memory.read_block(0).status, ReadStatus::kRegionPoisoned);
-  const std::vector<std::uint64_t> batch{0, granule};
-  for (const auto& result : memory.read_blocks(batch))
-    EXPECT_EQ(result.status, ReadStatus::kRegionPoisoned);
-  std::vector<std::uint8_t> buffer(128);
-  EXPECT_EQ(memory.read_bytes(0, buffer), Status::kRegionPoisoned);
-  EXPECT_EQ(memory.write_bytes(0, buffer), Status::kRegionPoisoned);
-  EXPECT_EQ(memory.write_block(0, pattern(9)), Status::kRegionPoisoned);
-  EXPECT_TRUE(memory.scrub_all().region_poisoned);
-  std::stringstream sink;
-  EXPECT_EQ(memory.save(sink), Status::kRegionPoisoned);
-  EXPECT_TRUE(sink.str().empty());  // a poisoned save writes NOTHING
-  EXPECT_FALSE(memory.rotate_master_key(0xfeedface));
-  EXPECT_GT(memory.stats().integrity_violations, 0u);
-
-  // The documented exit: restoring a known-good image clears the poison
-  // and the region serves again.
-  ASSERT_TRUE(memory.restore(image));
-  EXPECT_FALSE(memory.poisoned());
-  EXPECT_EQ(memory.read_block(0).status, ReadStatus::kOk);
-  EXPECT_EQ(memory.read_block(0).data, pattern(1));
-  EXPECT_EQ(memory.read_block(granule).data, pattern(2));
+  EXPECT_EQ(registry.counter_value("engine.snapshot.delta.save_fallbacks"),
+            0u);
+  std::stringstream after;
+  ASSERT_EQ(memory.save(after), Status::kOk);
+  EXPECT_EQ(after.str(), before.str());
 }
 
 TEST(ShardedSecureMemory, SaveRestoreRoundTripsAllShards) {
@@ -902,7 +845,6 @@ TEST(ShardedSecureMemoryStress, ContendedShardPoolNeverDeadlocks) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_FALSE(memory.poisoned());
   EXPECT_EQ(memory.stats().integrity_violations, 0u);
   for (std::uint64_t b = 0; b < blocks; ++b) {
     const auto result = memory.read_block(b);

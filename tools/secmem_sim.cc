@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -188,7 +189,7 @@ int run_functional_engine(const SystemConfig& config,
     // Seal a full base image (aligns the engine's snapshot chain), touch
     // the hot set again, then emit the incremental image: the on-disk
     // artifact a crash/restore loop would ship per checkpoint.
-    std::vector<std::byte> base;
+    std::stringstream base;
     if (memory->save(base) != Status::kOk) {
       std::fprintf(stderr, "error: base save failed\n");
       return 1;
@@ -208,13 +209,13 @@ int run_functional_engine(const SystemConfig& config,
                    delta_save_path.c_str());
       return 1;
     }
+    const auto base_bytes = static_cast<unsigned long long>(base.tellp());
     const auto delta_bytes =
         static_cast<unsigned long long>(delta_out.tellp());
-    std::printf("full image      %llu bytes\n",
-                static_cast<unsigned long long>(base.size()));
+    std::printf("full image      %llu bytes\n", base_bytes);
     std::printf("delta image     %llu bytes -> %s (%.1fx smaller)\n",
                 delta_bytes, delta_save_path.c_str(),
-                delta_bytes ? static_cast<double>(base.size()) / delta_bytes
+                delta_bytes ? static_cast<double>(base_bytes) / delta_bytes
                             : 0.0);
   }
   if (!metrics_json.empty()) {
