@@ -20,23 +20,19 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config,
   }
 }
 
+template <class Writebacks>
 void CacheHierarchy::fill_l3(std::uint64_t line, bool dirty,
-                             std::vector<std::uint64_t>& writebacks) {
-  if (l3_.lookup(line)) {
-    if (dirty) l3_.mark_dirty(line);
-    return;
-  }
+                             Writebacks& writebacks) {
+  if (l3_.touch(line, dirty)) return;
   if (auto victim = l3_.fill(line, dirty); victim && victim->dirty)
     writebacks.push_back(victim->line_addr);
 }
 
+template <class Writebacks>
 void CacheHierarchy::fill_l2(unsigned core, std::uint64_t line, bool dirty,
-                             std::vector<std::uint64_t>& writebacks) {
+                             Writebacks& writebacks) {
   SetAssocCache& l2 = l2_[core];
-  if (l2.lookup(line)) {
-    if (dirty) l2.mark_dirty(line);
-    return;
-  }
+  if (l2.touch(line, dirty)) return;
   if (auto victim = l2.fill(line, dirty); victim && victim->dirty)
     fill_l3(victim->line_addr, /*dirty=*/true, writebacks);
 }
@@ -48,8 +44,7 @@ AccessOutcome CacheHierarchy::access(unsigned core, std::uint64_t addr,
   SetAssocCache& l2 = l2_[core];
   const std::uint64_t line = l1.line_address(addr);
 
-  if (l1.lookup(line)) {
-    if (is_write) l1.mark_dirty(line);
+  if (l1.touch(line, is_write)) {
     outcome.served_by = ServedBy::kL1;
     outcome.hit_latency = config_.l1_latency;
     l1_stats_.hits.inc();
@@ -63,10 +58,9 @@ AccessOutcome CacheHierarchy::access(unsigned core, std::uint64_t addr,
       fill_l2(core, victim->line_addr, /*dirty=*/true, outcome.writebacks);
   };
 
-  if (l2.lookup(line)) {
+  if (const auto removed = l2.invalidate(line)) {
     // Line moves up to L1; its dirtiness migrates with it.
-    const auto removed = l2.invalidate(line);
-    allocate_l1(is_write || (removed && removed->dirty));
+    allocate_l1(is_write || removed->dirty);
     outcome.served_by = ServedBy::kL2;
     outcome.hit_latency = config_.l2_latency;
     l2_stats_.hits.inc();

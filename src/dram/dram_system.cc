@@ -37,7 +37,10 @@ DramCoord map_address(const DramOrg& org, std::uint64_t addr,
 }
 
 DramSystem::DramSystem(const DramConfig& config, StatRegistry& stats)
-    : config_(config), stats_(stats) {
+    : config_(config),
+      reads_(stats.counter("dram.reads")),
+      writes_(stats.counter("dram.writes")),
+      latency_(stats.scalar("dram.latency")) {
   channels_.reserve(config.org.channels);
   for (unsigned c = 0; c < config.org.channels; ++c)
     channels_.emplace_back(config, c, stats);
@@ -48,9 +51,8 @@ std::uint64_t DramSystem::access(std::uint64_t now, std::uint64_t addr,
   const DramCoord coord = map_address(config_.org, addr, config_.mapping);
   const auto completion = channels_[coord.channel].access(
       now, coord.rank, coord.bank, coord.row, is_write);
-  stats_.counter(is_write ? "dram.writes" : "dram.reads").inc();
-  stats_.scalar("dram.latency").sample(
-      static_cast<double>(completion.done - now));
+  (is_write ? writes_ : reads_).inc();
+  latency_.sample(static_cast<double>(completion.done - now));
   return completion.done;
 }
 

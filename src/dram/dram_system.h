@@ -33,7 +33,12 @@ class DramSystem {
  private:
   DramConfig config_;
   std::vector<DramChannel> channels_;
-  StatRegistry& stats_;
+  // Cached registry entries (stable references, see StatRegistry): every
+  // simulated DRAM transaction passes here, so the name lookups happen
+  // once at construction, as in DramChannel.
+  StatCounter& reads_;
+  StatCounter& writes_;
+  StatScalar& latency_;
 };
 
 }  // namespace secmem

@@ -47,7 +47,7 @@ void EncryptionEngine::dirty_parent(std::uint64_t now, unsigned level,
 }
 
 void EncryptionEngine::post_metadata_writebacks(
-    std::uint64_t now, const std::vector<std::uint64_t>& lines) {
+    std::uint64_t now, std::span<const std::uint64_t> lines) {
   for (const std::uint64_t addr : lines) {
     dram_.access(now, addr, /*is_write=*/true);
     metadata_writebacks_.inc();

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/stats.h"
 #include "counters/counter_scheme.h"
@@ -85,7 +86,7 @@ class EncryptionEngine {
   /// Write back evicted dirty metadata lines and lazily propagate their
   /// MAC updates into their parents.
   void post_metadata_writebacks(std::uint64_t now,
-                                const std::vector<std::uint64_t>& lines);
+                                std::span<const std::uint64_t> lines);
 
   EngineConfig config_;
   CounterScheme& scheme_;

@@ -9,7 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <utility>
+#include <vector>
 
 namespace secmem {
 
@@ -17,7 +18,7 @@ class CoreModel {
  public:
   /// `base_ipc`: peak non-memory retire rate. `mlp`: max in-flight misses.
   CoreModel(double base_ipc, unsigned mlp)
-      : base_ipc_(base_ipc), mlp_(mlp) {}
+      : base_ipc_(base_ipc), mlp_(mlp), outstanding_(mlp) {}
 
   /// Retire `n` non-memory instructions.
   void advance_compute(std::uint64_t n) {
@@ -35,12 +36,21 @@ class CoreModel {
       if (completion > clock_) clock_ = completion;
       return;
     }
-    outstanding_.push_back(completion);
-    if (outstanding_.size() > mlp_) {
-      const double oldest = outstanding_.front();
-      outstanding_.pop_front();
-      if (oldest > clock_) clock_ = oldest;
+    if (in_flight_ < mlp_) {
+      std::size_t slot = oldest_ + in_flight_;
+      if (slot >= mlp_) slot -= mlp_;
+      outstanding_[slot] = completion;
+      ++in_flight_;
+      return;
     }
+    // Window full: the core waits for the oldest miss, whose slot the new
+    // one takes (with no slots at all, for this miss itself).
+    double oldest = completion;
+    if (mlp_ > 0) {
+      std::swap(oldest, outstanding_[oldest_]);
+      if (++oldest_ == mlp_) oldest_ = 0;
+    }
+    if (oldest > clock_) clock_ = oldest;
   }
 
   /// A short-latency access (cache hit) that the window fully hides
@@ -52,9 +62,12 @@ class CoreModel {
 
   /// Wait for all outstanding misses (end of run).
   void drain() {
-    for (const double c : outstanding_)
-      if (c > clock_) clock_ = c;
-    outstanding_.clear();
+    for (std::size_t i = 0; i < in_flight_; ++i) {
+      std::size_t slot = oldest_ + i;
+      if (slot >= mlp_) slot -= mlp_;
+      if (outstanding_[slot] > clock_) clock_ = outstanding_[slot];
+    }
+    in_flight_ = 0;
   }
 
   double clock() const noexcept { return clock_; }
@@ -65,7 +78,11 @@ class CoreModel {
   unsigned mlp_;
   double clock_ = 0;
   std::uint64_t instructions_ = 0;
-  std::deque<double> outstanding_;
+  // In-flight miss completions: a ring of `mlp` slots, oldest first from
+  // index oldest_.
+  std::vector<double> outstanding_;
+  std::size_t oldest_ = 0;
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace secmem

@@ -62,9 +62,10 @@ SimResult SystemSimulator::run_trace(
       std::move(remaining), config_.warmup_refs);
 }
 
-SimResult SystemSimulator::run_with(
-    const std::function<MemRef(unsigned)>& next,
-    std::vector<std::uint64_t> remaining, std::uint64_t warmup_refs) {
+template <class NextRef>
+SimResult SystemSimulator::run_with(NextRef next,
+                                    std::vector<std::uint64_t> remaining,
+                                    std::uint64_t warmup_refs) {
   const unsigned cores = config_.cores;
   std::vector<CoreModel> core_models;
   core_models.reserve(cores);

@@ -15,7 +15,6 @@
 // counter representations in a single simulation pass.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -87,9 +86,10 @@ class SystemSimulator {
 
   /// Shared driver: `next(core)` supplies core-local reference streams,
   /// `remaining[core]` their lengths; the first warmup_refs per core are
-  /// excluded from the reported IPC.
-  SimResult run_with(const std::function<MemRef(unsigned)>& next,
-                     std::vector<std::uint64_t> remaining,
+  /// excluded from the reported IPC. A template, so the per-reference
+  /// call inlines.
+  template <class NextRef>
+  SimResult run_with(NextRef next, std::vector<std::uint64_t> remaining,
                      std::uint64_t warmup_refs);
 
   SystemConfig config_;

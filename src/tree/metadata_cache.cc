@@ -4,8 +4,7 @@ namespace secmem {
 
 MetadataCache::Access MetadataCache::access(std::uint64_t addr, bool dirty) {
   Access result;
-  if (cache_.lookup(addr)) {
-    if (dirty) cache_.mark_dirty(addr);
+  if (cache_.touch(addr, dirty)) {
     result.hit = true;
     hits_.inc();
     return result;

@@ -27,8 +27,8 @@ class MetadataCache {
 
   struct Access {
     bool hit;
-    /// Dirty metadata lines displaced by this fill (must be written back).
-    std::vector<std::uint64_t> writebacks;
+    /// Dirty metadata line displaced by this fill (must be written back).
+    LineList<1> writebacks;
   };
 
   /// Touch metadata line at `addr`; on miss, fill it (dirty if `dirty`).

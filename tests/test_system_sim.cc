@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "counters/delta_counter.h"
 #include "counters/split_counter.h"
 
@@ -140,6 +142,109 @@ TEST(SystemSim, ReencryptionsReportedForHotWorkload) {
   SystemSimulator sim(config, profile);
   const SimResult result = sim.run(1000000);
   EXPECT_GT(result.reencryptions, 0u);
+}
+
+// Pinned timing-model results: the Figure 8 variants on two apps over the
+// small hierarchy above, every event count and the exact IPC bits. They
+// hold the simulated system fixed while its host-side code changes; a
+// change that is meant to move them must say so and re-capture them.
+struct Variant {
+  Protection protection;
+  CounterSchemeKind scheme;
+  MacPlacement placement;
+};
+constexpr Variant kNoEnc{Protection::kNone, CounterSchemeKind::kMonolithic56,
+                         MacPlacement::kEccLane};
+constexpr Variant kBmt{Protection::kEncrypted, CounterSchemeKind::kMonolithic56,
+                       MacPlacement::kSeparate};
+constexpr Variant kMacEcc{Protection::kEncrypted,
+                          CounterSchemeKind::kMonolithic56,
+                          MacPlacement::kEccLane};
+constexpr Variant kDelta{Protection::kEncrypted, CounterSchemeKind::kDelta,
+                         MacPlacement::kSeparate};
+constexpr Variant kOptimized{Protection::kEncrypted, CounterSchemeKind::kDelta,
+                             MacPlacement::kEccLane};
+
+struct Pin {
+  std::uint64_t cycles, instructions, ipc_bits, dram_reads, dram_writes,
+      reencryptions, metacache_hits, metacache_misses;
+};
+
+void expect_pinned(const char* app, const Variant& v, const Pin& pin) {
+  constexpr std::uint64_t kRefs = 6000;
+  SystemConfig config = small_system(v.protection, v.scheme, v.placement);
+  config.warmup_refs = kRefs / 3;
+  SystemSimulator sim(config, profile_by_name(app));
+  const SimResult r = sim.run(kRefs);
+  EXPECT_EQ(r.cycles, pin.cycles);
+  EXPECT_EQ(r.instructions, pin.instructions);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ipc), pin.ipc_bits) << r.ipc;
+  EXPECT_EQ(r.dram_reads, pin.dram_reads);
+  EXPECT_EQ(r.dram_writes, pin.dram_writes);
+  EXPECT_EQ(r.reencryptions, pin.reencryptions);
+  EXPECT_EQ(sim.stats().counter_value("metacache.hits"), pin.metacache_hits);
+  EXPECT_EQ(sim.stats().counter_value("metacache.misses"),
+            pin.metacache_misses);
+}
+
+TEST(SystemSim, CannealNoEncPinned) {
+  expect_pinned(
+      "canneal", kNoEnc,
+      {161745, 1049884, 0x4019f593b2b35039, 10626, 2691, 0, 0, 0});
+}
+
+TEST(SystemSim, CannealBmtPinned) {
+  expect_pinned(
+      "canneal", kBmt,
+      {411230, 1049884, 0x4004415325d2a3f0, 49216, 11861, 0, 21876, 38590});
+}
+
+TEST(SystemSim, CannealMacEccPinned) {
+  expect_pinned(
+      "canneal", kMacEcc,
+      {354518, 1049884, 0x40079ce4692d1522, 40200, 9103, 0, 16382, 29574});
+}
+
+TEST(SystemSim, CannealDeltaPinned) {
+  expect_pinned(
+      "canneal", kDelta,
+      {349052, 1049884, 0x4007f9d71ec64442, 39304, 8998, 0, 20737, 28677});
+}
+
+TEST(SystemSim, CannealOptimizedPinned) {
+  expect_pinned(
+      "canneal", kOptimized,
+      {277562, 1049884, 0x400e4b476cb41197, 30194, 6929, 0, 15664, 19567});
+}
+
+TEST(SystemSim, DedupNoEncPinned) {
+  expect_pinned(
+      "dedup", kNoEnc,
+      {184574, 1301940, 0x401dae483a157f78, 8780, 4926, 0, 0, 0});
+}
+
+TEST(SystemSim, DedupBmtPinned) {
+  expect_pinned(
+      "dedup", kBmt,
+      {456489, 1301940, 0x4005d04b2956e6d6, 28837, 15495, 0, 25771, 20052});
+}
+
+TEST(SystemSim, DedupMacEccPinned) {
+  expect_pinned(
+      "dedup", kMacEcc,
+      {356387, 1301940, 0x400c44671c61ba74, 20167, 9526, 0, 15788, 11392});
+}
+
+TEST(SystemSim, DedupDeltaPinned) {
+  expect_pinned(
+      "dedup", kDelta,
+      {339362, 1301940, 0x400f3c527ee3c0f3, 20856, 10190, 0, 25290, 12074});
+}
+
+TEST(SystemSim, DedupOptimizedPinned) {
+  expect_pinned(
+      "dedup", kOptimized,
+      {289952, 1301940, 0x4012c624a152146d, 15967, 7723, 0, 15194, 7180});
 }
 
 }  // namespace
