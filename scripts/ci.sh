@@ -48,7 +48,9 @@ cmake --build .bench_build -j "$(nproc)"
 ctest --test-dir .bench_build --output-on-failure
 
 if [ "$fast" -eq 0 ]; then
-  echo "=== ASan + UBSan ==="
+  echo "=== ASan + UBSan, asserts on ==="
+  # The asan preset drops -DNDEBUG, so this is the leg in which every
+  # assert() in src/ and tests/ runs.
   ASAN_OPTIONS="halt_on_error=1:abort_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     bash -c 'cmake --preset asan &&

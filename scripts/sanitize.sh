@@ -4,6 +4,10 @@
 #   scripts/sanitize.sh asan [ctest args...]   # AddressSanitizer + UBSan
 #   scripts/sanitize.sh tsan [ctest args...]   # ThreadSanitizer
 #
+# The asan build keeps assert() on (no -DNDEBUG): it is the one build
+# in which the code's asserts run, since every other preset defines
+# NDEBUG.
+#
 # With no extra ctest args, tsan runs the concurrency suites — every test
 # whose name matches `Sharded|Concurrent`: the sharded engine's stress,
 # parallel-writer and contended-writer tests at one and many shards, the
@@ -32,11 +36,13 @@ case "$mode" in
   asan)
     sanitizers="address,undefined"
     dir=build-asan
+    cxx_flags="-O2 -g"
     default_args=()
     ;;
   tsan)
     sanitizers="thread"
     dir=build-tsan
+    cxx_flags="-O2 -g -DNDEBUG"
     default_args=(-R 'Sharded|Concurrent')
     ;;
   *)
@@ -46,7 +52,8 @@ case "$mode" in
 esac
 
 cmake -B "$dir" -S . -DSECMEM_SANITIZE="$sanitizers" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="$cxx_flags"
 cmake --build "$dir" -j "$(nproc)"
 if [ "$#" -gt 0 ]; then
   default_args=("$@")
