@@ -64,7 +64,8 @@ if [ "$fast" -eq 0 ]; then
   # until the first failure, 20 times. The contended shard-pool test
   # races rotation and the restores — each fanning out on the pool while
   # holding every shard lock — against scrubs and reads; it is slower,
-  # so it reruns 10 times.
+  # so it reruns 10 times, as does the torn-write test that races
+  # cross-shard byte reads against byte writes of the same range.
   TSAN_OPTIONS="halt_on_error=1" \
     bash -c 'cmake --preset tsan &&
              cmake --build --preset tsan -j "$(nproc)" &&
@@ -74,6 +75,8 @@ if [ "$fast" -eq 0 ]; then
              ctest --preset tsan -R LiveTraceAttachDetachDuringByteOps \
                --repeat until-fail:20 &&
              ctest --preset tsan -R ContendedShardPoolNeverDeadlocks \
+               --repeat until-fail:10 &&
+             ctest --preset tsan -R CrossShardByteReadsNeverSeeTornWrites \
                --repeat until-fail:10'
 
   # Clang-only legs, gated on availability: containers that ship only gcc

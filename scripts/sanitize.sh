@@ -12,7 +12,9 @@
 # whose name matches `Sharded|Concurrent`: the sharded engine's stress,
 # parallel-writer and contended-writer tests at one and many shards, the
 # live trace attach/detach under cross-shard byte operations
-# (ShardedSecureMemoryStress.LiveTraceAttachDetachDuringByteOps), every
+# (ShardedSecureMemoryStress.LiveTraceAttachDetachDuringByteOps), byte
+# reads racing byte writes of one range across a shard boundary
+# (ShardedSecureMemoryStress.CrossShardByteReadsNeverSeeTornWrites), every
 # pool fan-out at once — rotation and the restores under every shard
 # lock, against scrubs and reads
 # (ShardedSecureMemoryStress.ContendedShardPoolNeverDeadlocks), the
@@ -26,6 +28,7 @@
 #   scripts/sanitize.sh tsan -R ConcurrentSeqLock --repeat until-fail:20
 #   scripts/sanitize.sh tsan -R LiveTraceAttach --repeat until-fail:20
 #   scripts/sanitize.sh tsan -R ContendedShardPool --repeat until-fail:10
+#   scripts/sanitize.sh tsan -R CrossShardByteReads --repeat until-fail:10
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -11,7 +11,7 @@
 //
 // Policy (enforced by tools/secmem-lint, rule `raw-mutex`): no naked
 // std::mutex / std::shared_mutex anywhere in src/ outside this header.
-// Every lock is a secmem::Mutex or secmem::SharedMutex so it carries a
+// Every lock is a secmem::Mutex or secmem::SeqLock so it carries a
 // capability the analysis can track. To annotate a new lock:
 //
 //   Mutex mu_;
@@ -55,18 +55,10 @@
 /// Pointer member whose *pointee* is guarded by the given capability.
 #define SECMEM_PT_GUARDED_BY(x) SECMEM_THREAD_ANNOTATION__(pt_guarded_by(x))
 
-/// Lock-ordering declarations (deadlock avoidance documentation).
-#define SECMEM_ACQUIRED_BEFORE(...) \
-  SECMEM_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define SECMEM_ACQUIRED_AFTER(...) \
-  SECMEM_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
-
-/// The function must be called with the capability held (exclusively /
-/// shared) and does not release it.
+/// The function must be called with the capability held and does not
+/// release it.
 #define SECMEM_REQUIRES(...) \
   SECMEM_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define SECMEM_REQUIRES_SHARED(...) \
-  SECMEM_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires / releases the capability.
 #define SECMEM_ACQUIRE(...) \
@@ -77,20 +69,6 @@
   SECMEM_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 #define SECMEM_RELEASE_SHARED(...) \
   SECMEM_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-
-/// The function acquires the capability iff it returns `b`.
-#define SECMEM_TRY_ACQUIRE(b, ...) \
-  SECMEM_THREAD_ANNOTATION__(try_acquire_capability(b, __VA_ARGS__))
-#define SECMEM_TRY_ACQUIRE_SHARED(b, ...) \
-  SECMEM_THREAD_ANNOTATION__(try_acquire_shared_capability(b, __VA_ARGS__))
-
-/// The function must be called WITHOUT the capability held.
-#define SECMEM_EXCLUDES(...) \
-  SECMEM_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-
-/// The function returns a reference to the given capability.
-#define SECMEM_RETURN_CAPABILITY(x) \
-  SECMEM_THREAD_ANNOTATION__(lock_returned(x))
 
 /// Escape hatch: the function's locking is beyond static analysis
 /// (runtime-indexed lock sets, contract-level lock-freedom). Always pair
@@ -112,30 +90,9 @@ class SECMEM_CAPABILITY("mutex") Mutex {
 
   void lock() SECMEM_ACQUIRE() { mu_.lock(); }
   void unlock() SECMEM_RELEASE() { mu_.unlock(); }
-  bool try_lock() SECMEM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
-};
-
-/// Capability-annotated reader/writer mutex.
-class SECMEM_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() SECMEM_ACQUIRE() { mu_.lock(); }
-  void unlock() SECMEM_RELEASE() { mu_.unlock(); }
-  bool try_lock() SECMEM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void lock_shared() SECMEM_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() SECMEM_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() SECMEM_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
 };
 
 /// RAII exclusive lock over a Mutex — the checked way to take a lock.
@@ -148,35 +105,6 @@ class SECMEM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class SECMEM_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) SECMEM_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() SECMEM_RELEASE() { mu_.unlock_shared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock over a SharedMutex.
-class SECMEM_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) SECMEM_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() SECMEM_RELEASE() { mu_.unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Per-thread slots shared by the reader indicator of every SeqLock and
@@ -222,9 +150,9 @@ inline std::size_t thread_slot() noexcept {
   return slot;
 }
 
-/// Capability-annotated seqlock: a reader/writer lock with a per-thread
-/// reader indicator, plus a published generation counter. This is the
-/// read-mostly tier of the lock vocabulary (engine/sharded_memory.h).
+/// Capability-annotated reader/writer lock with a per-thread reader
+/// indicator. This is the read-mostly tier of the lock vocabulary
+/// (engine/sharded_memory.h).
 ///
 /// Readers write only their own thread's slot. A reader increments its
 /// slot (seq_cst), then checks `writer_`; while no writer is active that
@@ -235,28 +163,16 @@ inline std::size_t thread_slot() noexcept {
 /// (seq_cst), and waits until every slot drains before it touches
 /// anything: the store-then-load pairs on both sides guarantee that
 /// either the reader sees `writer_` or the writer sees the reader's
-/// count. Every data access therefore stays lock-synchronized — no racy
-/// textbook-seqlock reads, TSan- and standards-clean. This is the
-/// visible-readers scheme of BRAVO (Dice & Kogan, USENIX ATC 2019) with
-/// one fixed table per lock.
-///
-/// The generation gives lock-free *observers* a way to detect writer
-/// activity without touching the lock at all:
-///
-///  - generation() is odd while a writer holds the lock (bumped to odd
-///    once the readers drained, even on release), so
-///    write_in_progress(g) is `g & 1`.
-///  - Two equal, even generations bracket a span with no completed or
-///    in-flight write — the optimistic-snapshot validation the
-///    cross-shard read path uses: snapshot each shard's generation,
-///    read shard by shard under short shared locks, and accept iff
-///    every generation is unchanged (retry otherwise).
+/// count. The release store that clears `writer_` publishes the writer's
+/// mutations to the next fast-path reader. Every data access therefore
+/// stays lock-synchronized — no racy textbook-seqlock reads, TSan- and
+/// standards-clean. This is the visible-readers scheme of BRAVO (Dice &
+/// Kogan, USENIX ATC 2019) with one fixed table per lock.
 ///
 /// Satisfies BasicLockable on its exclusive side, so the ordered
-/// multi-lock machinery (std::unique_lock via engine/lock_table.h)
-/// bumps generations exactly like a SeqWriteLock does. The shared side
-/// hands the reader a ticket to give back, so take it through
-/// SeqReadLock.
+/// multi-lock machinery (std::unique_lock via engine/lock_table.h) takes
+/// it exactly like a SeqWriteLock does. The shared side hands the reader
+/// a ticket to give back, so take it through SeqReadLock.
 class SECMEM_CAPABILITY("seqlock") SeqLock {
   struct alignas(64) ReaderSlot {
     std::atomic<std::uint64_t> count{0};
@@ -276,14 +192,8 @@ class SECMEM_CAPABILITY("seqlock") SeqLock {
     exclude_readers();
   }
   void unlock() SECMEM_RELEASE() {
-    bump();  // even: quiescent
     writer_.store(false, std::memory_order_release);
     mu_.unlock();
-  }
-  bool try_lock() SECMEM_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    exclude_readers();
-    return true;
   }
   [[nodiscard]] ReadTicket lock_shared() SECMEM_ACQUIRE_SHARED() {
     ReaderSlot& slot = readers_[thread_slot()];
@@ -300,23 +210,13 @@ class SECMEM_CAPABILITY("seqlock") SeqLock {
       mu_.unlock_shared();
   }
 
-  /// Lock-free probe of writer activity; pairs with the release store in
-  /// bump() so a reader that sees generation G also sees every write the
-  /// G-bumping writer made before publishing G.
-  std::uint64_t generation() const noexcept {
-    return gen_.load(std::memory_order_acquire);
-  }
-  static bool write_in_progress(std::uint64_t generation) noexcept {
-    return (generation & 1) != 0;
-  }
-
  private:
   /// Pause iterations per slot before the drain wait starts yielding: a
   /// reader holds its slot for one verified read, well under this.
   static constexpr unsigned kSpinsBeforeYield = 64;
 
-  /// With the mutex held: turn new readers away, wait out the ones in
-  /// flight, then publish the odd generation.
+  /// With the mutex held: turn new readers away and wait out the ones in
+  /// flight.
   void exclude_readers() noexcept {
     writer_.store(true, std::memory_order_seq_cst);
     for (const ReaderSlot& slot : readers_) {
@@ -328,13 +228,6 @@ class SECMEM_CAPABILITY("seqlock") SeqLock {
           std::this_thread::yield();
       }
     }
-    bump();  // odd: write in progress
-  }
-  void bump() noexcept {
-    // Only ever called with the exclusive side held, so the load cannot
-    // race another bump; the release publishes the writer's mutations.
-    gen_.store(gen_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_release);
   }
   static void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -345,7 +238,6 @@ class SECMEM_CAPABILITY("seqlock") SeqLock {
   }
 
   std::shared_mutex mu_;
-  std::atomic<std::uint64_t> gen_{0};
   std::atomic<bool> writer_{false};
   /// Each on its own line: a reader writes no line another reader writes.
   std::array<ReaderSlot, kThreadSlots> readers_{};
@@ -367,8 +259,7 @@ class SECMEM_SCOPED_CAPABILITY SeqReadLock {
   SeqLock::ReadTicket ticket_;
 };
 
-/// RAII exclusive (writer) lock over a SeqLock; bumps the generation on
-/// both edges via SeqLock::lock()/unlock().
+/// RAII exclusive (writer) lock over a SeqLock.
 class SECMEM_SCOPED_CAPABILITY SeqWriteLock {
  public:
   explicit SeqWriteLock(SeqLock& mu) SECMEM_ACQUIRE(mu) : mu_(mu) {

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <span>
 
 #include "engine/secure_memory_like.h"
@@ -22,23 +21,20 @@ struct RangeVerdict {
 };
 
 /// Verified read of [addr, addr + out.size()) into `out`, stopping at
-/// the first failed verdict. `read(block)` yields a ReadResult, or
-/// nullopt (a declined shared read), which abandons the walk.
+/// the first failed verdict; `read(block)` yields the block's ReadResult.
 template <class Read>
-std::optional<RangeVerdict> read_range(std::uint64_t addr,
-                                       std::span<std::uint8_t> out,
-                                       Read&& read) {
+RangeVerdict read_range(std::uint64_t addr, std::span<std::uint8_t> out,
+                        Read&& read) {
   RangeVerdict verdict{Status::kOk, addr / kBlockBytes};
   for (std::size_t done = 0; done < out.size();) {
     const std::uint64_t block = (addr + done) / kBlockBytes;
     const std::size_t offset = (addr + done) % kBlockBytes;
     const std::size_t size =
         std::min(kBlockBytes - offset, out.size() - done);
-    const std::optional<ReadResult> r = read(block);
-    if (!r) return std::nullopt;
-    if (!status_ok(r->status)) return RangeVerdict{r->status, block};
-    verdict.status = worse(verdict.status, r->status);
-    std::memcpy(out.data() + done, r->data.data() + offset, size);
+    const ReadResult r = read(block);
+    if (!status_ok(r.status)) return RangeVerdict{r.status, block};
+    verdict.status = worse(verdict.status, r.status);
+    std::memcpy(out.data() + done, r.data.data() + offset, size);
     done += size;
   }
   return verdict;

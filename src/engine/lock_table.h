@@ -11,11 +11,12 @@
 //    SeqReadLock on the const read fast path) and are fully statically
 //    checked.
 //
-//  - Operations that span shards (cross-shard byte ranges) acquire their
-//    runtime-selected set of locks through lock_in_order() below: strictly
-//    ascending table order, the fixed global order that makes concurrent
-//    multi-shard operations safe against each other. A runtime-indexed
-//    lock set is beyond static analysis — callers carry
+//  - Operations that span shards (cross-shard byte reads and writes,
+//    rotation, the restores) take their runtime-selected set of locks
+//    exclusively through lock_in_order() below: strictly ascending table
+//    order, the fixed global order that makes concurrent multi-shard
+//    operations safe against each other. A runtime-indexed lock set is
+//    beyond static analysis — callers carry
 //    SECMEM_NO_THREAD_SAFETY_ANALYSIS and a comment, and stay in the TSan
 //    preset's test filter.
 #pragma once
@@ -35,9 +36,9 @@ namespace secmem {
 /// The returned guards release in reverse order on destruction.
 ///
 /// Works for any exclusive capability lock (secmem::Mutex, or
-/// secmem::SeqLock — whose lock()/unlock() also bump the generation, so
-/// ordered multi-shard writers invalidate optimistic readers exactly
-/// like single-shard SeqWriteLock writers do).
+/// secmem::SeqLock — whose lock() also drains the reader indicator, so
+/// an ordered multi-shard holder excludes shared readers exactly like a
+/// single-shard SeqWriteLock does).
 ///
 /// Invisible to thread-safety analysis (the lock set is runtime data);
 /// callers must be SECMEM_NO_THREAD_SAFETY_ANALYSIS.

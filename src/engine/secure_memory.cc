@@ -388,11 +388,6 @@ ReadResult SecureMemory::decrypt_verified(std::uint64_t block,
   return result;
 }
 
-void SecureMemory::account_read(const ReadResult& result,
-                                std::uint64_t block) const noexcept {
-  count_read(*this, result, block);
-}
-
 template <class Self>
 void SecureMemory::count_read(Self& self, const ReadResult& result,
                               std::uint64_t block) noexcept {
@@ -445,8 +440,8 @@ bool SecureMemory::pulse_declines(bool resident) const noexcept {
   return true;
 }
 
-std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
-                                                          bool account) const {
+std::optional<ReadResult> SecureMemory::read_block_shared(
+    std::uint64_t block) const {
   if (block >= layout_.num_blocks())
     throw std::out_of_range("SecureMemory::read_block_shared: block " +
                             std::to_string(block) + " out of range");
@@ -476,7 +471,7 @@ std::optional<ReadResult> SecureMemory::read_block_shared(std::uint64_t block,
     result = decrypt_verified(block, pad, keystream);
   }
   metrics_.add(MetricId::kSharedReads);
-  if (account) account_read(result, block);
+  count_read(*this, result, block);
   return result;
 }
 
@@ -552,7 +547,7 @@ void SecureMemory::read_blocks_shared(std::span<const std::uint64_t> blocks,
     results[i] = line_ok ? decrypt_verified(block, pads[i], keystreams[i])
                          : ReadResult{ReadStatus::kCounterTampered, {}, 0};
     metrics_.add(MetricId::kSharedReads);
-    account_read(results[i], block);
+    count_read(*this, results[i], block);
   }
 }
 
@@ -1332,7 +1327,7 @@ Status SecureMemory::read_bytes(std::uint64_t addr,
     throw std::out_of_range("SecureMemory::read_bytes: range exceeds region");
   metrics_.add(MetricId::kByteReads);
   metrics_.sample(EngineHistId::kByteReadBytes, out.size());
-  const RangeVerdict verdict = *read_range(
+  const RangeVerdict verdict = read_range(
       addr, out, [this](std::uint64_t block) { return read_block(block); });
   trace(TraceEvent::Kind::kByteRead, verdict.status, verdict.block);
   return verdict.status;

@@ -141,13 +141,8 @@ class SecureMemory : public SecureMemoryLike {
   /// into the verified frontier (a shared reader must not mutate the
   /// cache, so without the pulse a cold line would walk to the root
   /// forever). Callers retry declined blocks under the exclusive lock.
-  ///
-  /// `account` false defers metrics/trace to an explicit account_read()
-  /// call — the cross-shard byte-read path validates a whole optimistic
-  /// snapshot before committing any accounting, so retries don't
-  /// double-count.
   [[nodiscard]] std::optional<ReadResult> read_block_shared(
-      std::uint64_t block, bool account = true) const;
+      std::uint64_t block) const;
 
   /// Batch read_block_shared over `blocks` into `results` (same size) —
   /// the one batched read body. Indices that declined are appended to
@@ -156,14 +151,6 @@ class SecureMemory : public SecureMemoryLike {
   void read_blocks_shared(std::span<const std::uint64_t> blocks,
                           std::span<ReadResult> results,
                           std::vector<std::uint32_t>& declined) const;
-
-  /// Metrics/trace bookkeeping for one read outcome. Public and const so
-  /// callers running deferred-accounting shared reads (account=false)
-  /// can commit the books once the whole operation is known to stick;
-  /// being const, it counts into the calling thread's stripe of the
-  /// cell (common/metrics.h), so it needs no lock.
-  void account_read(const ReadResult& result, std::uint64_t block)
-      const noexcept;
 
   /// Byte-level API; see SecureMemoryLike for the Status contract.
   /// `write_bytes` is all-or-nothing: the partial blocks at the edges of
@@ -518,10 +505,11 @@ class SecureMemory : public SecureMemoryLike {
   /// accounting-free — each read path commits the result itself.
   ReadResult decrypt_verified(std::uint64_t block, std::uint64_t pad,
                               const DataBlock& keystream) const;
-  /// account_read's one body. `Self` is SecureMemory or const
-  /// SecureMemory, so the metrics cell takes the increment the calling
-  /// member's constness allows (common/metrics.h): read_block counts
-  /// with single-writer stores, the shared paths atomically.
+  /// Metrics/trace bookkeeping for one read outcome, the one body behind
+  /// every read path. `Self` is SecureMemory or const SecureMemory, so
+  /// the metrics cell takes the increment the calling member's constness
+  /// allows (common/metrics.h): read_block counts with single-writer
+  /// stores, the shared paths atomically.
   template <class Self>
   static void count_read(Self& self, const ReadResult& result,
                          std::uint64_t block) noexcept;
@@ -592,8 +580,8 @@ class SecureMemory : public SecureMemoryLike {
   std::vector<std::uint64_t> macs_;          ///< separate-MAC mode
   std::vector<std::uint8_t> counter_store_;  ///< serialized counter lines
   std::vector<std::uint64_t> shadow_ctr_;    ///< current counter per block
-  /// Atomic: the lock-free byte-read commit traces through account_read
-  /// while attach_trace may run under the shard's write lock.
+  /// Published with release by attach_trace and loaded with acquire by
+  /// every traced operation, so attaching needs no lock of its own.
   std::atomic<TraceRing*> trace_{nullptr};
   std::atomic<std::uint16_t> trace_shard_{0};
   /// Not mutable: const members (the shared read path) see a const cell

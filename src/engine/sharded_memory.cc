@@ -266,9 +266,11 @@ std::vector<SeqLock*> ShardedSecureMemory::mutexes_of(
   return mutexes;
 }
 
-// Cross-shard byte range: a runtime-selected lock set acquired in fixed
+// Cross-shard byte ranges: a runtime-selected lock set acquired in fixed
 // ascending order (lock_in_order) — beyond static thread-safety analysis;
-// covered by the TSan preset's sharded stress tests.
+// covered by the TSan preset's sharded stress tests. Reads and writes take
+// the same exclusive set, so either sees the range at one instant. Both
+// trace the block their verdict names, and that block's shard.
 Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
                                         std::span<const std::uint8_t> bytes)
     SECMEM_NO_THREAD_SAFETY_ANALYSIS {
@@ -279,10 +281,8 @@ Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
   metrics_.sample(EngineHistId::kByteWriteBytes, bytes.size());
   if (bytes.empty()) return Status::kOk;
 
-  const std::uint64_t first_block = addr / 64;
-  const std::uint64_t last_block = (addr + bytes.size() - 1) / 64;
-  const auto locks =
-      lock_in_order(mutexes_of(shards_in_range(first_block, last_block)));
+  const auto locks = lock_in_order(mutexes_of(
+      shards_in_range(addr / 64, (addr + bytes.size() - 1) / 64)));
   // Same all-or-nothing protocol as SecureMemory::write_bytes, but with
   // every touched shard held: the edge blocks are pre-verified before any
   // shard is mutated.
@@ -298,65 +298,11 @@ Status ShardedSecureMemory::write_bytes(std::uint64_t addr,
             return shards_[r.shard].engine->write_block(r.local_block,
                                                          plain);
           });
-  trace(TraceEvent::Kind::kByteWrite, verdict.status, first_block,
-        shard_of_block(first_block));
+  trace(TraceEvent::Kind::kByteWrite, verdict.status, verdict.block,
+        shard_of_block(verdict.block));
   return verdict.status;
 }
 
-// Optimistic cross-shard snapshot read — the seqlock generation protocol
-// in full. No locks are held across blocks: each block is read under a
-// short SHARED lock on its owning shard, and the bracketing generation
-// check proves no writer committed (or ran) anywhere in the involved
-// set between the first and last read — i.e. the assembled range equals
-// what an all-locks reader would have seen at one instant. Accounting is
-// deferred (read_block_shared(account=false)) and committed only when
-// the snapshot validates, so a torn attempt that gets retried never
-// double-counts reads. Beyond static analysis (runtime shard set,
-// optimistic validation); TSan-covered.
-std::optional<Status> ShardedSecureMemory::try_read_bytes_optimistic(
-    std::uint64_t addr, std::span<std::uint8_t> out,
-    std::span<const std::size_t> involved)
-    SECMEM_NO_THREAD_SAFETY_ANALYSIS {
-  std::vector<std::uint64_t> gens(involved.size());
-  for (std::size_t i = 0; i < involved.size(); ++i) {
-    gens[i] = shards_[involved[i]].mu.generation();
-    if (SeqLock::write_in_progress(gens[i])) return std::nullopt;
-  }
-  const auto unchanged = [&] {
-    for (std::size_t i = 0; i < involved.size(); ++i)
-      if (shards_[involved[i]].mu.generation() != gens[i]) return false;
-    return true;
-  };
-
-  std::vector<std::pair<Route, ReadResult>> pending;
-  const std::optional<RangeVerdict> verdict =
-      read_range(addr, out, [&](std::uint64_t block) {
-        const Route r = route(block);
-        Shard& s = shards_[r.shard];
-        std::optional<ReadResult> res;
-        {
-          const SeqReadLock lock(s.mu);
-          res = s.engine->read_block_shared(r.local_block, /*account=*/false);
-        }
-        if (res) pending.emplace_back(r, *res);
-        return res;  // nullopt = declined: warm via the exclusive path
-      });
-  // A verdict — a failure above all — is only reportable if it belongs to
-  // a consistent instant: a writer racing this range could otherwise
-  // manufacture one out of a half-updated group.
-  if (!verdict || !unchanged()) return std::nullopt;
-  // No shard lock: account_read is const, so it counts into this
-  // thread's stripe of each shard's cell, never into the words an
-  // exclusive writer stores to (common/metrics.h).
-  for (const auto& [r, result] : pending)
-    shards_[r.shard].engine->account_read(result, r.local_block);
-  trace(TraceEvent::Kind::kByteRead, verdict->status, addr / 64,
-        shard_of_block(addr / 64));
-  return verdict->status;
-}
-
-// See write_bytes: runtime-selected lock set, ordered acquisition,
-// TSan-covered.
 Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
                                        std::span<std::uint8_t> out)
     SECMEM_NO_THREAD_SAFETY_ANALYSIS {
@@ -367,26 +313,15 @@ Status ShardedSecureMemory::read_bytes(std::uint64_t addr,
   metrics_.sample(EngineHistId::kByteReadBytes, out.size());
   if (out.empty()) return Status::kOk;
 
-  const std::uint64_t first_block = addr / 64;
-  const std::uint64_t last_block = (addr + out.size() - 1) / 64;
-  const auto involved = shards_in_range(first_block, last_block);
-
-  // Two optimistic attempts, then the exclusive fallback — bounded
-  // retries so a write-heavy phase degrades to the old protocol instead
-  // of livelocking readers.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (const auto verdict = try_read_bytes_optimistic(addr, out, involved))
-      return *verdict;
-  }
-
-  const auto locks = lock_in_order(mutexes_of(involved));
-  const RangeVerdict verdict = *read_range(
+  const auto locks = lock_in_order(mutexes_of(
+      shards_in_range(addr / 64, (addr + out.size() - 1) / 64)));
+  const RangeVerdict verdict = read_range(
       addr, out, [this](std::uint64_t block) SECMEM_NO_THREAD_SAFETY_ANALYSIS {
         const Route r = route(block);
         return shards_[r.shard].engine->read_block(r.local_block);
       });
-  trace(TraceEvent::Kind::kByteRead, verdict.status, first_block,
-        shard_of_block(first_block));
+  trace(TraceEvent::Kind::kByteRead, verdict.status, verdict.block,
+        shard_of_block(verdict.block));
   return verdict.status;
 }
 
@@ -480,13 +415,14 @@ void ShardedSecureMemory::publish_metrics(StatRegistry& registry,
   }
 }
 
-void ShardedSecureMemory::attach_trace(TraceRing* ring) {
+// Lock-free by contract: a shard engine's attach_trace is two atomic
+// stores, and the engine pointer never changes after construction, so
+// attaching takes no shard lock and never waits behind a busy shard.
+void ShardedSecureMemory::attach_trace(TraceRing* ring)
+    SECMEM_NO_THREAD_SAFETY_ANALYSIS {
   trace_.store(ring, std::memory_order_release);
-  for (unsigned s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    const SeqWriteLock lock(shard.mu);
-    shard.engine->attach_trace(ring, static_cast<std::uint16_t>(s));
-  }
+  for (unsigned s = 0; s < num_shards_; ++s)
+    shards_[s].engine->attach_trace(ring, static_cast<std::uint16_t>(s));
 }
 
 void ShardedSecureMemory::break_shard_chains() {

@@ -12,8 +12,8 @@
 //
 // Locking discipline — machine-checked under clang -Wthread-safety:
 // every shard is a Shard struct carrying its own cache-line-aligned
-// secmem::SeqLock (a reader/writer mutex publishing a generation
-// counter, common/thread_annotations.h), and the shard's engine is
+// secmem::SeqLock (a reader/writer lock with a per-thread reader
+// indicator, common/thread_annotations.h), and the shard's engine is
 // SECMEM_GUARDED_BY that lock, so touching an engine without holding it
 // is a *build error*. Writers and every mutating maintenance operation
 // take the exclusive side (SeqWriteLock); verified reads take the shared
@@ -21,15 +21,12 @@
 // thread's own slot) and run through SecureMemory's const
 // read_block_shared() fast path, so a read-mostly workload is limited by
 // crypto throughput, not lock convoys — with N readers on one hot shard
-// the old per-shard std::mutex serialized them all. Cross-shard paths
-// acquire runtime-selected exclusive lock sets in fixed ascending table
-// order via lock_in_order (engine/lock_table.h) — except read_bytes,
-// which first attempts an optimistic generation-validated snapshot:
-// capture each involved shard's generation, read block by block under
-// short shared locks, and accept iff every generation is unchanged
-// (equal and even), retrying through the exclusive path otherwise. The
-// runtime-lock-set and optimistic functions are beyond static analysis
-// and carry SECMEM_NO_THREAD_SAFETY_ANALYSIS plus TSan coverage.
+// the old per-shard std::mutex serialized them all. Cross-shard paths,
+// byte reads and byte writes alike, acquire runtime-selected exclusive
+// lock sets in fixed ascending table order via lock_in_order
+// (engine/lock_table.h). The runtime-lock-set functions are beyond
+// static analysis and carry SECMEM_NO_THREAD_SAFETY_ANALYSIS plus TSan
+// coverage.
 //
 // Routing granularity is the *block-group* (4 KB for the paper's delta
 // schemes): groups are striped round-robin across shards. A group is the
@@ -51,9 +48,8 @@
 // taking any shard lock, so observability never stalls the datapath.
 // A shard's exclusive-path increments are single-writer stores (the
 // SeqWriteLock excludes every other writer of those words); every const
-// path counts into the calling thread's stripe of the cell, so counting
-// needs no lock at all (the deferred accounting of
-// try_read_bytes_optimistic commits with none).
+// path counts into the calling thread's stripe of the cell, so shared
+// readers never write the words an exclusive writer stores to.
 #pragma once
 
 #include <atomic>
@@ -123,16 +119,10 @@ class ShardedSecureMemory : public SecureMemoryLike {
 
   /// ------------------------------------------------------------------
   /// Byte-level API. Ranges are read/written atomically even across
-  /// shard boundaries. `write_bytes` exclusively locks every shard the
-  /// range touches (in table order) and keeps SecureMemory's
-  /// all-or-nothing guarantee: edge blocks are pre-verified before any
-  /// shard is mutated. `read_bytes` first tries the optimistic
-  /// generation-validated snapshot (short shared locks, no writer
-  /// exclusion — see the file comment); equal generations before and
-  /// after prove the range was read at one consistent instant. Torn
-  /// snapshots retry, then fall back to the exclusive protocol, with
-  /// read accounting deferred until a pass commits so retries never
-  /// double-count.
+  /// shard boundaries: both calls exclusively lock every shard the range
+  /// touches (in table order) for the whole range. `write_bytes` keeps
+  /// SecureMemory's all-or-nothing guarantee: edge blocks are
+  /// pre-verified before any shard is mutated.
   /// ------------------------------------------------------------------
   Status write_bytes(std::uint64_t addr,
                      std::span<const std::uint8_t> bytes) override;
@@ -171,11 +161,13 @@ class ShardedSecureMemory : public SecureMemoryLike {
                        const std::string& prefix = "engine") const override;
 
   /// The shared ring receives every shard's events, tagged with the shard
-  /// index; region-level byte operations record under the owning shard of
-  /// their first block. Safe to call while other threads use the engine
-  /// (every ring pointer is an atomic, published with release); the ring
-  /// must outlive its use — an operation that loaded it just before a
-  /// detach may still record into it.
+  /// index; a region-level byte operation records the (global) block its
+  /// verdict names — the first failed block, else the range's first —
+  /// under that block's owning shard. Safe to call while other threads
+  /// use the engine, and takes no shard lock (every ring pointer is an
+  /// atomic, published with release); the ring must outlive its use — an
+  /// operation that loaded it just before a detach may still record into
+  /// it.
   void attach_trace(TraceRing* ring) override;
 
   /// Persistence: a shard-count-tagged container of per-shard images.
@@ -258,8 +250,7 @@ class ShardedSecureMemory : public SecureMemoryLike {
 
   /// Run `fn(SecureMemory&)` against one shard under its exclusive lock
   /// — for tests and attacker simulation (the untrusted view is per
-  /// shard). Bumps the shard's generation like any writer, so optimistic
-  /// readers never consume a half-tampered snapshot.
+  /// shard). Readers of the shard wait it out like any writer.
   template <typename Fn>
   auto with_shard_exclusive(unsigned shard, Fn&& fn) {
     Shard& s = shards_[shard];
@@ -302,11 +293,6 @@ class ShardedSecureMemory : public SecureMemoryLike {
   AllShards lock_all_shards();
   /// Every cell backing this region: each shard's, then the region's own.
   std::vector<const MetricsCell*> all_cells() const;
-  /// One optimistic generation-validated attempt at a cross-shard byte
-  /// read; nullopt means torn-or-declined (caller retries / falls back).
-  std::optional<Status> try_read_bytes_optimistic(
-      std::uint64_t addr, std::span<std::uint8_t> out,
-      std::span<const std::size_t> involved);
   /// The one body behind restore(), restore_delta() and restore_timed():
   /// container magic and header, every lock, staging, then the
   /// shard-parallel commit (timed into `timing` when non-null). A delta

@@ -264,6 +264,42 @@ TEST(TraceTest, ShardedEngineTagsEventsWithOwningShard) {
   EXPECT_TRUE(saw_byte_read);
 }
 
+TEST(TraceTest, ShardedByteOpsTraceTheFailingBlockAndItsShard) {
+  // A 64-byte range from the last block of shard 0's first granule into
+  // the first block of shard 1's, whose counter line is tampered: both
+  // byte operations fail on that second block and must name it, and
+  // shard 1, rather than the range's first block and shard 0.
+  ShardedSecureMemory memory(small_config(), 4);
+  const std::uint64_t tampered = memory.granule_blocks();
+  ASSERT_EQ(memory.shard_of_block(tampered - 1), 0u);
+  ASSERT_EQ(memory.shard_of_block(tampered), 1u);
+  memory.with_shard_exclusive(1, [](SecureMemory& shard) {
+    // Global block `tampered` is shard 1's local block 0.
+    shard.untrusted().flip_counter_bit(shard.counters().storage_line_of(0),
+                                       3);
+  });
+  TraceRing ring(64);
+  memory.attach_trace(&ring);
+
+  const std::uint64_t addr = tampered * 64 - 32;
+  std::vector<std::uint8_t> buf(64);
+  EXPECT_EQ(Status::kCounterTampered, memory.read_bytes(addr, buf));
+  // Both edges are partial, so the tail edge fails its pre-verify.
+  EXPECT_EQ(Status::kCounterTampered, memory.write_bytes(addr, buf));
+
+  unsigned byte_events = 0;
+  for (const TraceEvent& event : ring.snapshot()) {
+    if (event.kind != TraceEvent::Kind::kByteRead &&
+        event.kind != TraceEvent::Kind::kByteWrite)
+      continue;
+    ++byte_events;
+    EXPECT_EQ(Status::kCounterTampered, event.outcome);
+    EXPECT_EQ(tampered, event.block) << trace_kind_name(event.kind);
+    EXPECT_EQ(1u, event.shard) << trace_kind_name(event.kind);
+  }
+  EXPECT_EQ(2u, byte_events);
+}
+
 // MT observability smoke under the sanitizer presets (name matches the
 // TSan filter): concurrent readers with tracing + a stats poller.
 TEST(ShardedObservabilityConcurrentTest, StatsAndTraceUnderParallelLoad) {

@@ -339,15 +339,15 @@ void expect_declines_fall_back(SecureMemoryLike& memory,
   }
   EXPECT_GT(shared_read_declines(memory), before) << "read_blocks";
 
-  // read_bytes: 8 bytes straddling each block's start, one cold line each.
-  before = shared_read_declines(memory);
+  // read_bytes: 8 bytes at each block's start, one cold line each. Byte
+  // reads take the exclusive path, so they never decline; the plaintext
+  // must still match.
   for (std::uint64_t line = 2 * kLinesPerPhase; line < 3 * kLinesPerPhase;
        ++line) {
     std::uint8_t out[8] = {};
     ASSERT_EQ(memory.read_bytes(block_of(line) * 64, out), Status::kOk);
     EXPECT_EQ(std::memcmp(out, data_of(line).data(), 8), 0) << line;
   }
-  EXPECT_GT(shared_read_declines(memory), before) << "read_bytes";
 
   // Tampered cold lines: declined or not, the verdict is the tamper.
   for (std::uint64_t line = 3 * kLinesPerPhase; line < 4 * kLinesPerPhase;
@@ -509,11 +509,60 @@ TEST(ShardedSecureMemoryStress, ConcurrentBatchesAndCrossShardWrites) {
   EXPECT_EQ(memory.stats().integrity_violations, 0u);
 }
 
+TEST(ShardedSecureMemoryStress, CrossShardByteReadsNeverSeeTornWrites) {
+  // Writers fill one 128-byte range that straddles the boundary between
+  // shards 1 and 0 with a single byte value that changes per write;
+  // readers read the same range and must see one write whole. The range
+  // runs against table order (its first block is in shard 1), so a
+  // writer that holds shard 0 and waits for shard 1 is common: a read
+  // that let go of shard 1 before taking shard 0 would then return the
+  // old first block and the new second one. Writers run until every
+  // reader is done, so each read overlaps writes.
+  ShardedSecureMemory memory(region_config(256 * 1024), 2);
+  const std::uint64_t addr = 2 * memory.granule_blocks() * 64ULL - 64;
+  ASSERT_EQ(memory.shard_of_block(addr / 64), 1u);
+  ASSERT_EQ(memory.shard_of_block(addr / 64 + 1), 0u);
+  constexpr unsigned kWriters = 2;
+  constexpr unsigned kReaders = 2;
+  constexpr unsigned kReads = 5000;
+  std::atomic<unsigned> readers_left{kReaders};
+  std::atomic<int> failures{0};
+  std::atomic<int> torn{0};
+
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      std::array<std::uint8_t, 128> range{};
+      for (unsigned round = 0; readers_left.load() != 0; ++round) {
+        range.fill(static_cast<std::uint8_t>(2 * round + t));
+        if (memory.write_bytes(addr, range) != Status::kOk) ++failures;
+      }
+    });
+  }
+  for (unsigned t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      std::array<std::uint8_t, 128> range{};
+      for (unsigned read = 0; read < kReads; ++read) {
+        if (memory.read_bytes(addr, range) != Status::kOk) ++failures;
+        if (std::count(range.begin(), range.end(), range[0]) !=
+            static_cast<std::ptrdiff_t>(range.size()))
+          ++torn;
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(memory.stats().integrity_violations, 0u);
+}
+
 TEST(ShardedSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
-  // The seqlock gate: many readers on the shared fast path (plus the
-  // optimistic cross-shard byte protocol) racing one writer. Content is
-  // deterministic per block, so every read — single-block or torn-range
-  // candidate — has exactly one acceptable value; TSan runs this too.
+  // The seqlock gate: many readers on the shared fast path (plus
+  // cross-shard byte reads under the ordered exclusive lock set) racing
+  // one writer. Content is deterministic per block, so every read —
+  // single-block or torn-range candidate — has exactly one acceptable
+  // value; TSan runs this too.
   ShardedSecureMemory memory(region_config(256 * 1024), 8);
   const std::uint64_t blocks = memory.num_blocks();
   for (std::uint64_t b = 0; b < blocks; ++b)
@@ -524,7 +573,7 @@ TEST(ShardedSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
 
-  // One writer keeps generations moving (a ~95/5 mix overall), always
+  // One writer keeps the writer side busy (a ~95/5 mix overall), always
   // re-writing the block's fixed pattern so readers stay checkable.
   threads.emplace_back([&memory, blocks] {
     Xoshiro256 rng(7);
@@ -543,7 +592,7 @@ TEST(ShardedSecureMemoryStress, ReadMostlySharedReadersStayConsistent) {
             result.data != pattern(static_cast<std::uint8_t>(block)))
           ++failures;
         if (round % 16 == 0) {
-          // Cross-shard range via the optimistic snapshot protocol; the
+          // Cross-shard range under every involved shard's lock; the
           // expected bytes are computable because content is fixed.
           std::vector<std::uint8_t> buffer(256);
           const std::uint64_t addr =
@@ -652,13 +701,13 @@ TEST(ShardedSecureMemoryStress, ConcurrentSingleWriterCountsAreExact) {
 }
 
 TEST(ShardedSecureMemoryStress, ConcurrentByteReadAccountingIsExact) {
-  // Cross-shard byte reads defer their accounting until the optimistic
-  // snapshot validates, then commit it into each shard's cell, racing
-  // deep scrubs (an exclusive verified read each) and writes that count
-  // into the same cells under the shard's write lock. Every op lands on
+  // Cross-shard byte reads count one exclusive verified read per block
+  // into each shard's cell, racing deep scrubs (an exclusive verified
+  // read each) and writes that count into the same cells under the
+  // shard's write lock. Every op lands on
   // shards 0 and 1; each read_bytes covers the last block of shard 0's
   // first granule and the first of shard 1's, so it must add exactly two
-  // reads however many attempts it took.
+  // reads.
   ShardedSecureMemory memory(region_config(256 * 1024), 8);
   const std::uint64_t granule = memory.granule_blocks();
   memory.reset_stats();
@@ -716,8 +765,8 @@ TEST(ShardedSecureMemoryStress, ConcurrentByteReadAccountingIsExact) {
 TEST(ShardedSecureMemoryStress, LiveTraceAttachDetachDuringByteOps) {
   // attach_trace publishes the ring through atomic pointers, so it may
   // run while cross-shard byte operations are in flight: their
-  // region-level events and the lock-free byte-read commit load those
-  // pointers without shard locks. The ring outlives every use.
+  // region-level events load the region's ring pointer, which
+  // attach_trace stores under no lock. The ring outlives every use.
   ShardedSecureMemory memory(region_config(256 * 1024), 8);
   const std::uint64_t granule = memory.granule_blocks();
   TraceRing ring(128);

@@ -1,7 +1,7 @@
 // lock-discipline: a gcc-friendly subset of clang's thread-safety
 // analysis. A member annotated SECMEM_GUARDED_BY may only be touched in
 // member functions that construct some guard (MutexLock,
-// Reader/WriterMutexLock, SeqReadLock/SeqWriteLock, lock_in_order), are
+// SeqReadLock/SeqWriteLock, lock_in_order), are
 // annotated SECMEM_REQUIRES(...) — the caller holds it — or opt out with
 // SECMEM_NO_THREAD_SAFETY_ANALYSIS. Constructors and destructors are
 // exempt (exclusive access by construction).
@@ -28,9 +28,8 @@ namespace secmem_lint {
 namespace {
 
 const std::set<std::string, std::less<>> kGuardIdents = {
-    "MutexLock",   "ReaderMutexLock", "WriterMutexLock", "SeqLock",
-    "SeqReadLock", "SeqWriteLock",    "lock_in_order",   "lock_guard",
-    "unique_lock", "scoped_lock"};
+    "MutexLock",    "SeqLock",   "SeqReadLock", "SeqWriteLock",
+    "lock_in_order", "lock_guard", "unique_lock", "scoped_lock"};
 
 std::string last_component(const std::string& qualified) {
   const std::size_t pos = qualified.rfind("::");

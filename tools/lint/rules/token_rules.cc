@@ -111,8 +111,8 @@ void check_raw_mutex(const SourceFile& sf, Emit emit) {
     }
   }
   // Reader-side primitives called directly (mu.lock_shared() etc.)
-  // bypass both the capability annotations and the SeqLock generation
-  // protocol; only thread_annotations.h itself may touch them.
+  // bypass both the capability annotations and the SeqLock reader
+  // indicator's ticket; only thread_annotations.h itself may touch them.
   for (const char* name :
        {"lock_shared", "unlock_shared", "try_lock_shared"}) {
     for (const std::size_t pos : find_idents(code, name))
